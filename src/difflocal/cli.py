@@ -28,8 +28,8 @@ from .constructions import (
     behrend_set,
     random_local_set,
 )
-from .goodness import is_c_good, largest_star
-from .harness import parse_c, scan_ground
+from .goodness import is_c_good, largest_star, parse_c
+from .harness import scan_ground
 from .verifier import BudgetExceededError, check_local_property
 
 EXIT_OK = 0
@@ -123,10 +123,11 @@ def cmd_build(args) -> int:
             params.update({"d": args.d, "m": args.m, "mode": "explicit"})
         seed = None
     else:  # random-local
+        c = parse_c(args.c)
         artifact = random_local_set(
             n=args.n,
             k=args.k,
-            c=parse_c(args.c),
+            c=c,
             kappa=args.kappa,
             seed=args.seed,
             max_retries=args.max_retries,
@@ -134,7 +135,7 @@ def cmd_build(args) -> int:
         params = {
             "n": args.n,
             "k": args.k,
-            "c": parse_c(args.c),
+            "c": c,
             "kappa": args.kappa,
             "max_retries": args.max_retries,
         }

@@ -144,13 +144,18 @@ class KConfiguration:
 
     @cached_property
     def _pair_residues(self) -> dict[tuple[int, int], tuple]:
-        # residue of e_i - e_j for every ordered pair (i, j), 1-based
+        # residue of e_i - e_j for every ordered pair (i, j), 1-based;
+        # res(i, j) = -res(j, i), and (j, i) comes first when j < i
         k = self.k
         res: dict[tuple[int, int], tuple] = {}
         base = [0] * k
         for i in range(1, k + 1):
             for j in range(1, k + 1):
                 if i == j:
+                    continue
+                if j < i:
+                    w, den = res[(j, i)]
+                    res[(i, j)] = (tuple([-x for x in w]), den)
                     continue
                 base[i - 1] = 1
                 base[j - 1] = -1

@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import comb
 from typing import Sequence
 
-from .goodness import points_c_good
+from .goodness import parse_c, points_c_good
 
 DEFAULT_MAX_ENUMERATION = 10**8
 
@@ -294,9 +294,10 @@ def random_local_set(
     (keeping small elements dense).  The postcondition is machine-checked by
     a full re-scan before returning.
     """
-    c = Fraction(c) if not isinstance(c, float) else Fraction(c).limit_denominator(10**9)
-    if not Fraction(1) < c <= Fraction(2):
-        raise ConstructionError(f"c must lie in (1, 2], got {c}")
+    try:
+        c = parse_c(c)
+    except ValueError as exc:
+        raise ConstructionError(str(exc)) from exc
     if k < 4:
         raise ConstructionError(f"k must be at least 4, got {k}")
     if n < k:

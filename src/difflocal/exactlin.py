@@ -9,7 +9,10 @@ so two spans are equal iff their bases compare equal as tuples.
 
 All elimination is fraction-free (cross-multiplication followed by gcd
 renormalization), so no Fraction objects are created on the hot paths and no
-rounding can occur anywhere.
+rounding can occur anywhere.  Two loops do it: ``_eliminate`` reduces one
+vector against canonical rows (``reduce``, ``member``, ``residue``), and
+``echelon`` runs forward elimination with an optional augmented block
+(``rank_of_columns``, ``section_dim``, and the implication solver).
 """
 
 from __future__ import annotations
@@ -28,16 +31,6 @@ def is_zero_sum(vec: Sequence[int]) -> bool:
     return sum(vec) == 0
 
 
-def _content_gcd(vec: Iterable[int]) -> int:
-    g = 0
-    for x in vec:
-        if x:
-            g = gcd(g, x)
-            if g == 1:
-                return 1
-    return g
-
-
 def _leading(vec: Sequence[int]) -> int | None:
     for j, x in enumerate(vec):
         if x:
@@ -46,13 +39,14 @@ def _leading(vec: Sequence[int]) -> int | None:
 
 
 def _normalize(row: list[int], pivot: int) -> None:
-    # Primitive integer row with positive pivot entry.
-    g = _content_gcd(row)
+    # Primitive integer row with positive pivot entry; the entries before the
+    # pivot are already zero.
+    g = gcd(*row)
     if row[pivot] < 0:
         g = -g
     if g != 1:
-        for j, x in enumerate(row):
-            row[j] = x // g
+        for j in range(pivot, len(row)):
+            row[j] //= g
 
 
 @dataclass(frozen=True)
@@ -90,7 +84,8 @@ def reduce(vectors: Iterable[Sequence[int]], ambient_dim: int | None = None) -> 
     for v in vecs:
         if len(v) != ambient_dim:
             raise ValueError(f"dimension mismatch: expected {ambient_dim}, got {len(v)}")
-        w = _eliminate(list(v), rows, pivots)
+        w = list(v)
+        _eliminate(w, rows, pivots)
         j = _leading(w)
         if j is None:
             continue
@@ -109,24 +104,30 @@ def reduce(vectors: Iterable[Sequence[int]], ambient_dim: int | None = None) -> 
     return ExactBasis(ambient_dim, tuple(tuple(r) for r in rows))
 
 
-def _eliminate(w: list[int], rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> list[int]:
-    # Cross-multiplied elimination of w against pivot rows; result is a
-    # positive rational multiple of the true residue.
+def _eliminate(w: list[int], rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> int:
+    """Reduce ``w`` in place against canonical rows; returns ``den > 0``.
+
+    Cross-multiplied elimination: afterwards ``w / den`` is the true residue
+    of the original ``w`` modulo the rows' span.
+    """
     n = len(w)
+    den = 1
     for r, p in zip(rows, pivots):
         wp = w[p]
         if wp:
             rp = r[p]
             for col in range(n):
                 w[col] = w[col] * rp - r[col] * wp
-    return w
+            den *= rp
+    return den
 
 
 def member(basis: ExactBasis, v: Sequence[int]) -> bool:
     """True iff ``v`` lies in the rational span of ``basis``."""
     if len(v) != basis.ambient_dim:
         raise ValueError(f"dimension mismatch: expected {basis.ambient_dim}, got {len(v)}")
-    w = _eliminate(list(v), basis.rows, basis.pivots)
+    w = list(v)
+    _eliminate(w, basis.rows, basis.pivots)
     return not any(w)
 
 
@@ -140,54 +141,55 @@ def residue(basis: ExactBasis, v: Sequence[int]) -> tuple[tuple[int, ...], int]:
     if len(v) != basis.ambient_dim:
         raise ValueError(f"dimension mismatch: expected {basis.ambient_dim}, got {len(v)}")
     w = list(v)
-    den = 1
-    for r, p in zip(basis.rows, basis.pivots):
-        wp = w[p]
-        if wp:
-            rp = r[p]
-            for col in range(basis.ambient_dim):
-                w[col] = w[col] * rp - r[col] * wp
-            den *= rp
-    g = gcd(_content_gcd(w), den)
+    den = _eliminate(w, basis.rows, basis.pivots)
+    g = gcd(*w, den)
     if g > 1:
         w = [x // g for x in w]
         den //= g
     return tuple(w), den
 
 
-def rank_of_columns(basis: ExactBasis, columns: Sequence[int]) -> int:
-    """Rank of the basis matrix restricted to the given 0-based columns."""
-    r = basis.rank
-    if r == 0 or not columns:
-        return 0
-    mat = [[row[c] for c in columns] for row in basis.rows]
-    width = len(columns)
+def echelon(mat: list[list[int]], width: int) -> int:
+    """Fraction-free forward elimination of ``mat`` in place; returns its rank.
+
+    Pivots are searched on the first ``width`` columns only; any further
+    columns are an augmented block carried through the same row operations.
+    Afterwards the first ``rank`` rows hold the pivots and every later row is
+    zero on the first ``width`` columns, so its augmented block records a
+    linear relation among the original rows.
+    """
+    n = len(mat)
     rank = 0
     for col in range(width):
-        piv_row = None
-        for i in range(rank, r):
-            if mat[i][col]:
-                piv_row = i
-                break
-        if piv_row is None:
-            continue
-        mat[rank], mat[piv_row] = mat[piv_row], mat[rank]
-        pv = mat[rank][col]
-        for i in range(rank + 1, r):
-            f = mat[i][col]
-            if f:
-                row_i = mat[i]
-                row_p = mat[rank]
-                for c2 in range(col, width):
-                    row_i[c2] = row_i[c2] * pv - row_p[c2] * f
-                g = _content_gcd(row_i)
-                if g > 1:
-                    for c2 in range(col, width):
-                        row_i[c2] //= g
-        rank += 1
-        if rank == r:
+        if rank == n:
             break
+        for i in range(rank, n):
+            if mat[i][col]:
+                break
+        else:
+            continue
+        pivot = mat[i]
+        mat[rank], mat[i] = pivot, mat[rank]
+        pv = pivot[col]
+        end = len(pivot)
+        for i in range(rank + 1, n):
+            row = mat[i]
+            f = row[col]
+            if f:
+                # entries before col are zero in every row below the pivot
+                for j in range(col, end):
+                    row[j] = row[j] * pv - pivot[j] * f
+                g = gcd(*row)
+                if g > 1:
+                    for j in range(col, end):
+                        row[j] //= g
+        rank += 1
     return rank
+
+
+def rank_of_columns(basis: ExactBasis, columns: Sequence[int]) -> int:
+    """Rank of the basis matrix restricted to the given 0-based columns."""
+    return echelon([[row[c] for c in columns] for row in basis.rows], len(columns))
 
 
 def section_dim(basis: ExactBasis, support: Iterable[int]) -> tuple[int, ExactBasis]:
@@ -207,41 +209,19 @@ def section_dim(basis: ExactBasis, support: Iterable[int]) -> tuple[int, ExactBa
         return 0, ExactBasis(k, ())
     if not cols:
         return r, basis
-    # Kernel of the restriction map, via elimination on augmented rows.
+    # Kernel of the restriction map: eliminate on the outside columns while
+    # an identity block records which combination of basis rows each row is.
     width = len(cols)
-    aug = [[basis.rows[i][c] for c in cols] + [1 if j == i else 0 for j in range(r)] for i in range(r)]
-    done = 0
-    for col in range(width):
-        piv_row = None
-        for i in range(done, r):
-            if aug[i][col]:
-                piv_row = i
-                break
-        if piv_row is None:
-            continue
-        aug[done], aug[piv_row] = aug[piv_row], aug[done]
-        pv = aug[done][col]
-        for i in range(done + 1, r):
-            f = aug[i][col]
-            if f:
-                row_i = aug[i]
-                row_p = aug[done]
-                for c2 in range(col, width + r):
-                    row_i[c2] = row_i[c2] * pv - row_p[c2] * f
-                g = _content_gcd(row_i)
-                if g > 1:
-                    for c2 in range(width + r):
-                        row_i[c2] //= g
-        done += 1
-        if done == r:
-            break
+    aug = [
+        [row[c] for c in cols] + [int(j == i) for j in range(r)]
+        for i, row in enumerate(basis.rows)
+    ]
+    done = echelon(aug, width)
     combos = []
-    for i in range(done, r):
-        coeffs = aug[i][width:]
+    for kernel_row in aug[done:]:
         vec = [0] * k
-        for j, cf in enumerate(coeffs):
+        for cf, row in zip(kernel_row[width:], basis.rows):
             if cf:
-                row = basis.rows[j]
                 for c in range(k):
                     vec[c] += cf * row[c]
         combos.append(vec)

@@ -31,6 +31,8 @@ from .configuration import KConfiguration, distinct_difference_count, from_equal
 
 Rational = Fraction
 
+PAPER_C = Fraction(2) - Fraction(1, 2**29)
+
 
 @dataclass(frozen=True)
 class HeavinessWitness:
@@ -81,6 +83,21 @@ def is_valid(config: KConfiguration) -> tuple[bool, Optional[tuple[int, int]]]:
     return True, None
 
 
+def _sections(config: KConfiguration, size: int):
+    """Yield ``(S, t)`` for every variable subset S of one size with t >= 1.
+
+    Subsets come in lexicographic order; t = dim{v in span : supp(v) in S}
+    is rank minus the rank of the basis columns outside S.
+    """
+    k = config.k
+    r = config.rank
+    for subset in itertools.combinations(range(1, k + 1), size):
+        outside = [j for j in range(k) if (j + 1) not in subset]
+        t = r - exactlin.rank_of_columns(config.basis, outside)
+        if t:
+            yield subset, t
+
+
 def is_collinearity_free(config: KConfiguration) -> tuple[bool, Optional[tuple[int, ...]]]:
     """False, with a support-3 span member, iff some 3-variable equation is implied.
 
@@ -91,12 +108,9 @@ def is_collinearity_free(config: KConfiguration) -> tuple[bool, Optional[tuple[i
     k = config.k
     if config.rank == 0:
         return True, None
-    for subset in itertools.combinations(range(1, k + 1), 3):
-        t, section = exactlin.section_dim(config.basis, subset)
-        if t == 0:
-            continue
+    for subset, t in _sections(config, 3):
         if t == 1:
-            row = section.rows[0]
+            row = exactlin.section_dim(config.basis, subset)[1].rows[0]
             if sum(1 for x in row if x) == 3:
                 return False, row
             continue
@@ -111,7 +125,10 @@ def is_collinearity_free(config: KConfiguration) -> tuple[bool, Optional[tuple[i
 def _heaviness_sweep(
     config: KConfiguration, cs: Sequence[Fraction]
 ) -> list[Optional[HeavinessWitness]]:
-    """First heaviness witness per c (shared sweep; section dims are c-free)."""
+    """First heaviness witness per c (shared sweep; section dims are c-free).
+
+    Sizes start at 2: a single variable carries no zero-sum span vector.
+    """
     k = config.k
     r = config.rank
     found: list[Optional[HeavinessWitness]] = [None] * len(cs)
@@ -120,21 +137,16 @@ def _heaviness_sweep(
     c_max = max(cs)
     # any witness satisfies |S| < c*t + 1 <= c_max*r + 1
     size_cap = min(k, _max_int_below(c_max * r + 1))
-    cols_all = list(range(k))
-    for size in range(1, size_cap + 1):
+    for size in range(2, size_cap + 1):
         pending = [i for i, w in enumerate(found) if w is None and size < cs[i] * r + 1]
         if not pending:
             break
-        for subset in itertools.combinations(range(1, k + 1), size):
-            comp = [c0 for c0 in cols_all if (c0 + 1) not in subset]
-            t = r - exactlin.rank_of_columns(config.basis, comp)
-            if t < 1:
-                continue
+        for subset, t in _sections(config, size):
             hit = [i for i in pending if size < cs[i] * t + 1]
             if not hit:
                 continue
             _, section = exactlin.section_dim(config.basis, subset)
-            witness = HeavinessWitness(tuple(subset), t, section)
+            witness = HeavinessWitness(subset, t, section)
             for i in hit:
                 found[i] = witness
             pending = [i for i in pending if found[i] is None]
@@ -148,20 +160,32 @@ def _max_int_below(bound: Fraction) -> int:
     return (bound.numerator - 1) // bound.denominator
 
 
+def parse_c(c: Fraction | int | str | float) -> Fraction:
+    """The threshold c in (1, 2] from a Fraction, an int, an exact
+    decimal/fraction string, a float (read as its decimal string), or the
+    word "paper"; ValueError otherwise."""
+    if isinstance(c, str):
+        if c.strip().lower() == "paper":
+            return PAPER_C
+        value = Fraction(c.strip())
+    elif isinstance(c, float):
+        value = Fraction(str(c))
+    else:
+        value = Fraction(c)
+    if not 1 < value <= 2:
+        raise ValueError(f"c must lie in (1, 2], got {value}")
+    return value
+
+
 def is_c_light(config: KConfiguration, c: Rational) -> tuple[bool, Optional[HeavinessWitness]]:
     """True iff no t >= 1 independent implied equations fit in < c*t + 1 variables."""
-    c = Fraction(c)
-    if not Fraction(1) < c <= Fraction(2):
-        raise ValueError(f"c must lie in (1, 2], got {c}")
-    witness = _heaviness_sweep(config, [c])[0]
+    witness = _heaviness_sweep(config, [parse_c(c)])[0]
     return witness is None, witness
 
 
 def is_c_good(config: KConfiguration, c: Rational) -> GoodnessReport:
     """Aggregate verdict; checks run in the order valid, collinearity-free, c-light."""
-    c = Fraction(c)
-    if not Fraction(1) < c <= Fraction(2):
-        raise ValueError(f"c must lie in (1, 2], got {c}")
+    c = parse_c(c)
     valid, eq_witness = is_valid(config)
     if not valid:
         return GoodnessReport(c, False, None, None, equality_witness=eq_witness)
@@ -184,45 +208,19 @@ def points_c_good(points: Sequence, c: Rational) -> bool:
     return is_c_good(from_points(points), c).c_good
 
 
-def max_matching(edges: Sequence[tuple[int, int]]) -> list[tuple[int, int]]:
-    """Exact maximum matching in a small graph, first maximum in search order.
-
-    Branch and bound over the lexicographically smallest uncovered vertex:
-    either match it along one of its edges or leave it uncovered.  Exponential
-    in the worst case but exact, deterministic, and fast at the sizes used
-    here (graphs on at most C(k,2) edges for small k).
-    """
-    edge_list = sorted(set((min(e), max(e)) for e in edges))
-
-    def best(avail: list[tuple[int, int]]) -> list[tuple[int, int]]:
-        if not avail:
-            return []
-        v = min(e[0] for e in avail)
-        at_v = [e for e in avail if e[0] == v]
-        rest = [e for e in avail if e[0] != v]
-        champion: list[tuple[int, int]] = []
-        for e in at_v:
-            remaining = [f for f in rest if e[1] not in f]
-            cand = [e] + best(remaining)
-            if len(cand) > len(champion):
-                champion = cand
-        skip = best(rest)
-        if len(skip) > len(champion):
-            champion = skip
-        return champion
-
-    return best(edge_list)
-
-
 def largest_star(config: KConfiguration) -> tuple[int, Optional[StarWitness]]:
     """Size 2p of the largest implied star, with disjoint witness pairs.
 
     Index pairs are grouped into sum-equality classes ({a,b} ~ {c,d} iff
     e_a + e_b - e_c - e_d lies in the span; this relation is transitive inside
-    the span), and the largest set of pairwise-disjoint pairs in a class is
-    taken by exact maximum matching.  A single sum-equal pair is no star:
-    anything below two pairs reports size 0.
+    the span).  In a valid configuration every class is pairwise disjoint,
+    since {a,b} ~ {a,c} would put e_b - e_c in the span, so the largest class
+    (the first in index order on ties) is the star.  A single sum-equal pair
+    is no star: anything below two pairs reports size 0.  Raises ValueError
+    on an invalid configuration.
     """
+    if not is_valid(config)[0]:
+        raise ValueError("largest_star needs a valid configuration")
     k = config.k
     base = [0] * k
     classes: dict[tuple, list[tuple[int, int]]] = {}
@@ -234,13 +232,7 @@ def largest_star(config: KConfiguration) -> tuple[int, Optional[StarWitness]]:
             base[a - 1] = 0
             base[b - 1] = 0
             classes.setdefault(res, []).append((a, b))
-    best_pairs: list[tuple[int, int]] = []
-    for pairs in classes.values():
-        if len(pairs) < 2 or len(pairs) <= len(best_pairs):
-            continue
-        matched = max_matching(pairs)
-        if len(matched) > len(best_pairs):
-            best_pairs = matched
+    best_pairs = max(classes.values(), key=len, default=[])
     if len(best_pairs) < 2:
         return 0, None
     return 2 * len(best_pairs), StarWitness(tuple(best_pairs))

@@ -40,11 +40,13 @@ from .configuration import (
     from_points,
 )
 from .goodness import (
+    PAPER_C,
     _heaviness_sweep,
     is_c_good,
     is_collinearity_free,
     is_valid,
     largest_star,
+    parse_c,
 )
 from .implications import (
     Alignment,
@@ -56,7 +58,6 @@ from .implications import (
 )
 from .verifier import BudgetExceededError, default_budget
 
-PAPER_C = Fraction(2) - Fraction(1, 2**29)
 TWO = Fraction(2)
 
 
@@ -217,10 +218,13 @@ def scan_ground(
         raise BudgetExceededError(
             f"scan infeasible: C({ground_n},{k}) = {total} exceeds budget {limit}"
         )
-    workers = default_threads() if threads is None else max(1, threads)
     leads = list(range(1, ground_n - k + 2))
+    # ProcessPoolExecutor forks every worker at once: never ask for more
+    # than there are cores or leads to hand out.
+    requested = default_threads() if threads is None else threads
+    workers = max(1, min(requested, os.cpu_count() or 1, len(leads)))
     report = ScanReport(ground_n=ground_n, k=k, c=c)
-    if workers == 1 or len(leads) <= 1:
+    if workers == 1:
         partials = [_scan_chunk((ground_n, k, c, tuple(leads)))]
     else:
         from concurrent.futures import ProcessPoolExecutor
@@ -247,21 +251,6 @@ def scan_ground(
         if part["non_star_witness"] is not None and report.first_non_star_witness is None:
             report.first_non_star_witness = part["non_star_witness"]
     return report
-
-
-def parse_c(c: Fraction | str | float) -> Fraction:
-    """Accept a Fraction, an exact decimal/fraction string, or the word "paper"."""
-    if isinstance(c, str):
-        if c.strip().lower() == "paper":
-            return PAPER_C
-        value = Fraction(c.strip())
-    elif isinstance(c, float):
-        value = Fraction(str(c))
-    else:
-        value = Fraction(c)
-    if not Fraction(1) < value <= TWO:
-        raise ValueError(f"c must lie in (1, 2], got {value}")
-    return value
 
 
 def realize_star(p: int, offset_base: int = 4) -> tuple[int, ...]:

@@ -98,33 +98,23 @@ def _candidate_products(basis: exactlin.ExactBasis, variables: Sequence[int]) ->
 def _solve_coefficients(
     premises: Sequence[DifferenceEquality], target: Sequence[int]
 ) -> Optional[tuple[Fraction, ...]]:
-    """Solve target = sum c_i * premise_i exactly; None when unsolvable."""
+    """Solve target = sum c_i * premise_i exactly; None when unsolvable.
+
+    The premises must be linearly independent, as they are at both call
+    sites: ``minimal_implications`` skips dependent subsets, and
+    ``check_structure`` receives the premises it produced.  Rows
+    ``[premise_i | e_i]`` and ``[target | e_{t+1}]`` are eliminated on the
+    content columns; a solution exists iff the rank stays t, and then the one
+    kernel row ``(y_1..y_t, y)`` gives ``c_i = -y_i / y``.
+    """
     k = premises[0].k
     t = len(premises)
-    # Column-major augmented system over Q, one row per variable.
-    rows = [[Fraction(p.content[v]) for p in premises] + [Fraction(target[v])] for v in range(k)]
-    done = 0
-    piv_cols: list[int] = []
-    for col in range(t):
-        piv = next((i for i in range(done, k) if rows[i][col]), None)
-        if piv is None:
-            continue
-        rows[done], rows[piv] = rows[piv], rows[done]
-        pv = rows[done][col]
-        for i in range(k):
-            if i != done and rows[i][col]:
-                f = rows[i][col] / pv
-                for c2 in range(col, t + 1):
-                    rows[i][c2] -= f * rows[done][c2]
-        piv_cols.append(col)
-        done += 1
-    for i in range(done, k):
-        if rows[i][t]:
-            return None
-    coeffs = [Fraction(0)] * t
-    for row_idx, col in enumerate(piv_cols):
-        coeffs[col] = rows[row_idx][t] / rows[row_idx][col]
-    return tuple(coeffs)
+    contents = [p.content for p in premises] + [target]
+    mat = [list(vec) + [int(j == i) for j in range(t + 1)] for i, vec in enumerate(contents)]
+    if exactlin.echelon(mat, k) > t:
+        return None
+    *ys, y = mat[t][k:]
+    return tuple(Fraction(-yi, y) for yi in ys)
 
 
 def minimal_implications(

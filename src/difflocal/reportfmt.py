@@ -83,13 +83,20 @@ def _parse_scalar(text: str):
     if _INT_RE.match(text):
         return int(text)
     if _FRACTION_RE.match(text):
-        return Fraction(text)
+        try:
+            return Fraction(text)
+        except ZeroDivisionError:
+            raise ValueError(f"zero denominator: {text!r}") from None
     return text
 
 
 def parse(text: str):
+    """Inverse of ``emit``; malformed text raises ValueError."""
     lines = [ln for ln in text.split("\n") if ln.strip()]
-    value, consumed = _parse_block(lines, 0, 0)
+    try:
+        value, consumed = _parse_block(lines, 0, 0)
+    except RecursionError:
+        raise ValueError("report nested too deeply") from None
     if consumed != len(lines):
         raise ValueError(f"trailing content at line {consumed + 1}")
     return value
@@ -103,6 +110,8 @@ def _indent_of(line: str) -> int:
 
 
 def _parse_block(lines: list[str], pos: int, depth: int):
+    if pos == len(lines):
+        raise ValueError("expected a block, got end of input")
     is_list = lines[pos].lstrip().startswith("-")
     items: list = []
     mapping: dict = {}

@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from difflocal import exactlin
 
-from oracles import frac_rref, frac_solvable
+from oracles import frac_rank, frac_rref, frac_solvable
 
 STAR6 = [(1, 1, -1, -1, 0, 0), (1, 1, 0, 0, -1, -1)]
 
@@ -128,6 +128,15 @@ def test_reduce_is_generating_set_independent(vectors, rnd):
 @given(st.lists(small_vec, min_size=0, max_size=4))
 def test_reduce_matches_reference_rref(vectors):
     assert exactlin.reduce(vectors, 5).rows == tuple(frac_rref(vectors))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(small_vec, min_size=0, max_size=4), st.sets(st.integers(0, 4)))
+def test_rank_of_columns_matches_rational_rank(vectors, columns):
+    basis = exactlin.reduce(vectors, 5)
+    cols = sorted(columns)
+    restricted = [[row[c] for c in cols] for row in basis.rows]
+    assert exactlin.rank_of_columns(basis, cols) == frac_rank(restricted)
 
 
 def test_section_dims_against_bruteforce_supports():

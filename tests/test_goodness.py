@@ -192,39 +192,15 @@ class TestLargestStar:
             vec[d - 1] -= 1
             assert config.implies(vec)
 
+    def test_invalid_configuration_rejected(self):
+        with pytest.raises(ValueError):
+            gd.largest_star(example_a())
+
     @settings(max_examples=80, deadline=None)
     @given(st.lists(st.integers(min_value=0, max_value=60), min_size=4, max_size=7, unique=True))
     def test_matches_numeric_bruteforce_on_points(self, points):
         size, _ = gd.largest_star(cfg.from_points(points))
         assert size == brute_largest_star(tuple(points))
-
-
-class TestMaxMatching:
-    def test_triangle(self):
-        assert len(gd.max_matching([(1, 2), (2, 3), (1, 3)])) == 1
-
-    def test_path_of_four(self):
-        assert gd.max_matching([(1, 2), (2, 3), (3, 4)]) == [(1, 2), (3, 4)]
-
-    @settings(max_examples=60, deadline=None)
-    @given(st.sets(st.tuples(st.integers(1, 8), st.integers(1, 8)).filter(lambda e: e[0] != e[1]), max_size=12))
-    def test_matching_is_maximum_by_bruteforce(self, edges):
-        edges = [(min(e), max(e)) for e in edges]
-        got = gd.max_matching(edges)
-        # verify it is a matching
-        used = [v for e in got for v in e]
-        assert len(set(used)) == len(used)
-        # brute force the true maximum
-        best = 0
-        for size in range(len(edges), 0, -1):
-            for combo in itertools.combinations(set(edges), size):
-                vs = [v for e in combo for v in e]
-                if len(set(vs)) == len(vs):
-                    best = size
-                    break
-            if best:
-                break
-        assert len(got) == best
 
 
 class TestDeskScanBound:

@@ -17,6 +17,10 @@ class TestParseC:
     def test_paper_keyword(self):
         assert h.parse_c("paper") == Fraction(2) - Fraction(1, 2**29)
 
+    def test_float_reads_as_decimal_everywhere(self):
+        config = from_points((1, 2, 4, 8))
+        assert h.parse_c(1.9) == is_c_good(config, 1.9).c == Fraction(19, 10)
+
     def test_out_of_range(self):
         with pytest.raises(ValueError):
             h.parse_c("1")
@@ -57,6 +61,35 @@ class TestScanGround:
         single = h.scan_ground(13, 4, "paper", threads=1)
         multi = h.scan_ground(13, 4, "paper", threads=2)
         assert single.to_report() == multi.to_report()
+
+    def test_worker_count_clamped_to_cores_and_leads(self, monkeypatch):
+        import concurrent.futures
+        import os
+
+        requested = []
+
+        class SerialPool:
+            # stands in for ProcessPoolExecutor: records the size, starts nothing
+            def __init__(self, max_workers):
+                requested.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 4)
+        report = h.scan_ground(12, 4, "2", threads=100_000)
+        assert requested == [4]
+        assert report.to_report() == h.scan_ground(12, 4, "2", threads=1).to_report()
+        monkeypatch.setattr(os, "cpu_count", lambda: 64)
+        h.scan_ground(12, 4, "2", threads=100_000)
+        assert requested == [4, 9]  # leads 1..9
 
     def test_no_divergence_between_c_values(self):
         report = h.scan_ground(14, 4, "paper", threads=1)

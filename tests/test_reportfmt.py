@@ -43,6 +43,13 @@ def test_parse_rejects_garbage():
         reportfmt.parse("key\n")
     with pytest.raises(ValueError):
         reportfmt.parse("a: 1\n   b: 2\n")  # three-space indent
+    for truncated in ("", "\n", "a:", "x: 1\ny:"):
+        with pytest.raises(ValueError):
+            reportfmt.parse(truncated)
+    with pytest.raises(ValueError):
+        reportfmt.parse("a: 1/0")
+    with pytest.raises(ValueError):
+        reportfmt.parse("\n".join("  " * depth + "-" for depth in range(5000)))
 
 
 safe_string = st.text(
@@ -70,3 +77,12 @@ trees = st.recursive(
 @given(st.dictionaries(safe_string, trees, min_size=1, max_size=5))
 def test_round_trip_property(tree):
     assert reportfmt.parse(reportfmt.emit(tree)) == tree
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.text(alphabet=st.sampled_from(" \n-:/0123456789abxy\t"), max_size=40) | st.text(max_size=40))
+def test_parse_raises_only_value_error(text):
+    try:
+        reportfmt.parse(text)
+    except ValueError:
+        pass
