@@ -8,8 +8,10 @@ and sha256 digests of inputs and outputs; rerunning the same command
 reproduces byte-identical outputs.
 
 Exit codes: 0 success / property holds, 1 property fails (or construction
-retries exhausted), 2 usage or parameter validation, 3 budget exceeded,
-4 internal invariant violation (a cross-check mismatch anywhere).
+retries exhausted), 2 usage or parameter validation (including a file that
+cannot be read or written), 3 budget exceeded, 4 internal invariant
+violation (a cross-check mismatch anywhere).  Errors print one
+``error: ...`` line on stderr, never a traceback.
 """
 
 from __future__ import annotations
@@ -317,7 +319,7 @@ def main(argv=None) -> int:
     except ConstructionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

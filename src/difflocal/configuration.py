@@ -89,16 +89,21 @@ class DifferenceEquality:
     @property
     def canonical_content(self) -> tuple[int, ...]:
         """Content with its first nonzero entry made positive."""
-        for x in self.content:
-            if x:
-                return self.content if x > 0 else tuple(-y for y in self.content)
-        return self.content
+        return canonical_sign(self.content)
 
     def same_equality(self, other: "DifferenceEquality") -> bool:
         return self.k == other.k and self.canonical_content == other.canonical_content
 
     def __str__(self) -> str:
         return render_content(self.content) + " = 0"
+
+
+def canonical_sign(vec: Sequence[int]) -> tuple[int, ...]:
+    """``vec`` as a tuple, negated if needed so its first nonzero entry is positive."""
+    for x in vec:
+        if x:
+            return tuple(vec) if x > 0 else tuple(-y for y in vec)
+    return tuple(vec)
 
 
 def is_difference_content(vec: Sequence[int]) -> bool:

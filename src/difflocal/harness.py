@@ -8,7 +8,14 @@ certified count among c-good configurations against the parity bound
 (k^2 - 2k)/4 for even k and (k-1)(k-3)/4 + 3 for odd k, whether every
 maximal attainer is a size-k star, and whether classification at c and at
 c = 2 ever diverge (they are expected to coincide at these sizes, and any
-divergence is reported loudly).
+divergence is reported loudly).  Those verdicts (validity, collinearity,
+c-lightness at c and at 2, the certified count, the largest star) depend on
+the canonical basis alone, so each worker run classifies a basis once and
+memoizes the verdict for the rest of its run; ``from_points`` and the
+distinct-difference count still run on every subset, so the cross-check
+still compares the two routes per subset.  The leads (smallest elements) are
+split into one strided payload per worker, so each worker's memo covers all
+of its leads.
 
 ``star_bound_check`` and ``odd_equality_case`` reproduce the equality cases
 exactly: stars realized with power-of-four offsets have no stray
@@ -142,6 +149,9 @@ def _scan_chunk(payload: tuple) -> dict:
     ground_n, k, c, leads = payload
     total_pairs = comb(k, 2)
     bound = certified_bound(k)
+    # every verdict is a function of the canonical basis alone; the memo
+    # lives for this call only
+    verdicts: dict[tuple, tuple] = {}
     out = {
         "scanned": 0,
         "good": 0,
@@ -174,10 +184,17 @@ def _scan_chunk(payload: tuple) -> dict:
                     out["max_witness"] = points
                 continue
             config = from_points(points)
-            certified = config.certified_count()
+            key = config.basis.rows
+            verdict = verdicts.get(key)
+            if verdict is None:
+                certified = config.certified_count()
+                good_c, good_2 = _goodness_pair(config, c)
+                # the star is sized only where it is read
+                star_size = largest_star(config)[0] if good_c and certified == bound else None
+                verdict = verdicts[key] = (certified, good_c, good_2, star_size)
+            certified, good_c, good_2, star_size = verdict
             if certified != total_pairs - distinct:
                 out["cross_failures"] += 1
-            good_c, good_2 = _goodness_pair(config, c)
             if good_c != good_2:
                 out["divergences"] += 1
             if not good_c:
@@ -192,7 +209,6 @@ def _scan_chunk(payload: tuple) -> dict:
                 out["max_witness"] = points
             if certified == bound:
                 out["attainers"] += 1
-                star_size, _ = largest_star(config)
                 if star_size != k:
                     out["non_star"] += 1
                     if out["non_star_witness"] is None:
@@ -229,7 +245,9 @@ def scan_ground(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        payloads = [(ground_n, k, c, (lead,)) for lead in leads]
+        # one payload per worker, so each worker's memo spans all its leads;
+        # striding spreads the heavy low leads across workers
+        payloads = [(ground_n, k, c, tuple(leads[w::workers])) for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_scan_chunk, payloads))
     for part in partials:
@@ -248,8 +266,11 @@ def scan_ground(
         ):
             report.max_certified = part["max_certified"]
             report.max_certified_witness = part["max_witness"]
-        if part["non_star_witness"] is not None and report.first_non_star_witness is None:
-            report.first_non_star_witness = part["non_star_witness"]
+        witness = part["non_star_witness"]
+        if witness is not None and (
+            report.first_non_star_witness is None or witness < report.first_non_star_witness
+        ):
+            report.first_non_star_witness = witness
     return report
 
 

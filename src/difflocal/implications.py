@@ -25,6 +25,7 @@ from typing import Optional, Sequence
 from . import exactlin
 from .configuration import (
     DifferenceEquality,
+    canonical_sign,
     from_equalities,
     render_content,
 )
@@ -54,13 +55,6 @@ class Alignment(Enum):
     SUM_ALIGNED = "sum_aligned"
     DIFFERENCE_ALIGNED = "difference_aligned"
     NEITHER = "neither"
-
-
-def _canonical_sign(vec: Sequence[int]) -> tuple[int, ...]:
-    for x in vec:
-        if x:
-            return tuple(vec) if x > 0 else tuple(-y for y in vec)
-    return tuple(vec)
 
 
 def _candidate_products(basis: exactlin.ExactBasis, variables: Sequence[int]) -> list[tuple[int, ...]]:
@@ -146,7 +140,7 @@ def minimal_implications(
             variables = sorted({v for e in subset for v in e.support})
             premise_keys = {e.canonical_content for e in subset}
             for cand in _candidate_products(basis, variables):
-                if _canonical_sign(cand) in premise_keys:
+                if canonical_sign(cand) in premise_keys:
                     continue
                 coeffs = _solve_coefficients(subset, cand)
                 if coeffs is None or any(c == 0 for c in coeffs):
@@ -206,11 +200,11 @@ def check_structure(impl: MinimalImplication) -> StructureReport:
 
     basis = exactlin.reduce([p.content for p in impl.premises], k)
     variables = sorted({v for p in impl.premises for v in p.support})
-    product_key = _canonical_sign(impl.product)
+    product_key = canonical_sign(impl.product)
     premise_keys = {p.canonical_content for p in impl.premises}
     second = None
     for cand in _candidate_products(basis, variables):
-        key = _canonical_sign(cand)
+        key = canonical_sign(cand)
         if key == product_key or key in premise_keys:
             continue
         coeffs = _solve_coefficients(list(impl.premises), cand)

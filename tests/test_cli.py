@@ -177,3 +177,25 @@ def test_analyze_out_writes_report_and_manifest(tmp_path, capsys):
     assert out.read_text() == text
     manifest = reportfmt.parse((tmp_path / "report.txt.manifest").read_text())
     assert manifest["outputs"][0]["path"] == str(out)
+
+
+class TestFileErrors:
+    """A file that cannot be read or written exits 2 with one error line."""
+
+    def test_verify_missing_file(self, tmp_path, capsys):
+        code, _, err = run(capsys, "verify", str(tmp_path / "missing.txt"), "--k", "4", "--l", "4")
+        assert code == 2
+        assert err.startswith("error: ") and "missing.txt" in err
+        assert "Traceback" not in err
+
+    def test_analyze_directory(self, tmp_path, capsys):
+        code, _, err = run(capsys, "analyze", str(tmp_path))
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+
+    def test_scan_out_in_missing_directory(self, tmp_path, capsys):
+        out = tmp_path / "missing" / "scan.txt"
+        code, _, err = run(capsys, "scan", "--N", "8", "--k", "4", "--threads", "1", "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not out.exists()

@@ -1,10 +1,14 @@
+import itertools
 from fractions import Fraction
+from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from difflocal import harness as h
-from difflocal.configuration import from_points
+from difflocal.configuration import distinct_difference_count, from_points
 from difflocal.goodness import is_c_good, largest_star
+from oracles import brute_c_good, brute_certified_count, brute_distinct_differences, brute_largest_star
 
 
 class TestParseC:
@@ -105,6 +109,108 @@ class TestScanGround:
 
         with pytest.raises(BudgetExceededError):
             h.scan_ground(1000, 6, "2", budget=10**6)
+
+
+def reference_scan(ground_n, k, c, classify, distinct):
+    """Tally every k-subset of [1..N] one by one, with no memo and no rank-0
+    shortcut.  ``classify(points)`` gives (certified, good at c, good at 2,
+    star size), the star size only where it is needed."""
+    report = h.ScanReport(ground_n=ground_n, k=k, c=h.parse_c(c))
+    for points in itertools.combinations(range(1, ground_n + 1), k):
+        certified, good_c, good_2, star_size = classify(points)
+        report.subsets_scanned += 1
+        report.cross_check_failures += certified != comb(k, 2) - distinct(points)
+        report.c2_divergences += good_c != good_2
+        if not good_c:
+            report.bad_count += 1
+            continue
+        report.good_count += 1
+        report.histogram[certified] += 1
+        # subsets come in lexicographic order: the first is the least
+        if certified > report.max_certified:
+            report.max_certified = certified
+            report.max_certified_witness = points
+        if certified == report.bound:
+            report.attainer_count += 1
+            if star_size != k:
+                report.non_star_attainers += 1
+                if report.first_non_star_witness is None:
+                    report.first_non_star_witness = points
+    return report
+
+
+def assert_same_scan(got, want):
+    assert got.to_report() == want.to_report()
+    # to_report() leaves out the first non-star witness
+    assert got.first_non_star_witness == want.first_non_star_witness
+    assert got.max_certified_witness == want.max_certified_witness
+
+
+class TestScanMemo:
+    """The per-run memo against routes that classify every subset afresh."""
+
+    def test_tally_matches_oracles(self):
+        bound = h.certified_bound(4)
+
+        def classify(points):
+            certified = brute_certified_count(points)
+            good = brute_c_good(points, 2)
+            star = brute_largest_star(points) if good and certified == bound else None
+            return certified, good, good, star
+
+        want = reference_scan(10, 4, "2", classify, brute_distinct_differences)
+        assert want.attainer_count > 0
+        for threads in (1, 2):
+            assert_same_scan(h.scan_ground(10, 4, "2", threads=threads), want)
+
+    @settings(max_examples=25, deadline=None)
+    @given(
+        st.integers(min_value=4, max_value=6).flatmap(
+            lambda k: st.tuples(st.integers(min_value=k, max_value=12), st.just(k))
+        ),
+        st.sampled_from(["2", "19/10", "paper"]),
+    )
+    def test_matches_uncached_loop(self, ground, c):
+        ground_n, k = ground
+
+        def classify(points):
+            config = from_points(points)
+            good_c = is_c_good(config, c).c_good
+            star = largest_star(config)[0] if good_c else None
+            return config.certified_count(), good_c, is_c_good(config, 2).c_good, star
+
+        want = reference_scan(ground_n, k, c, classify, distinct_difference_count)
+        assert_same_scan(h.scan_ground(ground_n, k, c, threads=1), want)
+
+    def test_odd_k_witnesses_match_across_threads(self):
+        # every attainer is a non-star at odd k
+        single = h.scan_ground(14, 7, "2", threads=1)
+        assert single.non_star_attainers == single.attainer_count > 0
+        assert_same_scan(h.scan_ground(14, 7, "2", threads=2), single)
+
+    def test_witnesses_do_not_depend_on_payload_order(self, monkeypatch):
+        import concurrent.futures
+        import os
+
+        class ReversedPool:
+            # stands in for ProcessPoolExecutor: runs serially, returns the
+            # partials last payload first
+            def __init__(self, max_workers):
+                pass
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return [fn(item) for item in items][::-1]
+
+        single = h.scan_ground(14, 7, "2", threads=1)
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversedPool)
+        monkeypatch.setattr(os, "cpu_count", lambda: 2)
+        assert_same_scan(h.scan_ground(14, 7, "2", threads=2), single)
 
 
 class TestStarBoundCheck:
