@@ -36,6 +36,7 @@ from math import comb
 from typing import Sequence
 
 from .goodness import parse_c, points_c_good
+from .verifier import BudgetExceededError, default_budget
 
 DEFAULT_MAX_ENUMERATION = 10**8
 
@@ -282,8 +283,6 @@ def random_local_set(
     kappa: int = 2,
     seed: int = 0,
     max_retries: int = 8,
-    *,
-    scan_budget: int = DEFAULT_MAX_ENUMERATION,
 ) -> SetArtifact:
     """An n-element set, inside [1, floor(n^c)], whose k-subsets are all c-good.
 
@@ -292,7 +291,8 @@ def random_local_set(
     rho = min(1, 2n/|ground|), and each c-bad k-subset found in the sweep
     loses its largest element.  Survivors beyond n are trimmed from the top
     (keeping small elements dense).  The postcondition is machine-checked by
-    a full re-scan before returning.
+    a full re-scan before returning.  Raises BudgetExceededError when an
+    attempt's sweep would scan more than ``default_budget()`` subsets.
     """
     try:
         c = parse_c(c)
@@ -313,6 +313,7 @@ def random_local_set(
             f"ground set inside [1, {limit}] has only {len(ground)} elements, need {n}"
         )
     rho = Fraction(2 * n, len(ground))
+    budget = default_budget()
     failures = []
     for attempt in range(max_retries + 1):
         seed_used = seed + attempt
@@ -325,9 +326,9 @@ def random_local_set(
         if len(sampled) < n:
             failures.append((attempt, len(sampled), 0))
             continue
-        if comb(len(sampled), k) > scan_budget:
-            raise ConstructionError(
-                f"alteration sweep would scan C({len(sampled)},{k}) subsets, over budget {scan_budget}"
+        if comb(len(sampled), k) > budget:
+            raise BudgetExceededError(
+                f"alteration sweep would scan C({len(sampled)},{k}) subsets, over budget {budget}"
             )
         survivors, deletion_log = _alteration_sweep(sampled, k, c)
         if len(survivors) < n:

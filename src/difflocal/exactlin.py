@@ -23,14 +23,6 @@ from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
-ExactVector = tuple  # alias: a row vector, tuple[int, ...]
-
-
-def is_zero_sum(vec: Sequence[int]) -> bool:
-    """True iff the coefficients sum to zero."""
-    return sum(vec) == 0
-
-
 def _leading(vec: Sequence[int]) -> int | None:
     for j, x in enumerate(vec):
         if x:
@@ -63,9 +55,6 @@ class ExactBasis:
     @property
     def rank(self) -> int:
         return len(self.rows)
-
-    def __iter__(self):
-        return iter(self.rows)
 
 
 def reduce(vectors: Iterable[Sequence[int]], ambient_dim: int | None = None) -> ExactBasis:

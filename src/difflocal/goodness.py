@@ -8,10 +8,14 @@ variables.  A configuration that is all three is *c-good*.
 
 The c-lightness search enumerates variable subsets S in increasing size
 (lexicographic within a size) and tests t = dim{v in span : supp(v) in S}
-against |S| < c*t + 1; subsets larger than c*rank cannot witness heaviness,
-which bounds the enumeration.  The first witness in that order is returned,
+against |S| < c*t + 1.  For c = p/q that is the integer count
+t >= (|S| - 1)*q // p + 1, a sparsity condition in the sense of Lee and
+Streinu; the bound grows with |S|, and the sweep stops at the first size
+where it exceeds the rank.  The first witness in that order is returned,
 and is automatically support-closed (its section basis supports cover it):
-the closure of any witness is a witness found no later.
+the closure of any witness is a witness found no later.  ``is_c_good``
+starts the sweep at size 4: span vectors are zero-sum, so once validity
+and collinearity-freeness hold, no set of 2 or 3 variables carries one.
 
 A *star of size 2p* is p pairwise-disjoint index pairs whose sums are all
 forced equal by the span; single sum-equal pairs (p = 1) do not count.
@@ -123,41 +127,23 @@ def is_collinearity_free(config: KConfiguration) -> tuple[bool, Optional[tuple[i
 
 
 def _heaviness_sweep(
-    config: KConfiguration, cs: Sequence[Fraction]
-) -> list[Optional[HeavinessWitness]]:
-    """First heaviness witness per c (shared sweep; section dims are c-free).
+    config: KConfiguration, c: Fraction, first_size: int
+) -> Optional[HeavinessWitness]:
+    """The first heaviness witness at c among subsets of ``first_size`` or more.
 
-    Sizes start at 2: a single variable carries no zero-sum span vector.
+    For c = p/q the test |S| < c*t + 1 reads t >= (|S| - 1)*q // p + 1 in
+    integers.  That bound grows with |S|, so the sweep stops at the first
+    size where it exceeds the rank.
     """
-    k = config.k
-    r = config.rank
-    found: list[Optional[HeavinessWitness]] = [None] * len(cs)
-    if r == 0:
-        return found
-    c_max = max(cs)
-    # any witness satisfies |S| < c*t + 1 <= c_max*r + 1
-    size_cap = min(k, _max_int_below(c_max * r + 1))
-    for size in range(2, size_cap + 1):
-        pending = [i for i, w in enumerate(found) if w is None and size < cs[i] * r + 1]
-        if not pending:
+    p, q = c.numerator, c.denominator
+    for size in range(first_size, config.k + 1):
+        need = (size - 1) * q // p + 1
+        if need > config.rank:
             break
         for subset, t in _sections(config, size):
-            hit = [i for i in pending if size < cs[i] * t + 1]
-            if not hit:
-                continue
-            _, section = exactlin.section_dim(config.basis, subset)
-            witness = HeavinessWitness(subset, t, section)
-            for i in hit:
-                found[i] = witness
-            pending = [i for i in pending if found[i] is None]
-            if not pending:
-                break
-    return found
-
-
-def _max_int_below(bound: Fraction) -> int:
-    # largest integer strictly less than the (positive) bound
-    return (bound.numerator - 1) // bound.denominator
+            if t >= need:
+                return HeavinessWitness(subset, t, exactlin.section_dim(config.basis, subset)[1])
+    return None
 
 
 def parse_c(c: Fraction | int | str | float) -> Fraction:
@@ -179,7 +165,8 @@ def parse_c(c: Fraction | int | str | float) -> Fraction:
 
 def is_c_light(config: KConfiguration, c: Rational) -> tuple[bool, Optional[HeavinessWitness]]:
     """True iff no t >= 1 independent implied equations fit in < c*t + 1 variables."""
-    witness = _heaviness_sweep(config, [parse_c(c)])[0]
+    # a single variable carries no nonzero zero-sum vector
+    witness = _heaviness_sweep(config, parse_c(c), 2)
     return witness is None, witness
 
 
@@ -192,8 +179,11 @@ def is_c_good(config: KConfiguration, c: Rational) -> GoodnessReport:
     coll_free, coll_witness = is_collinearity_free(config)
     if not coll_free:
         return GoodnessReport(c, True, False, None, collinearity_witness=coll_witness)
-    light, heavy_witness = is_c_light(config, c)
-    return GoodnessReport(c, True, True, light, heaviness_witness=heavy_witness)
+    # Span vectors are zero-sum, so a nonzero one on 2 or 3 variables is an
+    # implied x_i = x_j or a support-3 equation, which the two checks above
+    # rule out: sizes 2 and 3 carry no section here.
+    witness = _heaviness_sweep(config, c, 4)
+    return GoodnessReport(c, True, True, witness is None, heaviness_witness=witness)
 
 
 def points_c_good(points: Sequence, c: Rational) -> bool:

@@ -8,14 +8,19 @@ certified count among c-good configurations against the parity bound
 (k^2 - 2k)/4 for even k and (k-1)(k-3)/4 + 3 for odd k, whether every
 maximal attainer is a size-k star, and whether classification at c and at
 c = 2 ever diverge (they are expected to coincide at these sizes, and any
-divergence is reported loudly).  Those verdicts (validity, collinearity,
-c-lightness at c and at 2, the certified count, the largest star) depend on
-the canonical basis alone, so each worker run classifies a basis once and
-memoizes the verdict for the rest of its run; ``from_points`` and the
-distinct-difference count still run on every subset, so the cross-check
-still compares the two routes per subset.  The leads (smallest elements) are
-split into one strided payload per worker, so each worker's memo covers all
-of its leads.
+divergence is reported loudly).  Those verdicts (goodness at c and at 2,
+the certified count, the largest star) depend on the canonical basis alone,
+so each worker run classifies a basis once and memoizes the verdict for the
+rest of its run.  A basis is classified by ``is_c_good`` at 2; goodness at c
+is read off it, because light at 2 implies light at every c <= 2, and the
+sweep at c runs only for a basis that is valid, collinearity-free and heavy
+at 2.  ``from_points`` and the distinct-difference count still run on every
+subset, so the cross-check still compares the two routes per subset.  The
+leads (smallest elements) are split into one strided payload per worker, so
+each worker's memo covers all of its leads.  A worker returns a tally of
+outcomes (certified, good at c, good at 2, star size, cross-check passed)
+with the least subset seen for each, and ``scan_ground`` folds the tallies
+into the report in one place.
 
 ``star_bound_check`` and ``odd_equality_case`` reproduce the equality cases
 exactly: stars realized with power-of-four offsets have no stray
@@ -48,8 +53,8 @@ from .configuration import (
 )
 from .goodness import (
     PAPER_C,
-    _heaviness_sweep,
     is_c_good,
+    is_c_light,
     is_collinearity_free,
     is_valid,
     largest_star,
@@ -129,46 +134,25 @@ class ScanReport:
         }
 
 
-def _goodness_pair(config: KConfiguration, c: Fraction) -> tuple[bool, bool]:
-    """(good at c, good at 2); validity and collinearity are shared, the
-    heaviness sweep computes section dimensions once for both thresholds."""
-    valid, _ = is_valid(config)
-    if not valid:
-        return False, False
-    coll_free, _ = is_collinearity_free(config)
-    if not coll_free:
-        return False, False
-    if c == TWO:
-        light = _heaviness_sweep(config, [TWO])[0] is None
-        return light, light
-    w_c, w_2 = _heaviness_sweep(config, [c, TWO])
-    return w_c is None, w_2 is None
-
-
-def _scan_chunk(payload: tuple) -> dict:
+def _scan_chunk(payload: tuple) -> tuple[Counter, dict]:
+    """Tally the outcomes (certified, good at c, good at 2, star size,
+    cross-check passed) of every subset with its lead in ``leads``, with the
+    least subset seen for each outcome."""
     ground_n, k, c, leads = payload
     total_pairs = comb(k, 2)
     bound = certified_bound(k)
+    # a rank-0 subset is c-good and certifies nothing; its star is never
+    # sized, so it never counts as an attainer (which matters only at k = 2,
+    # where the bound is 0)
+    rank0 = (0, True, True, None, True)
     # every verdict is a function of the canonical basis alone; the memo
     # lives for this call only
     verdicts: dict[tuple, tuple] = {}
-    out = {
-        "scanned": 0,
-        "good": 0,
-        "bad": 0,
-        "hist": Counter(),
-        "max_certified": -1,
-        "max_witness": None,
-        "attainers": 0,
-        "non_star": 0,
-        "non_star_witness": None,
-        "divergences": 0,
-        "cross_failures": 0,
-    }
+    tally: Counter = Counter()
+    least: dict[tuple, tuple[int, ...]] = {}
     for lead in leads:
         for rest in itertools.combinations(range(lead + 1, ground_n + 1), k - 1):
             points = (lead,) + rest
-            out["scanned"] += 1
             diffs = set()
             for i in range(k):
                 pi = points[i]
@@ -176,44 +160,28 @@ def _scan_chunk(payload: tuple) -> dict:
                     diffs.add(points[j] - pi)
             distinct = len(diffs)
             if distinct == total_pairs:
-                # rank-0 configuration: c-good, certifies nothing
-                out["good"] += 1
-                out["hist"][0] += 1
-                if out["max_certified"] < 0:
-                    out["max_certified"] = 0
-                    out["max_witness"] = points
-                continue
-            config = from_points(points)
-            key = config.basis.rows
-            verdict = verdicts.get(key)
-            if verdict is None:
-                certified = config.certified_count()
-                good_c, good_2 = _goodness_pair(config, c)
-                # the star is sized only where it is read
-                star_size = largest_star(config)[0] if good_c and certified == bound else None
-                verdict = verdicts[key] = (certified, good_c, good_2, star_size)
-            certified, good_c, good_2, star_size = verdict
-            if certified != total_pairs - distinct:
-                out["cross_failures"] += 1
-            if good_c != good_2:
-                out["divergences"] += 1
-            if not good_c:
-                out["bad"] += 1
-                continue
-            out["good"] += 1
-            out["hist"][certified] += 1
-            if certified > out["max_certified"] or (
-                certified == out["max_certified"] and points < out["max_witness"]
-            ):
-                out["max_certified"] = certified
-                out["max_witness"] = points
-            if certified == bound:
-                out["attainers"] += 1
-                if star_size != k:
-                    out["non_star"] += 1
-                    if out["non_star_witness"] is None:
-                        out["non_star_witness"] = points
-    return out
+                outcome = rank0
+            else:
+                config = from_points(points)
+                key = config.basis.rows
+                verdict = verdicts.get(key)
+                if verdict is None:
+                    certified = config.certified_count()
+                    at_2 = is_c_good(config, TWO)
+                    # light at 2 implies light at every c <= 2: the sweep at
+                    # c runs only for a valid, collinearity-free basis that
+                    # is heavy at 2
+                    good_c = at_2.c_good or (
+                        c != TWO and at_2.c_light is False and is_c_light(config, c)[0]
+                    )
+                    # the star is sized only for an attainer
+                    star_size = largest_star(config)[0] if good_c and certified == bound else None
+                    verdict = verdicts[key] = (certified, good_c, at_2.c_good, star_size)
+                outcome = (*verdict, verdict[0] == total_pairs - distinct)
+            tally[outcome] += 1
+            # subsets come in lexicographic order: the first is the least
+            least.setdefault(outcome, points)
+    return tally, least
 
 
 def scan_ground(
@@ -239,7 +207,6 @@ def scan_ground(
     # than there are cores or leads to hand out.
     requested = default_threads() if threads is None else threads
     workers = max(1, min(requested, os.cpu_count() or 1, len(leads)))
-    report = ScanReport(ground_n=ground_n, k=k, c=c)
     if workers == 1:
         partials = [_scan_chunk((ground_n, k, c, tuple(leads)))]
     else:
@@ -250,27 +217,36 @@ def scan_ground(
         payloads = [(ground_n, k, c, tuple(leads[w::workers])) for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_scan_chunk, payloads))
-    for part in partials:
-        report.subsets_scanned += part["scanned"]
-        report.good_count += part["good"]
-        report.bad_count += part["bad"]
-        report.histogram.update(part["hist"])
-        report.attainer_count += part["attainers"]
-        report.non_star_attainers += part["non_star"]
-        report.c2_divergences += part["divergences"]
-        report.cross_check_failures += part["cross_failures"]
-        if part["max_certified"] > report.max_certified or (
-            part["max_certified"] == report.max_certified
-            and part["max_witness"] is not None
-            and (report.max_certified_witness is None or part["max_witness"] < report.max_certified_witness)
-        ):
-            report.max_certified = part["max_certified"]
-            report.max_certified_witness = part["max_witness"]
-        witness = part["non_star_witness"]
-        if witness is not None and (
-            report.first_non_star_witness is None or witness < report.first_non_star_witness
-        ):
-            report.first_non_star_witness = witness
+    tally: Counter = Counter()
+    least: dict[tuple, tuple[int, ...]] = {}
+    for part_tally, part_least in partials:
+        tally.update(part_tally)
+        for outcome, points in part_least.items():
+            least[outcome] = min(points, least.get(outcome, points))
+    report = ScanReport(ground_n=ground_n, k=k, c=c)
+    best: list[tuple[int, tuple[int, ...]]] = []
+    non_star: list[tuple[int, ...]] = []
+    for outcome, count in tally.items():
+        certified, good_c, good_2, star_size, cross_ok = outcome
+        report.subsets_scanned += count
+        report.c2_divergences += count if good_c != good_2 else 0
+        report.cross_check_failures += 0 if cross_ok else count
+        if not good_c:
+            report.bad_count += count
+            continue
+        report.good_count += count
+        report.histogram[certified] += count
+        best.append((-certified, least[outcome]))
+        # the star is sized exactly for the attainers
+        if star_size is not None:
+            report.attainer_count += count
+            if star_size != k:
+                report.non_star_attainers += count
+                non_star.append(least[outcome])
+    if best:
+        negated, report.max_certified_witness = min(best)
+        report.max_certified = -negated
+    report.first_non_star_witness = min(non_star, default=None)
     return report
 
 
@@ -537,7 +513,7 @@ def _check_subbox_prefixes(impls: Sequence[MinimalImplication], outcomes: list) 
             outcomes.append(("box-subbox-partial-sum", ok, (impl, cut, vec)))
 
 
-def _check_pair_claim(rng: random.Random, outcomes: list) -> bool:
+def _check_pair_claim(rng: random.Random, outcomes: list) -> None:
     k = rng.randint(6, 9)
     for _ in range(60):
         a = _random_general_equality(rng, k)
@@ -551,14 +527,13 @@ def _check_pair_claim(rng: random.Random, outcomes: list) -> bool:
             continue
         variables = set(a.support) | set(b.support)
         outcomes.append(("pair-six-variables", len(variables) >= 6, (a, b)))
-        return True
-    return False
+        return
 
 
-def _check_intersection(rng: random.Random, outcomes: list) -> bool:
+def _check_intersection(rng: random.Random, outcomes: list) -> None:
     family = _random_2full_family(rng)
     if family is None:
-        return False
+        return
     n = len(family)
     for _ in range(40):
         mask1 = [rng.random() < 0.7 for _ in range(n)]
@@ -582,8 +557,7 @@ def _check_intersection(rng: random.Random, outcomes: list) -> bool:
         except ValueError:
             conclusion = False
         outcomes.append(("2-full-intersection", conclusion, (t1, t2)))
-        return True
-    return False
+        return
 
 
 def _harvest_hub_equalities(config: KConfiguration, hub: int) -> list[DifferenceEquality]:
@@ -605,7 +579,7 @@ def _harvest_hub_equalities(config: KConfiguration, hub: int) -> list[Difference
     return found
 
 
-def _check_points_instance(rng: random.Random, outcomes: list) -> bool:
+def _check_points_instance(rng: random.Random, outcomes: list) -> None:
     k = rng.randint(6, 9)
     points = tuple(sorted(rng.sample(range(1, 400), k)))
     config = from_points(points)
@@ -613,11 +587,10 @@ def _check_points_instance(rng: random.Random, outcomes: list) -> bool:
     distinct = distinct_difference_count(points)
     outcomes.append(("cross-check", certified == comb(k, 2) - distinct, points))
     if not is_c_good(config, PAPER_C).c_good:
-        return True
+        return
     family = _harvest_hub_equalities(config, k)
     if len(family) >= 2:
         _check_hub_family(family[:6], k, outcomes)
-    return True
 
 
 def lemma_property_suite(seed: int = 0, instance_count: int = 1000) -> dict:
@@ -655,21 +628,17 @@ def lemma_property_suite(seed: int = 0, instance_count: int = 1000) -> dict:
     categories = ("hub", "pair", "intersect", "points")
     while instances < instance_count:
         category = categories[instances % len(categories)]
-        produced = False
         if category == "hub":
             family = _random_hub_family(rng)
             if family is not None:
                 _check_hub_family(family, family[0].k, outcomes)
-                produced = True
         elif category == "pair":
-            produced = _check_pair_claim(rng, outcomes)
+            _check_pair_claim(rng, outcomes)
         elif category == "intersect":
-            produced = _check_intersection(rng, outcomes)
+            _check_intersection(rng, outcomes)
         else:
-            produced = _check_points_instance(rng, outcomes)
-        instances += 1 if produced else 0
-        if not produced:
-            instances += 1  # generation miss still consumes an instance slot
+            _check_points_instance(rng, outcomes)
+        instances += 1  # a generation miss still consumes an instance slot
     failures = [(name, data) for name, passed, data in outcomes if not passed]
     by_check: Counter = Counter(name for name, _, _ in outcomes)
     return {

@@ -51,6 +51,16 @@ class TestBuildRandomLocal:
         assert code == 0
         assert len(out.read_text().splitlines()) == 12
 
+    def test_sweep_over_budget_exits_3(self, tmp_path, capsys, monkeypatch):
+        # n = 8 samples 16 elements: the sweep would scan C(16,4) = 1820 subsets
+        monkeypatch.setenv("DIFFLOCAL_BUDGET", "1000")
+        out = tmp_path / "r.txt"
+        code, _, err = run(capsys, "build", "random-local", "--n", "8", "--k", "4", "--c", "1.9", "--out", str(out))
+        assert code == 3
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert "C(16,4)" in err
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_five_point_report(self, capsys):

@@ -232,7 +232,8 @@ class TestAgainstDefinitionLiteralOracle:
     def test_goodness_matches_bruteforce(self, ground, k):
         from oracles import brute_c_good, brute_collinearity_free, brute_c_light, brute_valid
 
-        for c in (TWO, Fraction(19, 10)):
+        # at 3/2 the integer bound t >= (|S| - 1)*2 // 3 + 1 departs most from c = 2
+        for c in (TWO, Fraction(19, 10), Fraction(3, 2)):
             for points in itertools.combinations(ground, k):
                 config = cfg.from_points(points)
                 report = gd.is_c_good(config, c)
@@ -242,3 +243,5 @@ class TestAgainstDefinitionLiteralOracle:
                     assert report.collinearity_free == brute_collinearity_free(points)
                 if report.c_light is not None:
                     assert report.c_light == brute_c_light(points, c)
+                    # the sweep from size 4 finds the same witness as the one from 2
+                    assert report.heaviness_witness == gd.is_c_light(config, c)[1]

@@ -139,6 +139,18 @@ def reference_scan(ground_n, k, c, classify, distinct):
     return report
 
 
+def uncached_classify(c):
+    """Classify one subset afresh, by ``is_c_good`` at c and at 2."""
+
+    def classify(points):
+        config = from_points(points)
+        good_c = is_c_good(config, c).c_good
+        star = largest_star(config)[0] if good_c else None
+        return config.certified_count(), good_c, is_c_good(config, 2).c_good, star
+
+    return classify
+
+
 def assert_same_scan(got, want):
     assert got.to_report() == want.to_report()
     # to_report() leaves out the first non-star witness
@@ -172,15 +184,18 @@ class TestScanMemo:
     )
     def test_matches_uncached_loop(self, ground, c):
         ground_n, k = ground
-
-        def classify(points):
-            config = from_points(points)
-            good_c = is_c_good(config, c).c_good
-            star = largest_star(config)[0] if good_c else None
-            return config.certified_count(), good_c, is_c_good(config, 2).c_good, star
-
-        want = reference_scan(ground_n, k, c, classify, distinct_difference_count)
+        want = reference_scan(ground_n, k, c, uncached_classify(c), distinct_difference_count)
         assert_same_scan(h.scan_ground(ground_n, k, c, threads=1), want)
+
+    @pytest.mark.parametrize("c,divergences", [("3/2", 1), ("paper", 0)])
+    def test_heavy_at_2(self, c, divergences):
+        # one basis here is heavy at 2 (the cube 1,2,4,5,10,11,13,14): light at
+        # 3/2, heavy at the paper's c, and decided by the sweep at c that the
+        # scan runs only for a basis heavy at 2
+        want = reference_scan(14, 8, c, uncached_classify(c), distinct_difference_count)
+        assert want.c2_divergences == divergences
+        for threads in (1, 2):
+            assert_same_scan(h.scan_ground(14, 8, c, threads=threads), want)
 
     def test_odd_k_witnesses_match_across_threads(self):
         # every attainer is a non-star at odd k
