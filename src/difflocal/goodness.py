@@ -14,8 +14,10 @@ Streinu; the bound grows with |S|, and the sweep stops at the first size
 where it exceeds the rank.  The first witness in that order is returned,
 and is automatically support-closed (its section basis supports cover it):
 the closure of any witness is a witness found no later.  ``is_c_good``
-starts the sweep at size 4: span vectors are zero-sum, so once validity
-and collinearity-freeness hold, no set of 2 or 3 variables carries one.
+starts the sweep at size 6: once validity and collinearity-freeness hold,
+every section has t <= |S| - 3, below the t >= (|S| - 1) // 2 + 1 that a
+witness at c <= 2 needs on 4 or 5 variables (proof in ``is_c_good``).
+Validity and stars are read off the residue table ``config.residues``.
 
 A *star of size 2p* is p pairwise-disjoint index pairs whose sums are all
 forced equal by the span; single sum-equal pairs (p = 1) do not count.
@@ -76,14 +78,12 @@ class GoodnessReport:
 
 
 def is_valid(config: KConfiguration) -> tuple[bool, Optional[tuple[int, int]]]:
-    """False, with the first witness pair (i, j), iff some e_i - e_j is implied."""
-    k = config.k
-    zero = ((0,) * k, 1)
-    residues = config._pair_residues
-    for i in range(1, k + 1):
-        for j in range(i + 1, k + 1):
-            if residues[(i, j)] == zero:
-                return False, (i, j)
+    """False, with the first witness pair (i, j), iff some e_i - e_j is
+    implied, that is iff rows i and j of ``config.residues`` are equal."""
+    rows = config.residues
+    for i, j in itertools.combinations(range(config.k), 2):
+        if rows[i] == rows[j]:
+            return False, (i + 1, j + 1)
     return True, None
 
 
@@ -171,7 +171,18 @@ def is_c_light(config: KConfiguration, c: Rational) -> tuple[bool, Optional[Heav
 
 
 def is_c_good(config: KConfiguration, c: Rational) -> GoodnessReport:
-    """Aggregate verdict; checks run in the order valid, collinearity-free, c-light."""
+    """Aggregate verdict; checks run in the order valid, collinearity-free, c-light.
+
+    The heaviness sweep starts at size 6.  Once validity and
+    collinearity-freeness hold, every section has t <= |S| - 3: a section of
+    dimension |S| - 2 or more meets the 2-dimensional space of zero-sum
+    vectors on any three variables of S (both lie in the (|S| - 1)-
+    dimensional zero-sum space on S), and a nonzero span vector on at most
+    three variables is an implied x_i = x_j or a support-3 equation.  A
+    witness at c <= 2 needs |S| < c*t + 1 <= 2t + 1, that is
+    t >= (|S| - 1) // 2 + 1, which is 2 at |S| = 4 and 3 at |S| = 5: above
+    |S| - 3 at both, so no set of fewer than 6 variables holds one.
+    """
     c = parse_c(c)
     valid, eq_witness = is_valid(config)
     if not valid:
@@ -179,10 +190,7 @@ def is_c_good(config: KConfiguration, c: Rational) -> GoodnessReport:
     coll_free, coll_witness = is_collinearity_free(config)
     if not coll_free:
         return GoodnessReport(c, True, False, None, collinearity_witness=coll_witness)
-    # Span vectors are zero-sum, so a nonzero one on 2 or 3 variables is an
-    # implied x_i = x_j or a support-3 equation, which the two checks above
-    # rule out: sizes 2 and 3 carry no section here.
-    witness = _heaviness_sweep(config, c, 4)
+    witness = _heaviness_sweep(config, c, 6)
     return GoodnessReport(c, True, True, witness is None, heaviness_witness=witness)
 
 
@@ -202,26 +210,19 @@ def largest_star(config: KConfiguration) -> tuple[int, Optional[StarWitness]]:
     """Size 2p of the largest implied star, with disjoint witness pairs.
 
     Index pairs are grouped into sum-equality classes ({a,b} ~ {c,d} iff
-    e_a + e_b - e_c - e_d lies in the span; this relation is transitive inside
-    the span).  In a valid configuration every class is pairwise disjoint,
-    since {a,b} ~ {a,c} would put e_b - e_c in the span, so the largest class
-    (the first in index order on ties) is the star.  A single sum-equal pair
-    is no star: anything below two pairs reports size 0.  Raises ValueError
-    on an invalid configuration.
+    e_a + e_b - e_c - e_d lies in the span: iff rows a + b and c + d of
+    ``config.residues`` are equal).  In a valid configuration every class is
+    pairwise disjoint, since {a,b} ~ {a,c} would put e_b - e_c in the span,
+    so the largest class (the first in index order on ties) is the star.  A
+    single sum-equal pair is no star: anything below two pairs reports size
+    0.  Raises ValueError on an invalid configuration.
     """
     if not is_valid(config)[0]:
         raise ValueError("largest_star needs a valid configuration")
-    k = config.k
-    base = [0] * k
+    rows = config.residues
     classes: dict[tuple, list[tuple[int, int]]] = {}
-    for a in range(1, k + 1):
-        for b in range(a + 1, k + 1):
-            base[a - 1] = 1
-            base[b - 1] = 1
-            res = exactlin.residue(config.basis, base)
-            base[a - 1] = 0
-            base[b - 1] = 0
-            classes.setdefault(res, []).append((a, b))
+    for a, b in itertools.combinations(range(config.k), 2):
+        classes.setdefault(tuple([x + y for x, y in zip(rows[a], rows[b])]), []).append((a + 1, b + 1))
     best_pairs = max(classes.values(), key=len, default=[])
     if len(best_pairs) < 2:
         return 0, None

@@ -1,6 +1,6 @@
 """Desk-scale falsification scans and equality-case reproductions.
 
-``scan_ground`` classifies every k-subset of [1..N]: each subset's
+``scan_ground`` classifies every k-subset of [1..N], k >= 4: each subset's
 configuration is checked for c-goodness and its certified-pair count is
 computed through the configuration machinery, cross-checked against direct
 difference counting on every subset.  The report records the maximum
@@ -141,9 +141,8 @@ def _scan_chunk(payload: tuple) -> tuple[Counter, dict]:
     ground_n, k, c, leads = payload
     total_pairs = comb(k, 2)
     bound = certified_bound(k)
-    # a rank-0 subset is c-good and certifies nothing; its star is never
-    # sized, so it never counts as an attainer (which matters only at k = 2,
-    # where the bound is 0)
+    # a rank-0 subset is c-good and certifies nothing, below the bound for
+    # every k >= 4, so its star is never sized
     rank0 = (0, True, True, None, True)
     # every verdict is a function of the canonical basis alone; the memo
     # lives for this call only
@@ -194,8 +193,8 @@ def scan_ground(
 ) -> ScanReport:
     """Classify every k-subset of [1..N]; see the module docstring."""
     c = parse_c(c)
-    if k < 2 or ground_n < k:
-        raise ValueError(f"need 2 <= k <= N, got k={k}, N={ground_n}")
+    if k < 4 or ground_n < k:
+        raise ValueError(f"need 4 <= k <= N, got k={k}, N={ground_n}")
     limit = default_budget() if budget is None else budget
     total = comb(ground_n, k)
     if total > limit:
@@ -477,7 +476,7 @@ def _check_hub_family(eqs: Sequence[DifferenceEquality], hub: int, outcomes: lis
             outcomes.append(("structure-clauses", report.all_clauses_pass, impl))
         if impl.size == 3:
             cfg = from_equalities(k, impl.premises)
-            certified = sum(1 for j in range(1, hub) if cfg.certifies((hub, j)))
+            certified = sum(1 for i, _ in cfg.certified_pairs() if i == hub)
             outcomes.append(("3-implication-certifies<=5", certified <= 5, impl))
         if impl.size == 2:
             alignment = classify_alignment(impl.premises[0], impl.premises[1], hub)

@@ -60,17 +60,14 @@ class Alignment(Enum):
 def _candidate_products(basis: exactlin.ExactBasis, variables: Sequence[int]) -> list[tuple[int, ...]]:
     """Span members with exactly four +-1 entries, canonically oriented.
 
-    For each 4-subset of the candidate variables whose section is nonempty,
-    the (at most three, up to sign) zero-sum unit vectors on that support are
-    tested for membership.
+    For each 4-subset of the candidate variables, the three zero-sum unit
+    vectors on that support (up to sign) are tested for membership in the
+    span.  They are distinct, and supports differ across subsets, so no
+    candidate repeats.
     """
     k = basis.ambient_dim
     out = []
-    seen = set()
     for quad in itertools.combinations(sorted(variables), 4):
-        t, section = exactlin.section_dim(basis, quad)
-        if t == 0:
-            continue
         a, b, c, d = (q - 1 for q in quad)
         patterns = (
             ((a, 1), (b, 1), (c, -1), (d, -1)),
@@ -81,11 +78,8 @@ def _candidate_products(basis: exactlin.ExactBasis, variables: Sequence[int]) ->
             vec = [0] * k
             for idx, val in pat:
                 vec[idx] = val
-            if exactlin.member(section, vec):
-                key = tuple(vec)
-                if key not in seen:
-                    seen.add(key)
-                    out.append(key)
+            if exactlin.member(basis, vec):
+                out.append(tuple(vec))
     return out
 
 
@@ -198,12 +192,11 @@ def check_structure(impl: MinimalImplication) -> StructureReport:
 
     signs_ok = all(abs(c) == 1 for c in impl.coefficients)
 
-    basis = exactlin.reduce([p.content for p in impl.premises], k)
     variables = sorted({v for p in impl.premises for v in p.support})
     product_key = canonical_sign(impl.product)
     premise_keys = {p.canonical_content for p in impl.premises}
     second = None
-    for cand in _candidate_products(basis, variables):
+    for cand in _candidate_products(config.basis, variables):
         key = canonical_sign(cand)
         if key == product_key or key in premise_keys:
             continue

@@ -88,11 +88,10 @@ def satisfied_contents(points):
     return out
 
 
-def brute_certifies(points, i, j) -> bool:
-    """Certification decided straight from the definition with the oracle solver
-    (1-based i > j)."""
-    k = len(points)
-    contents = satisfied_contents(points)
+def literal_certifies(contents, k, i, j) -> bool:
+    """Whether the span of ``contents`` certifies (i, j), 1-based i > j: every
+    ordered witness pair (i', j') of the definition is tried with the oracle
+    solver."""
     for ip in range(1, k + 1):
         for jp in range(1, k + 1):
             if ip == jp:
@@ -111,25 +110,31 @@ def brute_certifies(points, i, j) -> bool:
     return False
 
 
+def literal_certified_pairs(contents, k):
+    """Certified pairs of the span of ``contents``, in scan order."""
+    return [
+        (i, j) for i in range(2, k + 1) for j in range(1, i) if literal_certifies(contents, k, i, j)
+    ]
+
+
+def brute_certifies(points, i, j) -> bool:
+    """Certification decided straight from the definition with the oracle solver
+    (1-based i > j)."""
+    return literal_certifies(satisfied_contents(points), len(points), i, j)
+
+
 def brute_certified_count(points) -> int:
-    k = len(points)
-    return sum(
-        1 for i in range(2, k + 1) for j in range(1, i) if brute_certifies(points, i, j)
-    )
+    return len(literal_certified_pairs(satisfied_contents(points), len(points)))
 
 
 def brute_distinct_differences(points) -> int:
     return len({abs(a - b) for a, b in itertools.combinations(points, 2)})
 
 
-def brute_largest_star(points) -> int:
-    """Largest 2p with p >= 2 disjoint pairs of equal numeric sums."""
-    k = len(points)
-    by_sum = {}
-    for a, b in itertools.combinations(range(k), 2):
-        by_sum.setdefault(points[a] + points[b], []).append((a, b))
+def _largest_disjoint(classes) -> int:
+    """Largest 2p with p >= 2 pairwise-disjoint pairs from one class."""
     best = 0
-    for pairs in by_sum.values():
+    for pairs in classes:
         for size in range(len(pairs), 1, -1):
             if 2 * size <= best:
                 break
@@ -141,7 +146,37 @@ def brute_largest_star(points) -> int:
     return best
 
 
-def _section_dim(contents, k, support):
+def brute_largest_star(points) -> int:
+    """Largest 2p with p >= 2 disjoint pairs of equal numeric sums."""
+    k = len(points)
+    by_sum = {}
+    for a, b in itertools.combinations(range(k), 2):
+        by_sum.setdefault(points[a] + points[b], []).append((a, b))
+    return _largest_disjoint(by_sum.values())
+
+
+def literal_largest_star(contents, k) -> int:
+    """Largest 2p with p >= 2 disjoint pairs whose sums the span of
+    ``contents`` forces equal; each pair joins the first class whose first
+    pair it is sum-equal to (congruence modulo a span is transitive)."""
+    classes = []
+    for a, b in itertools.combinations(range(k), 2):
+        for cls in classes:
+            c, d = cls[0]
+            vec = [0] * k
+            vec[a] += 1
+            vec[b] += 1
+            vec[c] -= 1
+            vec[d] -= 1
+            if frac_solvable(contents, vec):
+                cls.append((a, b))
+                break
+        else:
+            classes.append([(a, b)])
+    return _largest_disjoint(classes)
+
+
+def section_dim(contents, k, support):
     """dim {v in span(contents) : supp(v) subseteq support}, via rank difference."""
     if not contents:
         return 0
@@ -152,31 +187,37 @@ def _section_dim(contents, k, support):
     return full - frac_rank([[row[c] for c in comp] for row in contents])
 
 
-def brute_valid(points) -> bool:
-    k = len(points)
-    contents = satisfied_contents(points)
+def literal_equality(contents, k):
+    """The first pair (i, j), 1-based i < j, with x_i = x_j implied by
+    ``contents``, or None."""
     for i in range(k):
         for j in range(i + 1, k):
             vec = [0] * k
             vec[i], vec[j] = 1, -1
             if frac_solvable(contents, vec):
-                return False
+                return i + 1, j + 1
+    return None
+
+
+def brute_valid(points) -> bool:
+    return literal_equality(satisfied_contents(points), len(points)) is None
+
+
+def literal_collinearity_free(contents, k) -> bool:
+    """No support-3 span member: at each 3-subset S, a vector with support
+    exactly S exists iff dim W_S exceeds the dimension at every 2-subset
+    (a vector space over Q is never a union of proper subspaces)."""
+    for s in itertools.combinations(range(1, k + 1), 3):
+        d = section_dim(contents, k, s)
+        if d == 0:
+            continue
+        if all(section_dim(contents, k, set(s) - {v}) < d for v in s):
+            return False
     return True
 
 
 def brute_collinearity_free(points) -> bool:
-    """No support-3 span member: at each 3-subset S, a vector with support
-    exactly S exists iff dim W_S exceeds the dimension at every 2-subset
-    (a vector space over Q is never a union of proper subspaces)."""
-    k = len(points)
-    contents = satisfied_contents(points)
-    for s in itertools.combinations(range(1, k + 1), 3):
-        d = _section_dim(contents, k, s)
-        if d == 0:
-            continue
-        if all(_section_dim(contents, k, set(s) - {v}) < d for v in s):
-            return False
-    return True
+    return literal_collinearity_free(satisfied_contents(points), len(points))
 
 
 def brute_c_light(points, c) -> bool:
@@ -184,7 +225,7 @@ def brute_c_light(points, c) -> bool:
     contents = satisfied_contents(points)
     for size in range(1, k + 1):
         for s in itertools.combinations(range(1, k + 1), size):
-            t = _section_dim(contents, k, s)
+            t = section_dim(contents, k, s)
             if t >= 1 and size < c * t + 1:
                 return False
     return True

@@ -167,6 +167,13 @@ class TestScan:
         report = reportfmt.parse(text)
         assert report["c"] == Fraction(2) - Fraction(1, 2**29)
 
+    @pytest.mark.parametrize("k", ["2", "3"])
+    def test_k_below_4_is_a_usage_error(self, capsys, k):
+        code, text, err = run(capsys, "scan", "--N", "5", "--k", k, "--threads", "1")
+        assert code == 2
+        assert text == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
 
 def test_usage_error_exit_code(capsys):
     with pytest.raises(SystemExit) as exc:

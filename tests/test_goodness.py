@@ -3,14 +3,23 @@ from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from difflocal import configuration as cfg
 from difflocal import exactlin
 from difflocal import goodness as gd
 from difflocal.harness import PAPER_C
 
-from oracles import brute_largest_star, frac_rank, frac_solvable
+from oracles import (
+    brute_largest_star,
+    frac_rank,
+    frac_solvable,
+    literal_certified_pairs,
+    literal_collinearity_free,
+    literal_equality,
+    literal_largest_star,
+    section_dim,
+)
 
 TWO = Fraction(2)
 
@@ -37,6 +46,26 @@ def example_c_cube():
 
 def star_of(k):
     return gd.star_configuration(k, [(2 * i + 1, 2 * i + 2) for i in range(k // 2)])
+
+
+@st.composite
+def equality_systems(draw, min_k=4, max_k=6, distinct=False):
+    """(k, contents) of up to four equalities x_a - x_b = x_c - x_d on k
+    variables.  With repeated indices allowed, invalid and collinear spans
+    occur often; ``distinct`` draws four distinct indices per equality."""
+    k = draw(st.integers(min_value=min_k, max_value=max_k))
+    index = st.integers(min_value=0, max_value=k - 1)
+    quad = st.lists(index, min_size=4, max_size=4, unique=distinct)
+    contents = []
+    for a, b, c, d in draw(st.lists(quad, max_size=4)):
+        vec = [0] * k
+        vec[a] += 1
+        vec[b] -= 1
+        vec[c] -= 1
+        vec[d] += 1
+        if any(vec):
+            contents.append(tuple(vec))
+    return k, contents
 
 
 class TestValidity:
@@ -85,6 +114,21 @@ class TestLightness:
         assert not light
         assert witness.variables == (1, 2, 3, 4, 5, 6, 7, 8)
         assert witness.t == 4
+
+    def test_first_witness_on_six_variables(self):
+        # 6 is the least size is_c_good sweeps; here the first witness has it
+        contents = [
+            (1, 0, -1, 0, -1, 0, 0, 1, 0),
+            (1, 0, 0, -1, 1, -1, 0, 0, 0),
+            (0, 0, 0, 1, 0, -1, 0, -1, 1),
+            (-1, 0, 0, 0, 0, -1, 1, 0, 1),
+            (-1, 1, 1, 0, 0, -1, 0, 0, 0),
+        ]
+        report = gd.is_c_good(cfg.from_equalities(9, contents), TWO)
+        assert report.valid and report.collinearity_free and not report.c_light
+        witness = report.heaviness_witness
+        assert witness.variables == (1, 2, 3, 6, 7, 9) and witness.t == 3
+        assert section_dim(contents, 9, witness.variables) == 3
 
     def test_cube_heavy_at_paper_c_too(self):
         light, _ = gd.is_c_light(example_c_cube(), PAPER_C)
@@ -155,6 +199,21 @@ class TestGoodness:
         assert report.collinearity_free is None and report.c_light is None
 
 
+class TestSweepStart:
+    @settings(max_examples=100, deadline=None)
+    @given(equality_systems(min_k=5, max_k=7, distinct=True))
+    def test_small_sections_of_valid_collinearity_free_spans(self, system):
+        # why is_c_good sweeps from size 6: here every section has
+        # t <= |S| - 3, below the t >= (|S| - 1) // 2 + 1 a witness at
+        # c <= 2 needs on 4 and 5 variables
+        k, contents = system
+        assume(literal_equality(contents, k) is None)
+        assume(literal_collinearity_free(contents, k))
+        for size in (4, 5):
+            for subset in itertools.combinations(range(1, k + 1), size):
+                assert section_dim(contents, k, subset) <= size - 3
+
+
 class TestCToTwoClaim:
     def test_small_c_good_configurations_are_2_good(self):
         # span generated by < 1/(2-c) equalities and c-good implies 2-good
@@ -203,6 +262,37 @@ class TestLargestStar:
         assert size == brute_largest_star(tuple(points))
 
 
+class TestResidueTable:
+    """Certified pairs, validity and stars read off ``residues``, against
+    the definitions solved on raw contents, invalid spans included."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(equality_systems())
+    def test_matches_literal_oracles(self, system):
+        k, contents = system
+        config = cfg.from_equalities(k, contents)
+        assert config.certified_pairs() == literal_certified_pairs(contents, k)
+        valid, witness = gd.is_valid(config)
+        assert witness == literal_equality(contents, k)
+        assert valid == (witness is None)
+        if valid:
+            assert gd.largest_star(config)[0] == literal_largest_star(contents, k)
+
+    @settings(max_examples=60, deadline=None)
+    @given(equality_systems(), st.data())
+    def test_rows_decide_congruence(self, system, data):
+        k, contents = system
+        rows = cfg.from_equalities(k, contents).residues
+        vector = st.lists(st.integers(min_value=-3, max_value=3), min_size=k, max_size=k)
+        v, w = data.draw(vector), data.draw(vector)
+
+        def image(vec):
+            return [sum(x * row[col] for x, row in zip(vec, rows)) for col in range(k)]
+
+        diff = [a - b for a, b in zip(v, w)]
+        assert (image(v) == image(w)) == frac_solvable(contents, diff)
+
+
 class TestDeskScanBound:
     def test_all_good_4_subsets_of_small_ground_respect_bound(self):
         bound = (16 - 8) // 4
@@ -243,5 +333,5 @@ class TestAgainstDefinitionLiteralOracle:
                     assert report.collinearity_free == brute_collinearity_free(points)
                 if report.c_light is not None:
                     assert report.c_light == brute_c_light(points, c)
-                    # the sweep from size 4 finds the same witness as the one from 2
+                    # the sweep from size 6 finds the same witness as the one from 2
                     assert report.heaviness_witness == gd.is_c_light(config, c)[1]

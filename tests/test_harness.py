@@ -104,6 +104,13 @@ class TestScanGround:
         assert report.bound == 5
         assert report.bound_respected
 
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_k_below_4_rejected(self, k):
+        # the parity bounds are the paper's from k = 4 on; at k = 2 a rank-0
+        # subset would meet the bound 0 without counting as an attainer
+        with pytest.raises(ValueError, match="4 <= k"):
+            h.scan_ground(5, k, "2", threads=1)
+
     def test_budget(self):
         from difflocal.verifier import BudgetExceededError
 
