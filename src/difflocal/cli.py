@@ -10,8 +10,9 @@ reproduces byte-identical outputs.
 Exit codes: 0 success / property holds, 1 property fails (or construction
 retries exhausted), 2 usage or parameter validation (including a file that
 cannot be read or written), 3 budget exceeded, 4 internal invariant
-violation (a cross-check mismatch anywhere).  Errors print one
-``error: ...`` line on stderr, never a traceback.
+violation (a cross-check mismatch anywhere, or a constructed set failing
+its own postcondition).  Errors print one ``error: ...`` line on stderr,
+never a traceback.
 """
 
 from __future__ import annotations
@@ -25,6 +26,7 @@ from . import __version__, reportfmt
 from .configuration import distinct_difference_count, from_points, render_content
 from .constructions import (
     ConstructionError,
+    InvariantError,
     RetriesExhaustedError,
     behrend_auto,
     behrend_set,
@@ -313,6 +315,9 @@ def main(argv=None) -> int:
     except BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except InvariantError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_INVARIANT
     except RetriesExhaustedError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PROPERTY_FAIL

@@ -12,8 +12,14 @@ such triples.
 set inside [1..floor(n^c)] and then deletes one element from every k-subset
 whose configuration fails to be c-good, until exactly n elements remain whose
 k-subsets are all c-good.  Because deleting elements never creates new bad
-subsets, a single deterministic sweep in subset order suffices; the result is
-re-verified exhaustively before it is returned.
+subsets, a single deterministic sweep in subset order suffices, and it need
+only visit the subsets that can be bad: those containing a *core* (a 3-term
+progression or two disjoint pairs with one difference), the only way a
+subset repeats a difference.  The cores are read off one difference table
+of the sample; for each lead element in turn the sweep collects the
+k-subsets it leads that contain a core of live elements and visits them in
+subset order, classifying each difference pattern once.  The result is
+re-verified exhaustively, over every k-subset, before it is returned.
 
 At desk scale the sphere-slice parameters collapse inside [1..n^c] (the base
 16*kappa*m alone overshoots the interval), so the ground set uses the other
@@ -32,6 +38,7 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
+from itertools import combinations
 from math import comb
 from typing import Sequence
 
@@ -47,6 +54,10 @@ class ConstructionError(Exception):
 
 class RetriesExhaustedError(ConstructionError):
     """No sampling attempt survived the alteration with n elements."""
+
+
+class InvariantError(Exception):
+    """A construction broke its own guarantee: a defect, never a bad input."""
 
 
 @dataclass(frozen=True)
@@ -226,7 +237,8 @@ def behrend_auto(n: int, kappa: int, *, max_enumeration: int = DEFAULT_MAX_ENUME
     if d < 2:
         raise ConstructionError(f"parameter d collapsed to {d} for n={n}: n is too small")
     artifact = behrend_set(d=d, m=m, kappa=kappa, max_enumeration=max_enumeration)
-    assert artifact.elements[-1] <= n, "digit map overflowed the target interval"
+    if artifact.elements[-1] > n:
+        raise InvariantError(f"digit map overflowed the target interval [1, {n}]")
     provenance = dict(artifact.provenance)
     provenance["parameters"] = dict(provenance["parameters"], n=n, auto=True)
     return SetArtifact(artifact.elements, provenance)
@@ -238,10 +250,7 @@ def digit_ground_set(limit: int, kappa: int) -> list[int]:
     Avoids every relation alpha*s1 + beta*s2 + gamma*s3 = 0 with distinct
     s_i and nonzero integer coefficients of magnitude <= kappa summing to 0.
     """
-    if limit < 1:
-        raise ConstructionError(f"limit must be positive, got {limit}")
-    if kappa < 1:
-        raise ConstructionError(f"kappa must be at least 1, got {kappa}")
+    _check_ground_args(limit, kappa)
     base = kappa + 1
     values = [0]
     power = 1
@@ -249,6 +258,39 @@ def digit_ground_set(limit: int, kappa: int) -> list[int]:
         values += [v + power for v in values if v + power <= limit - 1]
         power *= base
     return sorted(v + 1 for v in values)
+
+
+def digit_ground_count(limit: int, kappa: int) -> int:
+    """len(digit_ground_set(limit, kappa)), in closed form and without the list.
+
+    Counts the v in [0, limit - 1] whose base-(kappa+1) digits are all 0 or
+    1, walking the digits of limit - 1 from the top: below a digit 1 the
+    choice 0 frees every lower digit, a digit of 2 or more frees this one
+    too and ends the walk, and a walk that never leaves the bound counts
+    limit - 1 itself.
+    """
+    _check_ground_args(limit, kappa)
+    base = kappa + 1
+    digits = []
+    rest = limit - 1
+    while rest:
+        rest, digit = divmod(rest, base)
+        digits.append(digit)
+    count = 0
+    for position in reversed(range(len(digits))):
+        digit = digits[position]
+        if digit == 1:
+            count += 1 << position
+        elif digit >= 2:
+            return count + (2 << position)
+    return count + 1
+
+
+def _check_ground_args(limit: int, kappa: int) -> None:
+    if limit < 1:
+        raise ConstructionError(f"limit must be positive, got {limit}")
+    if kappa < 1:
+        raise ConstructionError(f"kappa must be at least 1, got {kappa}")
 
 
 def iroot(x: int, q: int) -> int:
@@ -291,8 +333,11 @@ def random_local_set(
     rho = min(1, 2n/|ground|), and each c-bad k-subset found in the sweep
     loses its largest element.  Survivors beyond n are trimmed from the top
     (keeping small elements dense).  The postcondition is machine-checked by
-    a full re-scan before returning.  Raises BudgetExceededError when an
-    attempt's sweep would scan more than ``default_budget()`` subsets.
+    a full re-scan before returning (InvariantError if it fails).  Raises
+    BudgetExceededError, before the ground set is built, when the ground set
+    or C(n, k) exceeds ``default_budget()`` (every sample has at least n
+    elements), and when an attempt's sweep would scan more than that many
+    subsets.
     """
     try:
         c = parse_c(c)
@@ -307,13 +352,22 @@ def random_local_set(
     if max_retries < 0:
         raise ConstructionError(f"max_retries must be nonnegative, got {max_retries}")
     limit = power_floor(n, c)
-    ground = digit_ground_set(limit, kappa)
-    if len(ground) < n:
+    ground_size = digit_ground_count(limit, kappa)
+    if ground_size < n:
         raise ConstructionError(
-            f"ground set inside [1, {limit}] has only {len(ground)} elements, need {n}"
+            f"ground set inside [1, {limit}] has only {ground_size} elements, need {n}"
         )
-    rho = Fraction(2 * n, len(ground))
     budget = default_budget()
+    if ground_size > budget:
+        raise BudgetExceededError(
+            f"ground set inside [1, {limit}] has {ground_size} elements, over budget {budget}"
+        )
+    if comb(n, k) > budget:
+        raise BudgetExceededError(
+            f"every alteration sweep would scan at least C({n},{k}) subsets, over budget {budget}"
+        )
+    ground = digit_ground_set(limit, kappa)
+    rho = Fraction(2 * n, ground_size)
     failures = []
     for attempt in range(max_retries + 1):
         seed_used = seed + attempt
@@ -348,7 +402,7 @@ def random_local_set(
                 "max_retries": max_retries,
             },
             "limit": limit,
-            "ground_size": len(ground),
+            "ground_size": ground_size,
             "rho": str(min(rho, Fraction(1))),
             "attempt": attempt,
             "seed_used": seed_used,
@@ -367,29 +421,87 @@ def random_local_set(
 def _alteration_sweep(
     sampled: Sequence[int], k: int, c: Fraction
 ) -> tuple[list[int], list[tuple[int, tuple[int, ...]]]]:
-    """One pass over k-subsets in subset order, deleting the largest element of
-    each c-bad subset met.  Deleting elements never creates bad subsets, so
-    every subset that survives the pass was inspected and found good.
+    """Delete the largest element of each c-bad k-subset met in subset order.
+
+    Equivalent to a pass over every k-subset of the sorted sample in
+    lexicographic index order that skips subsets with a deleted element and
+    deletes the largest element of each c-bad one: deleting elements never
+    creates bad subsets, so every subset that survives such a pass was
+    inspected and found good.  Only subsets that contain a core can be bad
+    (a subset without one has pairwise distinct differences, forms the
+    rank-0 configuration and is c-good), so this pass visits just those.
+    For each live lead index in increasing order it collects the k-subsets
+    with that least index that contain a core of live elements, and visits
+    them in lexicographic order under the same liveness test.  Every
+    subset the full pass would find bad is among them (a deletion only ever
+    kills an element above the current lead), so the deletions and their
+    order are the same.
+
+    A subset's verdict depends only on its difference pattern (which of its
+    index pairs share a difference): that fixes every difference equality
+    it satisfies and so its configuration.  Each new pattern is classified
+    once through ``points_c_good``.
     """
     elems = sorted(sampled)
     n = len(elems)
-    alive = [True] * n
+    dead: set[int] = set()
     deletion_log: list[tuple[int, tuple[int, ...]]] = []
-    from itertools import combinations
-
-    for idx in combinations(range(n), k):
-        if not all(alive[i] for i in idx):
+    cores = _cores_by_lead(elems)
+    pairs = list(combinations(range(k), 2))
+    verdicts: dict[tuple[int, ...], bool] = {}
+    for lead in range(n):
+        if lead in dead:
             continue
-        points = tuple(elems[i] for i in idx)
-        if not points_c_good(points, c):
-            alive[idx[-1]] = False
-            deletion_log.append((elems[idx[-1]], points))
-    return [e for e, a in zip(elems, alive) if a], deletion_log
+        later = [i for i in range(lead + 1, n) if i not in dead]
+        candidates: set[tuple[int, ...]] = set()
+        for first in [lead] + later:
+            for core in cores[first]:
+                required = core if first == lead else (lead,) + core
+                if len(required) > k or not dead.isdisjoint(core):
+                    continue
+                rest = [i for i in later if i not in required]
+                for extra in combinations(rest, k - len(required)):
+                    candidates.add(tuple(sorted(required + extra)))
+        for idx in sorted(candidates):
+            if not dead.isdisjoint(idx):
+                continue
+            points = tuple(elems[i] for i in idx)
+            labels: dict[int, int] = {}
+            pattern = tuple([labels.setdefault(points[j] - points[i], len(labels)) for i, j in pairs])
+            good = verdicts.get(pattern)
+            if good is None:
+                good = verdicts[pattern] = points_c_good(points, c)
+            if not good:
+                dead.add(idx[-1])
+                deletion_log.append((elems[idx[-1]], points))
+    return [e for i, e in enumerate(elems) if i not in dead], deletion_log
+
+
+def _cores_by_lead(elems: Sequence[int]) -> list[list[tuple[int, ...]]]:
+    """The cores of a sorted sequence, as index tuples listed under their least index.
+
+    A core is a 3-term progression or a 4-set {a<b, c<d} with b - a = d - c;
+    a subset repeats a difference iff it contains one.  Both are read off
+    one difference table.  Its pairs (a, b) with one difference are listed
+    with a and b increasing, so two of them, (a, b) before (p, q), either
+    share the middle index b = p (a progression) or are disjoint; a 4-set
+    b - a = q - p also has p - a = q - b and is met twice.
+    """
+    table: dict[int, list[tuple[int, int]]] = {}
+    for j, high in enumerate(elems):
+        for i in range(j):
+            table.setdefault(high - elems[i], []).append((i, j))
+    found: set[tuple[int, ...]] = set()
+    for group in table.values():
+        for (a, b), (p, q) in combinations(group, 2):
+            found.add((a, b, q) if b == p else tuple(sorted((a, b, p, q))))
+    by_lead: list[list[tuple[int, ...]]] = [[] for _ in elems]
+    for core in found:
+        by_lead[core[0]].append(core)
+    return by_lead
 
 
 def _verify_all_good(elements: Sequence[int], k: int, c: Fraction) -> None:
-    from itertools import combinations
-
     for subset in combinations(elements, k):
         if not points_c_good(subset, c):
-            raise AssertionError(f"postcondition violated: {subset} is not {c}-good")
+            raise InvariantError(f"postcondition violated: {subset} is not {c}-good")

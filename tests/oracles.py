@@ -233,3 +233,21 @@ def brute_c_light(points, c) -> bool:
 
 def brute_c_good(points, c) -> bool:
     return brute_valid(points) and brute_collinearity_free(points) and brute_c_light(points, c)
+
+
+def brute_alteration_sweep(sampled, k, good):
+    """Visit every k-subset of the sorted sample in lexicographic index order,
+    skip those holding a deleted element, and delete the largest element of
+    each subset whose points fail ``good``.  Returns the survivors and the
+    deletion log of (deleted element, subset points)."""
+    elems = sorted(sampled)
+    alive = [True] * len(elems)
+    log = []
+    for idx in itertools.combinations(range(len(elems)), k):
+        if not all(alive[i] for i in idx):
+            continue
+        points = tuple(elems[i] for i in idx)
+        if not good(points):
+            alive[idx[-1]] = False
+            log.append((elems[idx[-1]], points))
+    return [e for e, a in zip(elems, alive) if a], log

@@ -1,8 +1,13 @@
+import contextlib
+import io
+import tempfile
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from difflocal import cli, reportfmt
+from difflocal import cli, constructions, reportfmt
 
 
 def run(capsys, *argv):
@@ -59,6 +64,22 @@ class TestBuildRandomLocal:
         assert code == 3
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "C(16,4)" in err
+        assert not out.exists()
+
+    def test_huge_n_exits_3_before_building_anything(self, tmp_path, capsys):
+        out = tmp_path / "r.txt"
+        code, _, err = run(capsys, "build", "random-local", "--n", "10000000", "--k", "4", "--c", "2", "--out", str(out))
+        assert code == 3
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
+    def test_failed_postcondition_exits_4(self, tmp_path, capsys, monkeypatch):
+        # a sweep that deletes nothing leaves bad subsets in the kappa=1 sample
+        monkeypatch.setattr(constructions, "_alteration_sweep", lambda sampled, k, c: (sorted(sampled), []))
+        out = tmp_path / "r.txt"
+        code, _, err = run(capsys, "build", "random-local", "--n", "8", "--k", "4", "--c", "2", "--kappa", "1", "--out", str(out))
+        assert code == 4
+        assert err.startswith("error: postcondition violated") and len(err.splitlines()) == 1
         assert not out.exists()
 
 
@@ -216,3 +237,29 @@ class TestFileErrors:
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
+
+
+set_file_bytes = st.one_of(
+    st.binary(max_size=120),
+    st.lists(
+        st.one_of(st.integers(-99, 10**6).map(str), st.text(alphabet="0123456789-+ #\t\xe9", max_size=8)),
+        max_size=14,
+    ).map(lambda lines: "\n".join(lines).encode("utf-8")),
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(set_file_bytes)
+def test_verify_survives_arbitrary_set_files(raw):
+    """Any bytes, non-UTF-8 included: a documented exit code, at most one
+    error line and never a traceback (an escaping exception fails here)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "set.txt"
+        path.write_bytes(raw)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = cli.main(["verify", str(path), "--k", "2", "--l", "1"])
+    assert code in (0, 1, 2, 3)
+    errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
+    assert len(errors) <= 1
+    assert "Traceback" not in err.getvalue()

@@ -1,12 +1,16 @@
 import itertools
+import random
 from fractions import Fraction
 from math import comb
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from difflocal import constructions as con
 from difflocal.configuration import from_points
-from difflocal.goodness import is_c_good
+from difflocal.goodness import is_c_good, points_c_good
+from difflocal.verifier import BudgetExceededError
+from oracles import brute_alteration_sweep, brute_c_good
 
 
 def coefficient_triples(kappa):
@@ -111,6 +115,12 @@ class TestDigitGroundSet:
         # no zero-sum pattern has three nonzero coefficients of magnitude 1
         assert con.digit_ground_set(10, 1) == list(range(1, 11))
 
+    def test_count_matches_the_list(self):
+        for kappa in (1, 2, 3, 4):
+            for limit in range(1, 300):
+                assert con.digit_ground_count(limit, kappa) == len(con.digit_ground_set(limit, kappa))
+        assert con.digit_ground_count(640, 2) == 64
+
 
 class TestPowerFloor:
     def test_exact_roots(self):
@@ -185,6 +195,81 @@ class TestRandomLocalSet:
             con.random_local_set(10, 3, Fraction(19, 10), seed=0)  # k below 4
         with pytest.raises(con.ConstructionError):
             con.random_local_set(10, 4, Fraction(5, 2), seed=0)  # c out of range
+
+    def test_huge_n_is_over_budget_before_the_ground_set(self):
+        # the ground set inside [1, 10^14] would hold about 10^9 integers
+        with pytest.raises(BudgetExceededError, match="ground set"):
+            con.random_local_set(10**7, 4, "2")
+
+    def test_n_choose_k_over_budget(self, monkeypatch):
+        # every sample has at least n elements, so every sweep would exceed it
+        monkeypatch.setenv("DIFFLOCAL_BUDGET", "100")
+        with pytest.raises(BudgetExceededError, match=r"C\(9,4\)"):
+            con.random_local_set(9, 4, Fraction(19, 10))
+
+
+def first_sample(n, kappa, seed, c=Fraction(19, 10)):
+    """The sample of random_local_set's first attempt, by its documented rule."""
+    ground = con.digit_ground_set(con.power_floor(n, c), kappa)
+    rho = Fraction(2 * n, len(ground))
+    if rho >= 1:
+        return list(ground)
+    rng = random.Random(seed)
+    threshold = float(rho)
+    return [g for g in ground if rng.random() < threshold]
+
+
+class TestAlterationSweep:
+    """The core-driven sweep against the brute sweep over every k-subset."""
+
+    @pytest.mark.parametrize(
+        "sample, k, c",
+        [
+            (range(1, 13), 4, Fraction(2)),
+            (range(1, 11), 5, Fraction(19, 10)),
+            (range(1, 10), 6, Fraction(3, 2)),
+            ([1, 2, 4, 5, 7, 10, 11, 13, 16, 17], 4, Fraction(19, 10)),
+        ],
+    )
+    def test_tiny_samples_against_the_literal_oracle(self, sample, k, c):
+        expected = brute_alteration_sweep(sample, k, lambda points: brute_c_good(points, c))
+        assert expected[1], "the sample should delete"
+        assert con._alteration_sweep(list(sample), k, c) == expected
+
+    @pytest.mark.parametrize(
+        "n, k, kappa, seed, size, deletes",
+        [
+            (20, 4, 2, 3, 38, False),
+            (30, 4, 2, 7, 61, False),  # the sample of random_local_set(30, 4, 1.9, seed=7)
+            (28, 4, 1, 0, 66, True),
+            (20, 5, 2, 1, 39, False),
+            (12, 6, 2, 7, 25, False),
+            (10, 6, 1, 7, 21, True),
+            (16, 6, 1, 0, 23, True),
+        ],
+    )
+    def test_samples_against_the_brute_sweep(self, n, k, kappa, seed, size, deletes):
+        c = Fraction(19, 10)
+        sample = first_sample(n, kappa, seed)
+        assert len(sample) == size
+        expected = brute_alteration_sweep(sample, k, lambda points: points_c_good(points, c))
+        assert bool(expected[1]) == deletes
+        assert con._alteration_sweep(sample, k, c) == expected
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.integers(4, 6).flatmap(
+        lambda k: st.tuples(
+            st.just(k), st.sets(st.integers(1, 45), min_size=k, max_size={4: 14, 5: 12, 6: 11}[k])
+        )
+    ),
+    st.sampled_from([Fraction(2), Fraction(19, 10), Fraction(3, 2)]),
+)
+def test_sweep_matches_the_brute_sweep_on_random_samples(k_sample, c):
+    k, sample = k_sample
+    expected = brute_alteration_sweep(sample, k, lambda points: points_c_good(points, c))
+    assert con._alteration_sweep(sorted(sample), k, c) == expected
 
 
 class TestBehrendSampling:
