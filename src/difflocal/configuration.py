@@ -27,7 +27,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -265,3 +265,19 @@ def from_points(points: Sequence[int | Fraction]) -> KConfiguration:
 def distinct_difference_count(points: Sequence[int | Fraction]) -> int:
     """Number of distinct values |a_i - a_j| over all index pairs."""
     return len({abs(a - b) for a, b in itertools.combinations(points, 2)})
+
+
+@lru_cache(maxsize=MAX_VARIABLES)
+def _index_pairs(k: int) -> tuple[tuple[int, tuple[int, int]], ...]:
+    return tuple(enumerate(itertools.combinations(range(k), 2)))
+
+
+def difference_pattern(points: Sequence[int | Fraction]) -> tuple[int, ...]:
+    """Label each index pair (i, j), i < j, of an increasing tuple, in
+    ``combinations`` order, by the position of the first pair with the same
+    difference a_j - a_i.  Every difference equality among increasing
+    numbers equates two such differences, so tuples with one pattern share
+    ``from_points(...).basis``; their distinct-difference count is the
+    number of distinct labels."""
+    first: dict[int | Fraction, int] = {}
+    return tuple([first.setdefault(points[j] - points[i], n) for n, (i, j) in _index_pairs(len(points))])

@@ -42,10 +42,12 @@ from itertools import combinations
 from math import comb
 from typing import Sequence
 
+from .configuration import difference_pattern
 from .goodness import parse_c, points_c_good
 from .verifier import BudgetExceededError, default_budget
 
 DEFAULT_MAX_ENUMERATION = 10**8
+EXACT_POWER_BITS = 1 << 20
 
 
 class ConstructionError(Exception):
@@ -73,21 +75,6 @@ class BehrendParams:
     @property
     def base(self) -> int:
         return 16 * self.kappa * self.m
-
-    @classmethod
-    def choose(cls, d: int, m: int, kappa: int) -> "BehrendParams":
-        if d < 2:
-            raise ConstructionError(f"dimension d must be at least 2, got {d}")
-        if m < 1:
-            raise ConstructionError(f"digit bound m must be at least 1, got {m}")
-        if kappa < 1:
-            raise ConstructionError(f"coefficient bound kappa must be at least 1, got {kappa}")
-        counts = _norm_histograms(d, m)[d]
-        best_r, best_count = 0, 0
-        for r, count in enumerate(counts):
-            if count > best_count:
-                best_r, best_count = r, count
-        return cls(d=d, m=m, kappa=kappa, r=best_r, slice_size=best_count)
 
 
 @dataclass(frozen=True, eq=True)
@@ -172,24 +159,35 @@ def behrend_set(
     if params is None:
         if d is None or m is None or kappa is None:
             raise ConstructionError("specify either params or all of d, m, kappa")
-        params = BehrendParams.choose(d, m, kappa)
-    d_, m_, kappa_ = params.d, params.m, params.kappa
+        if d < 2:
+            raise ConstructionError(f"dimension d must be at least 2, got {d}")
+        if m < 1:
+            raise ConstructionError(f"digit bound m must be at least 1, got {m}")
+        if kappa < 1:
+            raise ConstructionError(f"coefficient bound kappa must be at least 1, got {kappa}")
+    else:
+        d, m, kappa = params.d, params.m, params.kappa
+    # sized before the histograms (about d^2 * m^3 steps); for m >= 2, m^d
+    # exceeds the limit once d exceeds its bit length, so m**d stays small
+    exhaustive = (m == 1 or d <= max_enumeration.bit_length()) and m**d <= max_enumeration
+    if not exhaustive and sample is None:
+        raise ConstructionError(
+            f"m^d = {m}^{d} exceeds max_enumeration={max_enumeration}; pass sample= to subsample"
+        )
+    hists = _norm_histograms(d, m)
+    if params is None:
+        r = max(range(len(hists[d])), key=hists[d].__getitem__)  # the first maximum
+        params = BehrendParams(d=d, m=m, kappa=kappa, r=r, slice_size=hists[d][r])
     if params.slice_size == 0:
         raise ConstructionError("empty sphere slice (m = 0?)")
     base = params.base
-    exhaustive = m_**d_ <= max_enumeration
-    if not exhaustive and sample is None:
-        raise ConstructionError(
-            f"m^d = {m_**d_} exceeds max_enumeration={max_enumeration}; pass sample= to subsample"
-        )
-    hists = _norm_histograms(d_, m_)
     if exhaustive:
-        vectors = _sphere_slice(d_, m_, params.r, hists)
+        vectors = _sphere_slice(d, m, params.r, hists)
     else:
         rng = random.Random(sample_seed)
         picked = set()
         for _ in range(sample):  # type: ignore[arg-type]
-            v = tuple(rng.randint(1, m_) for _ in range(d_))
+            v = tuple(rng.randint(1, m) for _ in range(d))
             if sum(x * x for x in v) == params.r:
                 picked.add(v)
         vectors = sorted(picked)
@@ -197,9 +195,9 @@ def behrend_set(
     provenance = {
         "construction": "behrend",
         "parameters": {
-            "d": d_,
-            "m": m_,
-            "kappa": kappa_,
+            "d": d,
+            "m": m,
+            "kappa": kappa,
             "base": base,
             "r": params.r,
             "slice_size": params.slice_size,
@@ -293,29 +291,35 @@ def _check_ground_args(limit: int, kappa: int) -> None:
         raise ConstructionError(f"kappa must be at least 1, got {kappa}")
 
 
-def iroot(x: int, q: int) -> int:
-    """floor(x ** (1/q)) by integer Newton iteration (no float anywhere)."""
-    if x < 0 or q < 1:
-        raise ValueError("iroot requires x >= 0 and q >= 1")
-    if q == 1 or x in (0, 1):
-        return x
-    r = 1 << -(-x.bit_length() // q)  # 2^ceil(bits/q) >= x^(1/q)
-    while True:
-        t = ((q - 1) * r + x // r ** (q - 1)) // q
-        if t >= r:
-            break
-        r = t
-    while r**q > x:
-        r -= 1
-    while (r + 1) ** q <= x:
-        r += 1
-    return r
-
-
 def power_floor(n: int, c: Fraction) -> int:
-    """floor(n ** c) for a positive integer n and rational c."""
+    """floor(n ** c), for c = p/q in [1, 2] the largest r in [n, n^2] with
+    r^q <= n^p, by bisection without forming n^p (p = 2^30 - 1 at the
+    paper's c).  r^q <= n^p iff log r <= c * log n; in floats both sides err
+    by under 2^-48 * (log r + c * log n + 1) when ``math.log`` is faithful to
+    a few ulps, so a gap over 2^-40 times that sum settles it.  Inside that
+    margin the powers are compared exactly if neither exceeds
+    ``EXACT_POWER_BITS`` bits, and BudgetExceededError is raised otherwise.
+    """
     c = Fraction(c)
-    return iroot(n ** c.numerator, c.denominator)
+    if n < 1 or not 1 <= c <= 2:
+        raise ValueError(f"power_floor needs n >= 1 and 1 <= c <= 2, got n={n}, c={c}")
+    p, q = c.numerator, c.denominator
+    log_target = float(c) * math.log(n)
+
+    low, high = n, n * n  # n^q <= n^p <= n^(2q)
+    while low < high:
+        r = (low + high + 1) // 2
+        log_r = math.log(r)
+        if abs(log_r - log_target) > 2**-40 * (log_r + log_target + 1):
+            fits = log_r < log_target
+        elif max(q * r.bit_length(), p * n.bit_length()) <= EXACT_POWER_BITS:
+            fits = r**q <= n**p
+        else:
+            raise BudgetExceededError(
+                f"floor({n}^({c})) needs powers of more than {EXACT_POWER_BITS} bits to settle"
+            )
+        low, high = (r, high) if fits else (low, r - 1)
+    return low
 
 
 def random_local_set(
@@ -437,17 +441,15 @@ def _alteration_sweep(
     kills an element above the current lead), so the deletions and their
     order are the same.
 
-    A subset's verdict depends only on its difference pattern (which of its
-    index pairs share a difference): that fixes every difference equality
-    it satisfies and so its configuration.  Each new pattern is classified
-    once through ``points_c_good``.
+    A subset's verdict depends only on its difference pattern
+    (``configuration.difference_pattern``), which fixes its configuration.
+    Each new pattern is classified once through ``points_c_good``.
     """
     elems = sorted(sampled)
     n = len(elems)
     dead: set[int] = set()
     deletion_log: list[tuple[int, tuple[int, ...]]] = []
     cores = _cores_by_lead(elems)
-    pairs = list(combinations(range(k), 2))
     verdicts: dict[tuple[int, ...], bool] = {}
     for lead in range(n):
         if lead in dead:
@@ -466,8 +468,7 @@ def _alteration_sweep(
             if not dead.isdisjoint(idx):
                 continue
             points = tuple(elems[i] for i in idx)
-            labels: dict[int, int] = {}
-            pattern = tuple([labels.setdefault(points[j] - points[i], len(labels)) for i, j in pairs])
+            pattern = difference_pattern(points)
             good = verdicts.get(pattern)
             if good is None:
                 good = verdicts[pattern] = points_c_good(points, c)

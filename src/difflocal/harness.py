@@ -3,24 +3,24 @@
 ``scan_ground`` classifies every k-subset of [1..N], k >= 4: each subset's
 configuration is checked for c-goodness and its certified-pair count is
 computed through the configuration machinery, cross-checked against direct
-difference counting on every subset.  The report records the maximum
-certified count among c-good configurations against the parity bound
-(k^2 - 2k)/4 for even k and (k-1)(k-3)/4 + 3 for odd k, whether every
-maximal attainer is a size-k star, and whether classification at c and at
-c = 2 ever diverge (they are expected to coincide at these sizes, and any
-divergence is reported loudly).  Those verdicts (goodness at c and at 2,
-the certified count, the largest star) depend on the canonical basis alone,
-so each worker run classifies a basis once and memoizes the verdict for the
-rest of its run.  A basis is classified by ``is_c_good`` at 2; goodness at c
-is read off it, because light at 2 implies light at every c <= 2, and the
-sweep at c runs only for a basis that is valid, collinearity-free and heavy
-at 2.  ``from_points`` and the distinct-difference count still run on every
-subset, so the cross-check still compares the two routes per subset.  The
-leads (smallest elements) are split into one strided payload per worker, so
-each worker's memo covers all of its leads.  A worker returns a tally of
-outcomes (certified, good at c, good at 2, star size, cross-check passed)
-with the least subset seen for each, and ``scan_ground`` folds the tallies
-into the report in one place.
+difference counting.  The report records the maximum certified count among
+c-good configurations against the parity bound (k^2 - 2k)/4 for even k and
+(k-1)(k-3)/4 + 3 for odd k, whether every maximal attainer is a size-k
+star, and whether classification at c and at c = 2 ever diverge (they are
+expected to coincide at these sizes, and any divergence is reported
+loudly).  Those verdicts and the cross-check depend on the subset's
+difference pattern alone (``configuration.difference_pattern``): subsets
+with one pattern share their configuration and their distinct-difference
+count, so each worker run classifies and cross-checks a pattern once: the
+cross-check runs per pattern, not per subset.  A configuration is
+classified by ``is_c_good`` at 2; goodness at c is read off it, because
+light at 2 implies light at every c <= 2, and the sweep at c runs only for
+one that is valid, collinearity-free and heavy at 2.  The leads (smallest
+elements) are split into one strided payload per worker, so each worker's
+memo covers all of its leads.  A worker returns a tally of outcomes
+(certified, good at c, good at 2, star size, cross-check passed) with the
+least subset seen for each, and ``scan_ground`` folds the tallies into the
+report in one place.
 
 ``star_bound_check`` and ``odd_equality_case`` reproduce the equality cases
 exactly: stars realized with power-of-four offsets have no stray
@@ -47,6 +47,7 @@ from . import exactlin
 from .configuration import (
     DifferenceEquality,
     KConfiguration,
+    difference_pattern,
     distinct_difference_count,
     from_equalities,
     from_points,
@@ -137,46 +138,30 @@ class ScanReport:
 def _scan_chunk(payload: tuple) -> tuple[Counter, dict]:
     """Tally the outcomes (certified, good at c, good at 2, star size,
     cross-check passed) of every subset with its lead in ``leads``, with the
-    least subset seen for each outcome."""
+    least subset seen for each outcome.  The outcome is memoized by
+    difference pattern for this call only: ``from_points``, the
+    classification and the cross-check run once per pattern."""
     ground_n, k, c, leads = payload
-    total_pairs = comb(k, 2)
     bound = certified_bound(k)
-    # a rank-0 subset is c-good and certifies nothing, below the bound for
-    # every k >= 4, so its star is never sized
-    rank0 = (0, True, True, None, True)
-    # every verdict is a function of the canonical basis alone; the memo
-    # lives for this call only
-    verdicts: dict[tuple, tuple] = {}
+    outcomes: dict[tuple[int, ...], tuple] = {}
     tally: Counter = Counter()
     least: dict[tuple, tuple[int, ...]] = {}
     for lead in leads:
         for rest in itertools.combinations(range(lead + 1, ground_n + 1), k - 1):
             points = (lead,) + rest
-            diffs = set()
-            for i in range(k):
-                pi = points[i]
-                for j in range(i + 1, k):
-                    diffs.add(points[j] - pi)
-            distinct = len(diffs)
-            if distinct == total_pairs:
-                outcome = rank0
-            else:
+            pattern = difference_pattern(points)
+            outcome = outcomes.get(pattern)
+            if outcome is None:
                 config = from_points(points)
-                key = config.basis.rows
-                verdict = verdicts.get(key)
-                if verdict is None:
-                    certified = config.certified_count()
-                    at_2 = is_c_good(config, TWO)
-                    # light at 2 implies light at every c <= 2: the sweep at
-                    # c runs only for a valid, collinearity-free basis that
-                    # is heavy at 2
-                    good_c = at_2.c_good or (
-                        c != TWO and at_2.c_light is False and is_c_light(config, c)[0]
-                    )
-                    # the star is sized only for an attainer
-                    star_size = largest_star(config)[0] if good_c and certified == bound else None
-                    verdict = verdicts[key] = (certified, good_c, at_2.c_good, star_size)
-                outcome = (*verdict, verdict[0] == total_pairs - distinct)
+                certified = config.certified_count()
+                at_2 = is_c_good(config, TWO)
+                good_c = at_2.c_good or (
+                    c != TWO and at_2.c_light is False and is_c_light(config, c)[0]
+                )
+                # the star is sized only for an attainer
+                star_size = largest_star(config)[0] if good_c and certified == bound else None
+                cross_ok = certified == comb(k, 2) - len(set(pattern))
+                outcome = outcomes[pattern] = (certified, good_c, at_2.c_good, star_size, cross_ok)
             tally[outcome] += 1
             # subsets come in lexicographic order: the first is the least
             least.setdefault(outcome, points)

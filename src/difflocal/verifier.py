@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 from dataclasses import dataclass
+from itertools import combinations
 from math import comb
 from typing import Optional, Sequence
 
@@ -56,11 +57,7 @@ def difference_set(points: Sequence[int]) -> list[int]:
     pts = sorted(set(points))
     if len(pts) < 2:
         raise ValueError(f"need at least 2 elements, got {len(pts)}")
-    out = set()
-    for i, a in enumerate(pts):
-        for b in pts[i + 1 :]:
-            out.add(b - a)
-    return sorted(out)
+    return sorted({b - a for a, b in combinations(pts, 2)})
 
 
 def check_local_property(

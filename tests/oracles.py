@@ -251,3 +251,17 @@ def brute_alteration_sweep(sampled, k, good):
             alive[idx[-1]] = False
             log.append((elems[idx[-1]], points))
     return [e for e, a in zip(elems, alive) if a], log
+
+
+def integer_root(x, q):
+    """Largest r with r**q <= x, by doubling and bisection."""
+    lo, hi = 0, 1
+    while hi**q <= x:
+        hi *= 2
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if mid**q <= x:
+            lo = mid
+        else:
+            hi = mid
+    return lo

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import tempfile
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -31,6 +32,15 @@ class TestBuildBehrend:
         code, _, err = run(capsys, "build", "behrend", "--n", "100", "--kappa", "2", "--out", str(out))
         assert code == 2
         assert "m" in err
+
+    def test_oversized_box_exits_2_at_once(self, tmp_path, capsys):
+        out = tmp_path / "set.txt"
+        start = time.perf_counter()
+        code, _, err = run(capsys, "build", "behrend", "--d", "40", "--m", "150", "--out", str(out))
+        assert time.perf_counter() - start < 2
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
 
     def test_auto_and_explicit_flags_conflict(self, tmp_path, capsys):
         code, _, err = run(
@@ -72,6 +82,15 @@ class TestBuildRandomLocal:
         assert code == 3
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert not out.exists()
+
+    def test_paper_c(self, tmp_path, capsys):
+        # floor(8^c) = 63 is found without forming 8^(2^30 - 1)
+        out = tmp_path / "r.txt"
+        code, _, _ = run(capsys, "build", "random-local", "--n", "8", "--k", "4", "--c", "paper", "--out", str(out))
+        assert code == 0
+        assert out.read_text().split() == ["1", "2", "4", "5", "10", "11", "13", "14"]
+        manifest = reportfmt.parse((tmp_path / "r.txt.manifest").read_text())
+        assert manifest["parameters"]["c"] == Fraction(2) - Fraction(1, 2**29)
 
     def test_failed_postcondition_exits_4(self, tmp_path, capsys, monkeypatch):
         # a sweep that deletes nothing leaves bad subsets in the kappa=1 sample

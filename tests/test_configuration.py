@@ -234,3 +234,34 @@ def test_from_points_is_always_valid(points):
             vec = [0] * k
             vec[i - 1], vec[j - 1] = 1, -1
             assert not config.implies(vec)
+
+
+@pytest.mark.parametrize("ground_n, k", [(12, 4), (11, 5), (10, 6)])
+def test_difference_pattern_fixes_the_configuration(ground_n, k):
+    # the scan and the alteration sweep memoize by pattern
+    basis_of: dict[tuple[int, ...], object] = {}
+    for points in itertools.combinations(range(1, ground_n + 1), k):
+        pattern = cfg.difference_pattern(points)
+        basis = cfg.from_points(points).basis
+        assert basis_of.setdefault(pattern, basis) == basis, points
+        assert len(set(pattern)) == cfg.distinct_difference_count(points)
+    assert len(basis_of) > 1
+
+
+increasing_points = st.one_of(
+    st.lists(st.integers(-10**6, 10**6), min_size=2, max_size=7, unique=True),
+    st.lists(st.fractions(-100, 100, max_denominator=12), min_size=2, max_size=7, unique=True),
+).map(sorted)
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    increasing_points,
+    st.fractions(min_value=Fraction(1, 50), max_value=Fraction(50)),
+    st.fractions(min_value=Fraction(-50), max_value=Fraction(50)),
+)
+def test_difference_pattern_counts_differences_and_is_affine_invariant(points, a, b):
+    pattern = cfg.difference_pattern(points)
+    assert len(pattern) == comb(len(points), 2)
+    assert len(set(pattern)) == cfg.distinct_difference_count(points)
+    assert cfg.difference_pattern([a * x + b for x in points]) == pattern

@@ -8,9 +8,9 @@ from hypothesis import given, settings, strategies as st
 
 from difflocal import constructions as con
 from difflocal.configuration import from_points
-from difflocal.goodness import is_c_good, points_c_good
+from difflocal.goodness import PAPER_C, is_c_good, points_c_good
 from difflocal.verifier import BudgetExceededError
-from oracles import brute_alteration_sweep, brute_c_good
+from oracles import brute_alteration_sweep, brute_c_good, integer_root
 
 
 def coefficient_triples(kappa):
@@ -124,15 +124,39 @@ class TestDigitGroundSet:
 
 class TestPowerFloor:
     def test_exact_roots(self):
-        assert con.iroot(27, 3) == 3
-        assert con.iroot(26, 3) == 2
+        # r^q == n^p exactly: settled by the exact comparison
+        assert con.power_floor(27, Fraction(4, 3)) == 81
+        assert con.power_floor(26, Fraction(4, 3)) == 77
+        assert con.power_floor(9, Fraction(3, 2)) == 27
         assert con.power_floor(30, Fraction(19, 10)) == 640
         assert con.power_floor(100, Fraction(2)) == 10000
+        assert con.power_floor(10**30, Fraction(1)) == 10**30
 
     def test_against_float_for_safe_sizes(self):
         for n in (10, 30, 100):
             for c in (Fraction(3, 2), Fraction(19, 10), Fraction(2)):
                 assert con.power_floor(n, c) == int(float(n) ** float(c) + 1e-9)
+
+    def test_against_the_integer_root_of_n_to_the_p(self):
+        for n in list(range(1, 60)) + [100, 640, 1000, 4096]:
+            for c in (Fraction(1), Fraction(5, 4), Fraction(4, 3), Fraction(3, 2), Fraction(19, 10), Fraction(2)):
+                assert con.power_floor(n, c) == integer_root(n**c.numerator, c.denominator), (n, c)
+
+    def test_paper_c_without_n_to_the_p(self):
+        # n^2 - n^c = n^2 (1 - n^(-2^-29)) lies in (0, 1) while n^2 * 2^-29 * ln n < 1
+        for n in range(4, 201):
+            assert con.power_floor(n, PAPER_C) == n * n - 1
+
+    def test_unsettled_comparison_is_over_budget(self):
+        # log(n^2 - 1) and c * log(n) agree to within the float margin here,
+        # and n^p has about 2^30 * 13 bits
+        with pytest.raises(BudgetExceededError, match="bits"):
+            con.power_floor(7740, PAPER_C)
+
+    @pytest.mark.parametrize("n, c", [(0, Fraction(2)), (10, Fraction(1, 2)), (10, Fraction(5, 2))])
+    def test_outside_the_domain(self, n, c):
+        with pytest.raises(ValueError):
+            con.power_floor(n, c)
 
 
 class TestRandomLocalSet:
@@ -287,3 +311,13 @@ class TestBehrendSampling:
     def test_oversized_box_without_sampling_is_an_error(self):
         with pytest.raises(con.ConstructionError, match="sample"):
             con.behrend_set(d=3, m=20, kappa=2, max_enumeration=1000)
+
+    def test_oversized_box_is_rejected_before_the_histograms(self, monkeypatch):
+        def histograms(d, m):
+            raise AssertionError("norm histograms built for a box that is rejected")
+
+        monkeypatch.setattr(con, "_norm_histograms", histograms)
+        with pytest.raises(con.ConstructionError, match=r"150\^40"):
+            con.behrend_set(d=40, m=150, kappa=2)
+        with pytest.raises(con.ConstructionError, match="dimension d"):
+            con.behrend_set(d=1, m=10**9, kappa=2)
