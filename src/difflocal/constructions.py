@@ -6,7 +6,8 @@ stay below base/2 after any signed combination with coefficients bounded by
 kappa, so a relation alpha*s1 + beta*s2 + gamma*s3 = 0 (nonzero coefficients
 of magnitude <= kappa summing to zero) would force the three preimages to be
 collinear on a sphere, which is impossible; the image therefore avoids all
-such triples.
+such triples.  The slice is enumerated in full, so boxes are capped at 10^8
+vectors and 27 dimensions.
 
 ``random_local_set`` samples a rho-random subset of a progression-free ground
 set inside [1..floor(n^c)] and then deletes one element from every k-subset
@@ -46,7 +47,7 @@ from .configuration import difference_pattern
 from .goodness import parse_c, points_c_good
 from .verifier import BudgetExceededError, default_budget
 
-DEFAULT_MAX_ENUMERATION = 10**8
+MAX_ENUMERATION = 10**8
 EXACT_POWER_BITS = 1 << 20
 
 
@@ -60,21 +61,6 @@ class RetriesExhaustedError(ConstructionError):
 
 class InvariantError(Exception):
     """A construction broke its own guarantee: a defect, never a bad input."""
-
-
-@dataclass(frozen=True)
-class BehrendParams:
-    """Sphere-slice parameters; ``r`` maximizes the slice size, ties to smallest."""
-
-    d: int
-    m: int
-    kappa: int
-    r: int
-    slice_size: int
-
-    @property
-    def base(self) -> int:
-        return 16 * self.kappa * self.m
 
 
 @dataclass(frozen=True, eq=True)
@@ -138,60 +124,34 @@ def _sphere_slice(d: int, m: int, r: int, hists: list[list[int]]) -> list[tuple[
     return out
 
 
-def behrend_set(
-    params: BehrendParams | None = None,
-    *,
-    d: int | None = None,
-    m: int | None = None,
-    kappa: int | None = None,
-    max_enumeration: int = DEFAULT_MAX_ENUMERATION,
-    sample: int | None = None,
-    sample_seed: int = 0,
-) -> SetArtifact:
-    """Image of the best sphere slice under the digit map.
+def behrend_set(*, d: int, m: int, kappa: int) -> SetArtifact:
+    """Image of the first maximal sphere slice of [1..m]^d under the digit map.
 
-    In exhaustive mode (``m**d <= max_enumeration``) the output size equals
-    the slice size exactly.  For larger boxes a sampling mode must be selected
-    explicitly via ``sample``: that many vectors are drawn with a seeded
-    generator and only sampled slice members are emitted (the maximal-slice-r
-    choice is still exact; the size guarantee is not).
+    The slice radius r is the first squared norm attained by the most
+    vectors, and every vector on it is enumerated, so the output size equals
+    the slice size exactly.  A box with more than ``MAX_ENUMERATION`` vectors
+    or more dimensions than that limit's bit length is rejected before any
+    work; the second bound also caps the slice walk's recursion depth.
     """
-    if params is None:
-        if d is None or m is None or kappa is None:
-            raise ConstructionError("specify either params or all of d, m, kappa")
-        if d < 2:
-            raise ConstructionError(f"dimension d must be at least 2, got {d}")
-        if m < 1:
-            raise ConstructionError(f"digit bound m must be at least 1, got {m}")
-        if kappa < 1:
-            raise ConstructionError(f"coefficient bound kappa must be at least 1, got {kappa}")
-    else:
-        d, m, kappa = params.d, params.m, params.kappa
-    # sized before the histograms (about d^2 * m^3 steps); for m >= 2, m^d
-    # exceeds the limit once d exceeds its bit length, so m**d stays small
-    exhaustive = (m == 1 or d <= max_enumeration.bit_length()) and m**d <= max_enumeration
-    if not exhaustive and sample is None:
+    if d < 2:
+        raise ConstructionError(f"dimension d must be at least 2, got {d}")
+    if m < 1:
+        raise ConstructionError(f"digit bound m must be at least 1, got {m}")
+    if kappa < 1:
+        raise ConstructionError(f"coefficient bound kappa must be at least 1, got {kappa}")
+    # d is bounded first, so m**d is never formed for a huge d (for m >= 2 the
+    # size bound alone forces d <= 26); both precede the histograms (about
+    # d^2 * m^3 steps) and bound the slice walk's recursion depth
+    max_d = MAX_ENUMERATION.bit_length()
+    if d > max_d or m**d > MAX_ENUMERATION:
         raise ConstructionError(
-            f"m^d = {m}^{d} exceeds max_enumeration={max_enumeration}; pass sample= to subsample"
+            f"box [1..{m}]^{d} is too large: m^d = {m}^{d} must be at most "
+            f"{MAX_ENUMERATION} and d at most {max_d}"
         )
     hists = _norm_histograms(d, m)
-    if params is None:
-        r = max(range(len(hists[d])), key=hists[d].__getitem__)  # the first maximum
-        params = BehrendParams(d=d, m=m, kappa=kappa, r=r, slice_size=hists[d][r])
-    if params.slice_size == 0:
-        raise ConstructionError("empty sphere slice (m = 0?)")
-    base = params.base
-    if exhaustive:
-        vectors = _sphere_slice(d, m, params.r, hists)
-    else:
-        rng = random.Random(sample_seed)
-        picked = set()
-        for _ in range(sample):  # type: ignore[arg-type]
-            v = tuple(rng.randint(1, m) for _ in range(d))
-            if sum(x * x for x in v) == params.r:
-                picked.add(v)
-        vectors = sorted(picked)
-    elements = sorted(_digit_map(v, base) for v in vectors)
+    r = max(range(len(hists[d])), key=hists[d].__getitem__)  # the first maximum
+    base = 16 * kappa * m
+    elements = sorted(_digit_map(v, base) for v in _sphere_slice(d, m, r, hists))
     provenance = {
         "construction": "behrend",
         "parameters": {
@@ -199,9 +159,9 @@ def behrend_set(
             "m": m,
             "kappa": kappa,
             "base": base,
-            "r": params.r,
-            "slice_size": params.slice_size,
-            "mode": "exhaustive" if exhaustive else f"sample:{sample}:{sample_seed}",
+            "r": r,
+            "slice_size": hists[d][r],
+            "mode": "exhaustive",
         },
     }
     return SetArtifact(tuple(elements), provenance)
@@ -214,7 +174,7 @@ def _digit_map(vec: Sequence[int], base: int) -> int:
     return value
 
 
-def behrend_auto(n: int, kappa: int, *, max_enumeration: int = DEFAULT_MAX_ENUMERATION) -> SetArtifact:
+def behrend_auto(n: int, kappa: int) -> SetArtifact:
     """Choose d = floor(sqrt(ln n)), m = floor(e^{sqrt(ln n)} / (16 kappa)).
 
     Natural logarithms throughout (they pair with the e^{sqrt(log n)} digit
@@ -234,7 +194,7 @@ def behrend_auto(n: int, kappa: int, *, max_enumeration: int = DEFAULT_MAX_ENUME
         )
     if d < 2:
         raise ConstructionError(f"parameter d collapsed to {d} for n={n}: n is too small")
-    artifact = behrend_set(d=d, m=m, kappa=kappa, max_enumeration=max_enumeration)
+    artifact = behrend_set(d=d, m=m, kappa=kappa)
     if artifact.elements[-1] > n:
         raise InvariantError(f"digit map overflowed the target interval [1, {n}]")
     provenance = dict(artifact.provenance)

@@ -82,14 +82,10 @@ def reduce(vectors: Iterable[Sequence[int]], ambient_dim: int | None = None) -> 
         pos = bisect_left(pivots, j)
         rows.insert(pos, w)
         pivots.insert(pos, j)
-        piv = w[j]
         for idx, r in enumerate(rows):
-            if idx == pos or r[j] == 0:
-                continue
-            f = r[j]
-            for col in range(ambient_dim):
-                r[col] = r[col] * piv - w[col] * f
-            _normalize(r, pivots[idx])
+            if idx != pos and r[j]:
+                _eliminate(r, (w,), (j,))  # back-substitution
+                _normalize(r, pivots[idx])
     return ExactBasis(ambient_dim, tuple(tuple(r) for r in rows))
 
 

@@ -475,18 +475,12 @@ def _check_subbox_prefixes(impls: Sequence[MinimalImplication], outcomes: list) 
     for impl in impls:
         if any(abs(c) != 1 for c in impl.coefficients):
             continue
-        try:
-            if not is_2_full(impl.premises):
-                continue
-        except ValueError:
+        if not is_2_full(impl.premises):
             continue
         k = impl.premises[0].k
         for cut in range(1, impl.size):
             prefix = impl.premises[:cut]
-            try:
-                if not is_2_full(prefix):
-                    continue
-            except ValueError:
+            if not is_2_full(prefix):
                 continue
             partial = [0] * k
             for coeff, premise in zip(impl.coefficients[:cut], prefix):
@@ -528,19 +522,12 @@ def _check_intersection(rng: random.Random, outcomes: list) -> None:
         union = [eq for eq, k1, k2 in zip(family, mask1, mask2) if k1 or k2]
         if not common or not t1 or not t2 or t1 == t2:
             continue
-        try:
-            if not (is_2_full(t1) and is_2_full(t2)):
-                continue
-        except ValueError:
+        if not (is_2_full(t1) and is_2_full(t2)):
             continue
         k = family[0].k
         if not is_c_good(from_equalities(k, union), TWO).c_good:
             continue
-        try:
-            conclusion = is_2_full(common)
-        except ValueError:
-            conclusion = False
-        outcomes.append(("2-full-intersection", conclusion, (t1, t2)))
+        outcomes.append(("2-full-intersection", is_2_full(common), (t1, t2)))
         return
 
 

@@ -20,7 +20,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Iterator, Optional, Sequence
 
 from . import exactlin
 from .configuration import (
@@ -88,9 +88,9 @@ def _solve_coefficients(
 ) -> Optional[tuple[Fraction, ...]]:
     """Solve target = sum c_i * premise_i exactly; None when unsolvable.
 
-    The premises must be linearly independent, as they are at both call
-    sites: ``minimal_implications`` skips dependent subsets, and
-    ``check_structure`` receives the premises it produced.  Rows
+    The premises must be linearly independent, as they are for both callers
+    of ``_implied_products``: ``minimal_implications`` skips dependent
+    subsets, and ``check_structure`` receives the premises it produced.  Rows
     ``[premise_i | e_i]`` and ``[target | e_{t+1}]`` are eliminated on the
     content columns; a solution exists iff the rank stays t, and then the one
     kernel row ``(y_1..y_t, y)`` gives ``c_i = -y_i / y``.
@@ -103,6 +103,23 @@ def _solve_coefficients(
         return None
     *ys, y = mat[t][k:]
     return tuple(Fraction(-yi, y) for yi in ys)
+
+
+def _implied_products(
+    basis: exactlin.ExactBasis, premises: Sequence[DifferenceEquality], exclude: set
+) -> Iterator[tuple[tuple[int, ...], tuple[Fraction, ...]]]:
+    """``(product, coefficients)`` for each product the premises minimally imply.
+
+    ``basis`` spans the premises.  Candidates come in ``_candidate_products``
+    order; those whose canonical content is in ``exclude`` are skipped.
+    """
+    variables = sorted({v for p in premises for v in p.support})
+    for cand in _candidate_products(basis, variables):
+        if canonical_sign(cand) in exclude:
+            continue
+        coeffs = _solve_coefficients(premises, cand)
+        if coeffs is not None and all(c != 0 for c in coeffs):
+            yield cand, coeffs
 
 
 def minimal_implications(
@@ -131,16 +148,10 @@ def minimal_implications(
             basis = exactlin.reduce([e.content for e in subset], k)
             if basis.rank != size:
                 continue  # dependent premises cannot minimally imply
-            variables = sorted({v for e in subset for v in e.support})
             premise_keys = {e.canonical_content for e in subset}
-            for cand in _candidate_products(basis, variables):
-                if canonical_sign(cand) in premise_keys:
-                    continue
-                coeffs = _solve_coefficients(subset, cand)
-                if coeffs is None or any(c == 0 for c in coeffs):
-                    continue
-                results.append((idx_subset, MinimalImplication(tuple(subset), cand, coeffs)))
-                break
+            found = next(_implied_products(basis, subset, premise_keys), None)
+            if found is not None:
+                results.append((idx_subset, MinimalImplication(tuple(subset), *found)))
     results.sort(key=lambda pair: pair[0])
     return [impl for _, impl in results]
 
@@ -192,18 +203,9 @@ def check_structure(impl: MinimalImplication) -> StructureReport:
 
     signs_ok = all(abs(c) == 1 for c in impl.coefficients)
 
-    variables = sorted({v for p in impl.premises for v in p.support})
-    product_key = canonical_sign(impl.product)
-    premise_keys = {p.canonical_content for p in impl.premises}
-    second = None
-    for cand in _candidate_products(config.basis, variables):
-        key = canonical_sign(cand)
-        if key == product_key or key in premise_keys:
-            continue
-        coeffs = _solve_coefficients(list(impl.premises), cand)
-        if coeffs is not None and all(c != 0 for c in coeffs):
-            second = cand
-            break
+    exclude = {canonical_sign(impl.product)} | {p.canonical_content for p in impl.premises}
+    implied = _implied_products(config.basis, impl.premises, exclude)
+    second = next((cand for cand, _ in implied), None)
     return StructureReport(
         precondition_2good=goodness.c_good,
         goodness=goodness,

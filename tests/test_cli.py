@@ -35,12 +35,13 @@ class TestBuildBehrend:
 
     def test_oversized_box_exits_2_at_once(self, tmp_path, capsys):
         out = tmp_path / "set.txt"
-        start = time.perf_counter()
-        code, _, err = run(capsys, "build", "behrend", "--d", "40", "--m", "150", "--out", str(out))
-        assert time.perf_counter() - start < 2
-        assert code == 2
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
-        assert not out.exists()
+        for d, m in [("40", "150"), ("1000", "1")]:
+            start = time.perf_counter()
+            code, _, err = run(capsys, "build", "behrend", "--d", d, "--m", m, "--out", str(out))
+            assert time.perf_counter() - start < 2
+            assert code == 2
+            assert err.startswith("error: ") and len(err.splitlines()) == 1
+            assert not out.exists()
 
     def test_auto_and_explicit_flags_conflict(self, tmp_path, capsys):
         code, _, err = run(

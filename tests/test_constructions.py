@@ -77,7 +77,7 @@ class TestBehrendSet:
         with pytest.raises(con.ConstructionError):
             con.behrend_set(d=2, m=0, kappa=2)
         with pytest.raises(con.ConstructionError):
-            con.behrend_set(d=12, m=10, kappa=2, max_enumeration=10**6)
+            con.behrend_set(d=12, m=10, kappa=2)
 
 
 class TestBehrendAuto:
@@ -297,21 +297,6 @@ def test_sweep_matches_the_brute_sweep_on_random_samples(k_sample, c):
 
 
 class TestBehrendSampling:
-    def test_sampling_mode_is_explicit_and_deterministic(self):
-        exhaustive = con.behrend_set(d=3, m=20, kappa=2)
-        sampled = con.behrend_set(
-            d=3, m=20, kappa=2, max_enumeration=1000, sample=30000, sample_seed=1
-        )
-        assert set(sampled.elements) <= set(exhaustive.elements)
-        again = con.behrend_set(
-            d=3, m=20, kappa=2, max_enumeration=1000, sample=30000, sample_seed=1
-        )
-        assert sampled.elements == again.elements
-
-    def test_oversized_box_without_sampling_is_an_error(self):
-        with pytest.raises(con.ConstructionError, match="sample"):
-            con.behrend_set(d=3, m=20, kappa=2, max_enumeration=1000)
-
     def test_oversized_box_is_rejected_before_the_histograms(self, monkeypatch):
         def histograms(d, m):
             raise AssertionError("norm histograms built for a box that is rejected")
@@ -321,3 +306,5 @@ class TestBehrendSampling:
             con.behrend_set(d=40, m=150, kappa=2)
         with pytest.raises(con.ConstructionError, match="dimension d"):
             con.behrend_set(d=1, m=10**9, kappa=2)
+        with pytest.raises(con.ConstructionError, match="d at most 27"):
+            con.behrend_set(d=1000, m=1, kappa=2)
