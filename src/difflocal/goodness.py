@@ -6,18 +6,14 @@ exactly three variables, and *c-light* (for rational 1 < c <= 2) when every
 collection of t >= 1 independent implied equations spans at least c*t + 1
 variables.  A configuration that is all three is *c-good*.
 
-The c-lightness search enumerates variable subsets S in increasing size
-(lexicographic within a size) and tests t = dim{v in span : supp(v) in S}
-against |S| < c*t + 1.  For c = p/q that is the integer count
-t >= (|S| - 1)*q // p + 1, a sparsity condition in the sense of Lee and
-Streinu; the bound grows with |S|, and the sweep stops at the first size
-where it exceeds the rank.  The first witness in that order is returned,
-and is automatically support-closed (its section basis supports cover it):
-the closure of any witness is a witness found no later.  ``is_c_good``
-starts the sweep at size 6: once validity and collinearity-freeness hold,
-every section has t <= |S| - 3, below the t >= (|S| - 1) // 2 + 1 that a
-witness at c <= 2 needs on 4 or 5 variables (proof in ``is_c_good``).
-Validity and stars are read off the residue table ``config.residues``.
+Collinearity and c-lightness are one ordered section search with a need
+per size: the first variable set S, by size and then lexicographically,
+whose section t = dim{v in span : supp(v) in S} reaches the need at |S|.
+Collinearity is need 1 on 3 variables of a valid configuration; heaviness
+at c = p/q, |S| < c*t + 1, is t >= (|S| - 1)*q // p + 1, a sparsity
+condition in the sense of Lee and Streinu that grows with |S|.  The first
+heaviness witness is support-closed: the closure of a witness is a witness
+found no later.  Validity and stars are read off ``config.residues``.
 
 A *star of size 2p* is p pairwise-disjoint index pairs whose sums are all
 forced equal by the span; single sum-equal pairs (p = 1) do not count.
@@ -87,111 +83,99 @@ def is_valid(config: KConfiguration) -> tuple[bool, Optional[tuple[int, int]]]:
     return True, None
 
 
-def _sections(config: KConfiguration, size: int):
-    """Yield ``(S, t)`` for every variable subset S of one size with t >= 1.
+def parse_c(c: Fraction | int | str | float) -> Fraction:
+    """The threshold c in (1, 2] from a Fraction, an int, an exact
+    decimal/fraction string, a float (read as its decimal string), or the
+    word "paper"; ValueError otherwise, quoting the input."""
+    if isinstance(c, float):
+        c = str(c)
+    if isinstance(c, str) and c.strip().lower() == "paper":
+        return PAPER_C
+    try:
+        # a loose float look first: Fraction would build 10**e for any exponent e
+        if isinstance(c, str) and "/" not in c and not 0.5 < float(c) < 4:
+            raise ValueError
+        value = Fraction(c)
+    except (ValueError, ZeroDivisionError):
+        value = None
+    if value is None or not 1 < value <= 2:
+        raise ValueError(f"c must be a rational in (1, 2] or 'paper', got {str(c)!r}")
+    return value
 
-    Subsets come in lexicographic order; t = dim{v in span : supp(v) in S}
-    is rank minus the rank of the basis columns outside S.
+
+def _heaviness_sweep(config: KConfiguration, needs: Sequence[tuple[int, int]]) -> Optional[HeavinessWitness]:
+    """The first variable set S, by the sizes of ``needs`` and then
+    lexicographically, whose section has t >= the need at |S|.
+
+    The (size, need) pairs have needs that never decrease, so the search
+    stops at the first need above the rank; t is the rank minus the rank of
+    the basis columns outside S.
     """
-    k = config.k
-    r = config.rank
-    for subset in itertools.combinations(range(1, k + 1), size):
-        outside = [j for j in range(k) if (j + 1) not in subset]
-        t = r - exactlin.rank_of_columns(config.basis, outside)
-        if t:
-            yield subset, t
-
-
-def is_collinearity_free(config: KConfiguration) -> tuple[bool, Optional[tuple[int, ...]]]:
-    """False, with a support-3 span member, iff some 3-variable equation is implied.
-
-    Sections over all 3-element variable subsets decide this: a section of
-    dimension 1 witnesses iff its generator has full support; a section of
-    dimension 2 is the whole zero-sum space on S and always contains one.
-    """
-    k = config.k
-    if config.rank == 0:
-        return True, None
-    for subset, t in _sections(config, 3):
-        if t == 1:
-            row = exactlin.section_dim(config.basis, subset)[1].rows[0]
-            if sum(1 for x in row if x) == 3:
-                return False, row
-            continue
-        # t == 2: the section is every zero-sum vector on S.
-        a, b, c = (s - 1 for s in subset)
-        vec = [0] * k
-        vec[a], vec[b], vec[c] = 1, -2, 1
-        return False, tuple(vec)
-    return True, None
-
-
-def _heaviness_sweep(
-    config: KConfiguration, c: Fraction, first_size: int
-) -> Optional[HeavinessWitness]:
-    """The first heaviness witness at c among subsets of ``first_size`` or more.
-
-    For c = p/q the test |S| < c*t + 1 reads t >= (|S| - 1)*q // p + 1 in
-    integers.  That bound grows with |S|, so the sweep stops at the first
-    size where it exceeds the rank.
-    """
-    p, q = c.numerator, c.denominator
-    for size in range(first_size, config.k + 1):
-        need = (size - 1) * q // p + 1
-        if need > config.rank:
+    k, r = config.k, config.rank
+    for size, need in needs:
+        if need > r:
             break
-        for subset, t in _sections(config, size):
+        for subset in itertools.combinations(range(1, k + 1), size):
+            outside = [j for j in range(k) if (j + 1) not in subset]
+            t = r - exactlin.rank_of_columns(config.basis, outside)
             if t >= need:
                 return HeavinessWitness(subset, t, exactlin.section_dim(config.basis, subset)[1])
     return None
 
 
-def parse_c(c: Fraction | int | str | float) -> Fraction:
-    """The threshold c in (1, 2] from a Fraction, an int, an exact
-    decimal/fraction string, a float (read as its decimal string), or the
-    word "paper"; ValueError otherwise."""
-    if isinstance(c, str):
-        if c.strip().lower() == "paper":
-            return PAPER_C
-        value = Fraction(c.strip())
-    elif isinstance(c, float):
-        value = Fraction(str(c))
-    else:
-        value = Fraction(c)
-    if not 1 < value <= 2:
-        raise ValueError(f"c must lie in (1, 2], got {value}")
-    return value
+def _heavy_needs(c: Fraction, sizes: range) -> list[tuple[int, int]]:
+    """(|S|, need) pairs of the heaviness test at c = p/q: t >= (|S| - 1)*q // p + 1."""
+    p, q = c.numerator, c.denominator
+    return [(size, (size - 1) * q // p + 1) for size in sizes]
+
+
+def is_collinearity_free(config: KConfiguration) -> tuple[bool, Optional[tuple[int, ...]]]:
+    """False, with a support-3 span member, iff some 3-variable equation is
+    implied: the search over 3-sets with need 1 (see ``is_c_good``).
+    Raises ValueError on an invalid configuration."""
+    if not is_valid(config)[0]:
+        raise ValueError("is_collinearity_free needs a valid configuration")
+    witness = _heaviness_sweep(config, [(3, 1)])
+    return witness is None, None if witness is None else witness.section_basis.rows[0]
 
 
 def is_c_light(config: KConfiguration, c: Rational) -> tuple[bool, Optional[HeavinessWitness]]:
     """True iff no t >= 1 independent implied equations fit in < c*t + 1 variables."""
     # a single variable carries no nonzero zero-sum vector
-    witness = _heaviness_sweep(config, parse_c(c), 2)
+    witness = _heaviness_sweep(config, _heavy_needs(parse_c(c), range(2, config.k + 1)))
     return witness is None, witness
 
 
 def is_c_good(config: KConfiguration, c: Rational) -> GoodnessReport:
     """Aggregate verdict; checks run in the order valid, collinearity-free, c-light.
 
-    The heaviness sweep starts at size 6.  Once validity and
-    collinearity-freeness hold, every section has t <= |S| - 3: a section of
-    dimension |S| - 2 or more meets the 2-dimensional space of zero-sum
-    vectors on any three variables of S (both lie in the (|S| - 1)-
-    dimensional zero-sum space on S), and a nonzero span vector on at most
-    three variables is an implied x_i = x_j or a support-3 equation.  A
-    witness at c <= 2 needs |S| < c*t + 1 <= 2t + 1, that is
-    t >= (|S| - 1) // 2 + 1, which is 2 at |S| = 4 and 3 at |S| = 5: above
-    |S| - 3 at both, so no set of fewer than 6 variables holds one.
+    After ``is_valid``, one search covers the 3-sets with need 1, then sets
+    from size 6 with the heaviness needs at c.  On a valid configuration a
+    3-set section has t <= 1 and a full-support generator, because a nonzero
+    zero-sum vector on two variables is an implied x_i = x_j (t = 2 is the
+    whole zero-sum space on S).  So a 3-variable hit's one row is the
+    collinearity witness.
+
+    Sizes 4 and 5 are skipped.  Once validity and collinearity-freeness
+    hold, every section has t <= |S| - 3: a section of dimension |S| - 2 or
+    more meets the 2-dimensional space of zero-sum vectors on any three
+    variables of S (both lie in the (|S| - 1)-dimensional zero-sum space on
+    S), and a nonzero span vector on at most three variables is an implied
+    x_i = x_j or a support-3 equation.  A witness at c <= 2 needs
+    |S| < c*t + 1 <= 2t + 1, that is t >= (|S| - 1) // 2 + 1, which is 2 at
+    |S| = 4 and 3 at |S| = 5: above |S| - 3 at both, so no set of fewer than
+    6 variables holds one.
     """
     c = parse_c(c)
     valid, eq_witness = is_valid(config)
     if not valid:
         return GoodnessReport(c, False, None, None, equality_witness=eq_witness)
-    coll_free, coll_witness = is_collinearity_free(config)
-    if not coll_free:
-        return GoodnessReport(c, True, False, None, collinearity_witness=coll_witness)
-    witness = _heaviness_sweep(config, c, 6)
-    return GoodnessReport(c, True, True, witness is None, heaviness_witness=witness)
+    witness = _heaviness_sweep(config, [(3, 1)] + _heavy_needs(c, range(6, config.k + 1)))
+    if witness is None:
+        return GoodnessReport(c, True, True, True)
+    if len(witness.variables) == 3:
+        return GoodnessReport(c, True, False, None, collinearity_witness=witness.section_basis.rows[0])
+    return GoodnessReport(c, True, True, False, heaviness_witness=witness)
 
 
 def points_c_good(points: Sequence, c: Rational) -> bool:

@@ -69,7 +69,7 @@ from .implications import (
     is_2_full,
     minimal_implications,
 )
-from .verifier import BudgetExceededError, default_budget
+from .verifier import BudgetExceededError, resolve_budget
 
 TWO = Fraction(2)
 
@@ -180,7 +180,7 @@ def scan_ground(
     c = parse_c(c)
     if k < 4 or ground_n < k:
         raise ValueError(f"need 4 <= k <= N, got k={k}, N={ground_n}")
-    limit = default_budget() if budget is None else budget
+    limit = resolve_budget(budget)
     total = comb(ground_n, k)
     if total > limit:
         raise BudgetExceededError(

@@ -43,6 +43,15 @@ def default_budget() -> int:
     return value
 
 
+def resolve_budget(budget: int | None) -> int:
+    """The subset budget: ``budget``, or ``default_budget()`` when None;
+    ValueError unless positive."""
+    limit = default_budget() if budget is None else budget
+    if limit <= 0:
+        raise ValueError(f"budget must be positive, got {limit}")
+    return limit
+
+
 @dataclass(frozen=True)
 class LocalPropertyVerdict:
     holds: bool
@@ -66,7 +75,8 @@ def check_local_property(
     """Exact minimum distinct-difference count over all k-subsets, with witness.
 
     Ties on the minimum resolve to the lexicographically smallest subset.
-    Raises BudgetExceededError when C(|A|, k) exceeds the subset budget.
+    Raises BudgetExceededError when C(|A|, k) exceeds the subset budget, and
+    ValueError when the budget is not positive.
     """
     pts = sorted(set(points))
     n = len(pts)
@@ -74,7 +84,7 @@ def check_local_property(
         raise ValueError(f"k must be at least 2, got {k}")
     if n < k:
         raise ValueError(f"need at least k={k} elements, got {n}")
-    limit = default_budget() if budget is None else budget
+    limit = resolve_budget(budget)
     total = comb(n, k)
     if total > limit:
         raise BudgetExceededError(

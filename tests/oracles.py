@@ -220,15 +220,19 @@ def brute_collinearity_free(points) -> bool:
     return literal_collinearity_free(satisfied_contents(points), len(points))
 
 
-def brute_c_light(points, c) -> bool:
-    k = len(points)
-    contents = satisfied_contents(points)
+def literal_c_light(contents, k, c) -> bool:
+    """No variable set S whose section holds t >= 1 independent implied
+    equations with |S| < c*t + 1, tried over every S."""
     for size in range(1, k + 1):
         for s in itertools.combinations(range(1, k + 1), size):
             t = section_dim(contents, k, s)
             if t >= 1 and size < c * t + 1:
                 return False
     return True
+
+
+def brute_c_light(points, c) -> bool:
+    return literal_c_light(satisfied_contents(points), len(points), c)
 
 
 def brute_c_good(points, c) -> bool:

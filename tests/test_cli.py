@@ -173,6 +173,14 @@ class TestVerify:
         code, _, err = run(capsys, "verify", str(f), "--k", "8", "--l", "8", "--budget", "1000")
         assert code == 3
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_must_be_positive(self, tmp_path, capsys, budget):
+        f = tmp_path / "s.txt"
+        f.write_text("1\n2\n4\n8\n")
+        code, _, err = run(capsys, "verify", str(f), "--k", "4", "--l", "4", "--budget", budget)
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_strict_mode_rejects_unsorted(self, tmp_path, capsys):
         f = tmp_path / "u.txt"
         f.write_text("3\n1\n2\n")
@@ -202,6 +210,12 @@ class TestScan:
         code, _, err = run(capsys, "scan", "--N", "1000", "--k", "6")
         assert code == 3
 
+    @pytest.mark.parametrize("budget", ["0", "-1"])
+    def test_budget_must_be_positive(self, capsys, budget):
+        code, text, err = run(capsys, "scan", "--N", "8", "--k", "4", "--threads", "1", "--budget", budget)
+        assert code == 2
+        assert text == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+
     def test_paper_c_literal(self, capsys):
         code, text, _ = run(capsys, "scan", "--N", "9", "--k", "4", "--c", "paper", "--threads", "1")
         assert code == 0
@@ -214,6 +228,28 @@ class TestScan:
         assert code == 2
         assert text == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["scan", "--N", "8", "--k", "4", "--threads", "1"],
+        ["analyze", "--points", "1,2,4,8"],
+        ["build", "random-local", "--n", "8", "--k", "4"],
+    ],
+    ids=["scan", "analyze", "build-random-local"],
+)
+@pytest.mark.parametrize("c", ["1/0", "1e200000000"])
+def test_bad_c_is_one_error_line(tmp_path, capsys, command, c):
+    out = tmp_path / "x.txt"
+    argv = command + ["--c", c] + (["--out", str(out)] if command[0] == "build" else [])
+    start = time.perf_counter()
+    code, text, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 2
+    assert code == 2
+    assert text == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+    assert repr(c) in err
+    assert not out.exists()
 
 
 def test_usage_error_exit_code(capsys):

@@ -15,6 +15,7 @@ from oracles import (
     frac_rank,
     frac_solvable,
     literal_certified_pairs,
+    literal_c_light,
     literal_collinearity_free,
     literal_equality,
     literal_largest_star,
@@ -32,16 +33,31 @@ def example_b():
     return cfg.from_equalities(5, [(1, -1, -1, 1, 0), (1, 1, -1, 0, -1)])
 
 
+CUBE = (
+    8,
+    [
+        (1, -1, -1, 1, 0, 0, 0, 0),
+        (1, -1, 0, 0, -1, 1, 0, 0),
+        (1, -1, 0, 0, 0, 0, -1, 1),
+        (1, 0, -1, 0, -1, 0, 1, 0),
+    ],
+)
+
+# valid and collinearity-free, with its first witness at 2 on six variables
+SIX_OF_NINE = (
+    9,
+    [
+        (1, 0, -1, 0, -1, 0, 0, 1, 0),
+        (1, 0, 0, -1, 1, -1, 0, 0, 0),
+        (0, 0, 0, 1, 0, -1, 0, -1, 1),
+        (-1, 0, 0, 0, 0, -1, 1, 0, 1),
+        (-1, 1, 1, 0, 0, -1, 0, 0, 0),
+    ],
+)
+
+
 def example_c_cube():
-    return cfg.from_equalities(
-        8,
-        [
-            (1, -1, -1, 1, 0, 0, 0, 0),
-            (1, -1, 0, 0, -1, 1, 0, 0),
-            (1, -1, 0, 0, 0, 0, -1, 1),
-            (1, 0, -1, 0, -1, 0, 1, 0),
-        ],
-    )
+    return cfg.from_equalities(*CUBE)
 
 
 def star_of(k):
@@ -197,6 +213,57 @@ class TestGoodness:
         report = gd.is_c_good(example_a(), TWO)
         assert not report.valid
         assert report.collinearity_free is None and report.c_light is None
+
+
+@st.composite
+def relabelled_heavy_systems(draw):
+    """The cube or ``SIX_OF_NINE`` with its variables relabelled, and at
+    most one more drawn equality, which may leave it heavy or make it
+    collinear or invalid."""
+    k, contents = draw(st.sampled_from([CUBE, SIX_OF_NINE]))
+    perm = draw(st.permutations(range(k)))
+    contents = [tuple(row[perm[i]] for i in range(k)) for row in contents]
+    extra = draw(equality_systems(min_k=k, max_k=k))[1][: draw(st.integers(0, 1))]
+    return k, contents + extra
+
+
+class TestOneSearch:
+    """``is_c_good`` decides collinearity and heaviness in one ordered
+    search; its verdicts and witnesses against the literal oracles."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(
+        st.one_of(
+            equality_systems(max_k=7),
+            equality_systems(min_k=6, max_k=8, distinct=True),
+            relabelled_heavy_systems(),
+        ),
+        st.sampled_from([TWO, Fraction(19, 10), Fraction(3, 2)]),
+    )
+    def test_verdicts_match_literal_oracles(self, system, c):
+        k, contents = system
+        report = gd.is_c_good(cfg.from_equalities(k, contents), c)
+        assert report.equality_witness == literal_equality(contents, k)
+        if not report.valid:
+            return
+        assert report.collinearity_free == literal_collinearity_free(contents, k)
+        if not report.collinearity_free:
+            witness = report.collinearity_witness
+            assert frac_solvable(contents, witness)
+            support = tuple(i + 1 for i, x in enumerate(witness) if x)
+            assert len(support) == 3
+            triples = itertools.combinations(range(1, k + 1), 3)
+            assert support == next(s for s in triples if section_dim(contents, k, s) >= 1)
+            return
+        assert report.c_light == literal_c_light(contents, k, c)
+        if not report.c_light:
+            witness = report.heaviness_witness
+            assert section_dim(contents, k, witness.variables) == witness.t
+            assert len(witness.variables) < c * witness.t + 1
+
+    def test_collinearity_needs_a_valid_configuration(self):
+        with pytest.raises(ValueError):
+            gd.is_collinearity_free(example_a())
 
 
 class TestSweepStart:

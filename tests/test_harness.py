@@ -1,4 +1,5 @@
 import itertools
+import time
 from fractions import Fraction
 from math import comb
 
@@ -30,6 +31,20 @@ class TestParseC:
             h.parse_c("1")
         with pytest.raises(ValueError):
             h.parse_c("2.1")
+
+    def test_zero_denominator_is_a_value_error(self):
+        with pytest.raises(ValueError, match="'1/0'"):
+            h.parse_c("1/0")
+
+    @pytest.mark.parametrize("text", ["1e200000000", "1e-200000000", "1e1000000"])
+    def test_huge_exponent_rejected_without_building_the_power(self, text):
+        start = time.perf_counter()
+        with pytest.raises(ValueError, match=f"'{text}'"):
+            h.parse_c(text)
+        assert time.perf_counter() - start < 1
+
+    def test_long_decimal_parses_exactly(self):
+        assert h.parse_c("1.00000000000000000001") == 1 + Fraction(1, 10**20)
 
 
 class TestCertifiedBound:
@@ -116,6 +131,11 @@ class TestScanGround:
 
         with pytest.raises(BudgetExceededError):
             h.scan_ground(1000, 6, "2", budget=10**6)
+
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_must_be_positive(self, budget):
+        with pytest.raises(ValueError, match="budget must be positive"):
+            h.scan_ground(8, 4, "2", threads=1, budget=budget)
 
 
 def reference_scan(ground_n, k, c, classify, distinct):

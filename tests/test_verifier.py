@@ -86,6 +86,12 @@ class TestCheckLocalProperty:
         with pytest.raises(ValueError):
             verifier.check_local_property(range(10), 4, 4)
 
+    @pytest.mark.parametrize("budget", [0, -1])
+    def test_budget_must_be_positive(self, budget):
+        # the same check as DIFFLOCAL_BUDGET=0, not an empty budget exceeded
+        with pytest.raises(ValueError, match="budget must be positive"):
+            verifier.check_local_property(range(10), 4, 4, budget=budget)
+
 
 class TestCrossCheck:
     def test_five_point_example(self):
