@@ -207,15 +207,12 @@ def digit_ground_set(limit: int, kappa: int) -> list[int]:
 
     Avoids every relation alpha*s1 + beta*s2 + gamma*s3 = 0 with distinct
     s_i and nonzero integer coefficients of magnitude <= kappa summing to 0.
+    The shifted values v, sorted, are the binary numerals of 0, 1, 2, ...
+    read in base kappa+1 (reading a 0/1 digit string in a larger base keeps
+    its order), so the i-th is int(format(i, "b"), kappa + 1) and there are
+    ``digit_ground_count`` of them.
     """
-    _check_ground_args(limit, kappa)
-    base = kappa + 1
-    values = [0]
-    power = 1
-    while power <= limit - 1:
-        values += [v + power for v in values if v + power <= limit - 1]
-        power *= base
-    return sorted(v + 1 for v in values)
+    return [1 + int(format(i, "b"), kappa + 1) for i in range(digit_ground_count(limit, kappa))]
 
 
 def digit_ground_count(limit: int, kappa: int) -> int:

@@ -31,8 +31,6 @@ from math import comb
 from . import exactlin
 from .configuration import KConfiguration, distinct_difference_count, from_equalities, from_points
 
-Rational = Fraction
-
 PAPER_C = Fraction(2) - Fraction(1, 2**29)
 
 
@@ -139,14 +137,14 @@ def is_collinearity_free(config: KConfiguration) -> tuple[bool, Optional[tuple[i
     return witness is None, None if witness is None else witness.section_basis.rows[0]
 
 
-def is_c_light(config: KConfiguration, c: Rational) -> tuple[bool, Optional[HeavinessWitness]]:
+def is_c_light(config: KConfiguration, c: Fraction | int | str | float) -> tuple[bool, Optional[HeavinessWitness]]:
     """True iff no t >= 1 independent implied equations fit in < c*t + 1 variables."""
     # a single variable carries no nonzero zero-sum vector
     witness = _heaviness_sweep(config, _heavy_needs(parse_c(c), range(2, config.k + 1)))
     return witness is None, witness
 
 
-def is_c_good(config: KConfiguration, c: Rational) -> GoodnessReport:
+def is_c_good(config: KConfiguration, c: Fraction | int | str | float) -> GoodnessReport:
     """Aggregate verdict; checks run in the order valid, collinearity-free, c-light.
 
     After ``is_valid``, one search covers the 3-sets with need 1, then sets
@@ -178,7 +176,7 @@ def is_c_good(config: KConfiguration, c: Rational) -> GoodnessReport:
     return GoodnessReport(c, True, True, False, heaviness_witness=witness)
 
 
-def points_c_good(points: Sequence, c: Rational) -> bool:
+def points_c_good(points: Sequence, c: Fraction | int | str | float) -> bool:
     """Whether the configuration formed by the points is c-good.
 
     Fast path: a tuple whose C(k,2) differences are pairwise distinct forms

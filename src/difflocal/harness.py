@@ -9,18 +9,15 @@ c-good configurations against the parity bound (k^2 - 2k)/4 for even k and
 star, and whether classification at c and at c = 2 ever diverge (they are
 expected to coincide at these sizes, and any divergence is reported
 loudly).  Those verdicts and the cross-check depend on the subset's
-difference pattern alone (``configuration.difference_pattern``): subsets
-with one pattern share their configuration and their distinct-difference
-count, so each worker run classifies and cross-checks a pattern once: the
-cross-check runs per pattern, not per subset.  A configuration is
-classified by ``is_c_good`` at 2; goodness at c is read off it, because
-light at 2 implies light at every c <= 2, and the sweep at c runs only for
-one that is valid, collinearity-free and heavy at 2.  The leads (smallest
-elements) are split into one strided payload per worker, so each worker's
-memo covers all of its leads.  A worker returns a tally of outcomes
-(certified, good at c, good at 2, star size, cross-check passed) with the
-least subset seen for each, and ``scan_ground`` folds the tallies into the
-report in one place.
+difference pattern alone (``configuration.difference_pattern``), so the
+work splits in two.  Workers count: each takes one strided payload of
+leads (smallest elements) and returns, per pattern, how many of its
+subsets have it and the least of them.  ``scan_ground`` merges those counts
+and classifies each distinct pattern once, on its least subset, folding
+the verdict into the report.  A configuration is classified by
+``is_c_good`` at 2; goodness at c is read off it, because light at 2
+implies light at every c <= 2, and the sweep at c runs only for one that is
+valid, collinearity-free and heavy at 2.
 
 ``star_bound_check`` and ``odd_equality_case`` reproduce the equality cases
 exactly: stars realized with power-of-four offsets have no stray
@@ -51,6 +48,7 @@ from .configuration import (
     distinct_difference_count,
     from_equalities,
     from_points,
+    is_difference_content,
 )
 from .goodness import (
     PAPER_C,
@@ -72,6 +70,7 @@ from .implications import (
 from .verifier import BudgetExceededError, resolve_budget
 
 TWO = Fraction(2)
+ODD_CASE_TRIES = 500
 
 
 def certified_bound(k: int) -> int:
@@ -135,37 +134,23 @@ class ScanReport:
         }
 
 
-def _scan_chunk(payload: tuple) -> tuple[Counter, dict]:
-    """Tally the outcomes (certified, good at c, good at 2, star size,
-    cross-check passed) of every subset with its lead in ``leads``, with the
-    least subset seen for each outcome.  The outcome is memoized by
-    difference pattern for this call only: ``from_points``, the
-    classification and the cross-check run once per pattern."""
-    ground_n, k, c, leads = payload
-    bound = certified_bound(k)
-    outcomes: dict[tuple[int, ...], tuple] = {}
-    tally: Counter = Counter()
-    least: dict[tuple, tuple[int, ...]] = {}
+def _scan_chunk(payload: tuple) -> dict[tuple[int, ...], list]:
+    """Count the subsets with their lead in ``leads`` by difference pattern:
+    each pattern maps to [count, least subset].  Nothing is classified here;
+    ``scan_ground`` classifies each pattern once, after the merge."""
+    # c is unread: perfbench/workloads.py builds this 4-tuple payload
+    ground_n, k, _c, leads = payload
+    counts: dict[tuple[int, ...], list] = {}
     for lead in leads:
         for rest in itertools.combinations(range(lead + 1, ground_n + 1), k - 1):
             points = (lead,) + rest
             pattern = difference_pattern(points)
-            outcome = outcomes.get(pattern)
-            if outcome is None:
-                config = from_points(points)
-                certified = config.certified_count()
-                at_2 = is_c_good(config, TWO)
-                good_c = at_2.c_good or (
-                    c != TWO and at_2.c_light is False and is_c_light(config, c)[0]
-                )
-                # the star is sized only for an attainer
-                star_size = largest_star(config)[0] if good_c and certified == bound else None
-                cross_ok = certified == comb(k, 2) - len(set(pattern))
-                outcome = outcomes[pattern] = (certified, good_c, at_2.c_good, star_size, cross_ok)
-            tally[outcome] += 1
-            # subsets come in lexicographic order: the first is the least
-            least.setdefault(outcome, points)
-    return tally, least
+            if pattern in counts:
+                counts[pattern][0] += 1
+            else:
+                # subsets come in lexicographic order: the first is the least
+                counts[pattern] = [1, points]
+    return counts
 
 
 def scan_ground(
@@ -176,7 +161,9 @@ def scan_ground(
     threads: int | None = None,
     budget: int | None = None,
 ) -> ScanReport:
-    """Classify every k-subset of [1..N]; see the module docstring."""
+    """Classify every k-subset of [1..N]: workers count the subsets per
+    difference pattern, and each distinct pattern is classified once, on its
+    least subset.  See the module docstring."""
     c = parse_c(c)
     if k < 4 or ground_n < k:
         raise ValueError(f"need 4 <= k <= N, got k={k}, N={ground_n}")
@@ -196,37 +183,40 @@ def scan_ground(
     else:
         from concurrent.futures import ProcessPoolExecutor
 
-        # one payload per worker, so each worker's memo spans all its leads;
+        # one payload per worker, so each worker's counts span all its leads;
         # striding spreads the heavy low leads across workers
         payloads = [(ground_n, k, c, tuple(leads[w::workers])) for w in range(workers)]
         with ProcessPoolExecutor(max_workers=workers) as pool:
             partials = list(pool.map(_scan_chunk, payloads))
-    tally: Counter = Counter()
-    least: dict[tuple, tuple[int, ...]] = {}
-    for part_tally, part_least in partials:
-        tally.update(part_tally)
-        for outcome, points in part_least.items():
-            least[outcome] = min(points, least.get(outcome, points))
+    patterns: dict[tuple[int, ...], list] = {}
+    for part in partials:
+        for pattern, (count, points) in part.items():
+            entry = patterns.setdefault(pattern, [0, points])
+            entry[0] += count
+            entry[1] = min(entry[1], points)
     report = ScanReport(ground_n=ground_n, k=k, c=c)
+    bound = certified_bound(k)
     best: list[tuple[int, tuple[int, ...]]] = []
     non_star: list[tuple[int, ...]] = []
-    for outcome, count in tally.items():
-        certified, good_c, good_2, star_size, cross_ok = outcome
+    for pattern, (count, points) in patterns.items():
+        config = from_points(points)
+        certified = config.certified_count()
+        at_2 = is_c_good(config, TWO)
+        good_c = at_2.c_good or (c != TWO and at_2.c_light is False and is_c_light(config, c)[0])
         report.subsets_scanned += count
-        report.c2_divergences += count if good_c != good_2 else 0
-        report.cross_check_failures += 0 if cross_ok else count
+        report.c2_divergences += count if good_c != at_2.c_good else 0
+        report.cross_check_failures += 0 if certified == comb(k, 2) - len(set(pattern)) else count
         if not good_c:
             report.bad_count += count
             continue
         report.good_count += count
         report.histogram[certified] += count
-        best.append((-certified, least[outcome]))
-        # the star is sized exactly for the attainers
-        if star_size is not None:
+        best.append((-certified, points))
+        if certified == bound:
             report.attainer_count += count
-            if star_size != k:
+            if largest_star(config)[0] != k:
                 report.non_star_attainers += count
-                non_star.append(least[outcome])
+                non_star.append(points)
     if best:
         negated, report.max_certified_witness = min(best)
         report.max_certified = -negated
@@ -234,15 +224,14 @@ def scan_ground(
     return report
 
 
-def realize_star(p: int, offset_base: int = 4) -> tuple[int, ...]:
-    """2p points S +- base^j around S = base^p: the only coincidences are the
+def realize_star(p: int) -> tuple[int, ...]:
+    """2p points S +- 4^j around S = 4^p: the only coincidences are the
     star's own (sums, differences and doubles of distinct powers never collide).
     """
-    s = offset_base**p
+    s = 4**p
     points: list[int] = []
     for j in range(p):
-        d = offset_base**j
-        points.extend((s + d, s - d))
+        points.extend((s + 4**j, s - 4**j))
     return tuple(points)
 
 
@@ -272,7 +261,7 @@ def star_bound_check(p_range: Iterable[int]) -> list[dict]:
     return rows
 
 
-def odd_equality_case(k: int, seed: int = 0, max_tries: int = 500) -> dict:
+def odd_equality_case(k: int, seed: int = 0) -> dict:
     """Find a realization of the odd-k equality configuration and verify it.
 
     The configuration is a star of size k-1 on x_1..x_{k-1} plus the extra
@@ -285,7 +274,7 @@ def odd_equality_case(k: int, seed: int = 0, max_tries: int = 500) -> dict:
     expected = (k - 1) * (k - 3) // 4 + 3
     rng = random.Random(seed)
     big = 10**6
-    for _ in range(max_tries):
+    for _ in range(ODD_CASE_TRIES):
         offsets = rng.sample(range(1, big), p)
         s = 4 * big
         points = []
@@ -316,7 +305,7 @@ def odd_equality_case(k: int, seed: int = 0, max_tries: int = 500) -> dict:
         return row
     raise AssertionError(
         f"no realization of the odd-k equality configuration found for k={k} "
-        f"after {max_tries} tries; this signals a bug"
+        f"after {ODD_CASE_TRIES} tries; this signals a bug"
     )
 
 
@@ -372,14 +361,13 @@ def intersection_figure() -> tuple[list[DifferenceEquality], list[DifferenceEqua
     return t1, t2
 
 
-def _random_hub_equality(rng: random.Random, k: int, hub: int) -> DifferenceEquality:
-    others = rng.sample(range(1, k), 3)
-    plus = rng.randrange(3)
+def _hub_content(k: int, hub: int, others: Sequence[int], plus: int) -> tuple[int, ...]:
+    """x_hub and others[plus] at +1, the other two of the three ``others`` at -1."""
     vec = [0] * k
     vec[hub - 1] = 1
     for pos, var in enumerate(others):
         vec[var - 1] = 1 if pos == plus else -1
-    return _eq(k, vec)
+    return tuple(vec)
 
 
 def _random_hub_family(rng: random.Random) -> Optional[list[DifferenceEquality]]:
@@ -392,7 +380,8 @@ def _random_hub_family(rng: random.Random) -> Optional[list[DifferenceEquality]]
     for _ in range(60):
         if len(eqs) == target:
             break
-        cand = _random_hub_equality(rng, k, hub)
+        others = rng.sample(range(1, k), 3)
+        cand = _eq(k, _hub_content(k, hub, others, rng.randrange(3)))
         trial = contents + [cand.content]
         if exactlin.reduce(trial, k).rank != len(trial):
             continue
@@ -470,8 +459,6 @@ def _check_hub_family(eqs: Sequence[DifferenceEquality], hub: int, outcomes: lis
 
 
 def _check_subbox_prefixes(impls: Sequence[MinimalImplication], outcomes: list) -> None:
-    from .configuration import is_difference_content
-
     for impl in impls:
         if any(abs(c) != 1 for c in impl.coefficients):
             continue
@@ -538,14 +525,11 @@ def _harvest_hub_equalities(config: KConfiguration, hub: int) -> list[Difference
     contents: list[tuple[int, ...]] = []
     for trio in itertools.combinations([v for v in range(1, k + 1) if v != hub], 3):
         for plus in range(3):
-            vec = [0] * k
-            vec[hub - 1] = 1
-            for pos, var in enumerate(trio):
-                vec[var - 1] = 1 if pos == plus else -1
+            vec = _hub_content(k, hub, trio, plus)
             if config.implies(vec):
-                trial = contents + [tuple(vec)]
+                trial = contents + [vec]
                 if exactlin.reduce(trial, k).rank == len(trial):
-                    contents.append(tuple(vec))
+                    contents.append(vec)
                     found.append(_eq(k, vec))
     return found
 

@@ -131,6 +131,17 @@ def brute_distinct_differences(points) -> int:
     return len({abs(a - b) for a, b in itertools.combinations(points, 2)})
 
 
+def brute_digit_ground_set(limit, kappa):
+    """Every v in 1..limit whose base-(kappa+1) digits of v - 1 are all 0 or 1."""
+
+    def digits(x):
+        while x:
+            x, digit = divmod(x, kappa + 1)
+            yield digit
+
+    return [v for v in range(1, limit + 1) if all(d <= 1 for d in digits(v - 1))]
+
+
 def _largest_disjoint(classes) -> int:
     """Largest 2p with p >= 2 pairwise-disjoint pairs from one class."""
     best = 0

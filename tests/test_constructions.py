@@ -10,7 +10,7 @@ from difflocal import constructions as con
 from difflocal.configuration import from_points
 from difflocal.goodness import PAPER_C, is_c_good, points_c_good
 from difflocal.verifier import BudgetExceededError
-from oracles import brute_alteration_sweep, brute_c_good, integer_root
+from oracles import brute_alteration_sweep, brute_c_good, brute_digit_ground_set, integer_root
 
 
 def coefficient_triples(kappa):
@@ -118,7 +118,9 @@ class TestDigitGroundSet:
     def test_count_matches_the_list(self):
         for kappa in (1, 2, 3, 4):
             for limit in range(1, 300):
-                assert con.digit_ground_count(limit, kappa) == len(con.digit_ground_set(limit, kappa))
+                want = brute_digit_ground_set(limit, kappa)
+                assert con.digit_ground_set(limit, kappa) == want
+                assert con.digit_ground_count(limit, kappa) == len(want)
         assert con.digit_ground_count(640, 2) == 64
 
 

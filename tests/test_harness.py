@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from difflocal import harness as h
-from difflocal.configuration import distinct_difference_count, from_points
+from difflocal.configuration import difference_pattern, distinct_difference_count, from_points
 from difflocal.goodness import is_c_good, largest_star
 from oracles import brute_c_good, brute_certified_count, brute_distinct_differences, brute_largest_star
 
@@ -186,7 +186,8 @@ def assert_same_scan(got, want):
 
 
 class TestScanMemo:
-    """The per-run memo against routes that classify every subset afresh."""
+    """Classification once per difference pattern against routes that
+    classify every subset afresh."""
 
     def test_tally_matches_oracles(self):
         bound = h.certified_bound(4)
@@ -229,6 +230,23 @@ class TestScanMemo:
         single = h.scan_ground(14, 7, "2", threads=1)
         assert single.non_star_attainers == single.attainer_count > 0
         assert_same_scan(h.scan_ground(14, 7, "2", threads=2), single)
+
+    def test_each_pattern_classified_once(self, monkeypatch):
+        # the workers only count, so every classification happens in this
+        # process: one per distinct pattern, however many workers met it
+        subsets = itertools.combinations(range(1, 16), 6)
+        distinct = len({difference_pattern(points) for points in subsets})
+        calls = []
+
+        def counting_from_points(points):
+            calls.append(points)
+            return from_points(points)
+
+        monkeypatch.setattr(h, "from_points", counting_from_points)
+        for threads in (1, 2):
+            calls.clear()
+            h.scan_ground(15, 6, "paper", threads=threads)
+            assert len(calls) == distinct
 
     def test_witnesses_do_not_depend_on_payload_order(self, monkeypatch):
         import concurrent.futures
