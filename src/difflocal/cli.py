@@ -44,9 +44,19 @@ EXIT_INVARIANT = 4
 
 
 class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_USAGE):
-        super().__init__(message)
-        self.code = code
+    """A usage or parameter error found by the driver itself."""
+
+
+# the first matching type gives the exit code: a subclass precedes its base
+EXIT_CODES = (
+    (CliError, EXIT_USAGE),
+    (BudgetExceededError, EXIT_BUDGET),
+    (InvariantError, EXIT_INVARIANT),
+    (RetriesExhaustedError, EXIT_PROPERTY_FAIL),
+    (ConstructionError, EXIT_USAGE),
+    (ValueError, EXIT_USAGE),
+    (OSError, EXIT_USAGE),
+)
 
 
 def read_set_file(path: str | Path, strict: bool = False) -> list[int]:
@@ -230,7 +240,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_scan(args) -> int:
-    report = scan_ground(args.N, args.k, parse_c(args.c), threads=args.threads, budget=args.budget)
+    report = scan_ground(args.N, args.k, parse_c(args.c), budget=args.budget)
     text = reportfmt.emit(report.to_report())
     print(text, end="")
     if args.out:
@@ -295,7 +305,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_scan.add_argument("--N", type=int, required=True)
     p_scan.add_argument("--k", type=int, required=True)
     p_scan.add_argument("--c", default="2")
-    p_scan.add_argument("--threads", type=int, default=None)
     p_scan.add_argument("--budget", type=int, default=None)
     p_scan.add_argument("--out")
     p_scan.set_defaults(func=cmd_scan)
@@ -309,24 +318,9 @@ def main(argv=None) -> int:
         if args.command == "analyze" and args.points is None and args.points_file is None:
             raise CliError("analyze needs a points file or --points")
         return args.func(args)
-    except CliError as exc:
+    except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except InvariantError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVARIANT
-    except RetriesExhaustedError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PROPERTY_FAIL
-    except ConstructionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (ValueError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return next(code for kind, code in EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

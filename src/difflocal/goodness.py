@@ -137,13 +137,6 @@ def is_collinearity_free(config: KConfiguration) -> tuple[bool, Optional[tuple[i
     return witness is None, None if witness is None else witness.section_basis.rows[0]
 
 
-def is_c_light(config: KConfiguration, c: Fraction | int | str | float) -> tuple[bool, Optional[HeavinessWitness]]:
-    """True iff no t >= 1 independent implied equations fit in < c*t + 1 variables."""
-    # a single variable carries no nonzero zero-sum vector
-    witness = _heaviness_sweep(config, _heavy_needs(parse_c(c), range(2, config.k + 1)))
-    return witness is None, witness
-
-
 def is_c_good(config: KConfiguration, c: Fraction | int | str | float) -> GoodnessReport:
     """Aggregate verdict; checks run in the order valid, collinearity-free, c-light.
 

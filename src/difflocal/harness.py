@@ -10,14 +10,15 @@ star, and whether classification at c and at c = 2 ever diverge (they are
 expected to coincide at these sizes, and any divergence is reported
 loudly).  Those verdicts and the cross-check depend on the subset's
 difference pattern alone (``configuration.difference_pattern``), so the
-work splits in two.  Workers count: each takes one strided payload of
-leads (smallest elements) and returns, per pattern, how many of its
-subsets have it and the least of them.  ``scan_ground`` merges those counts
-and classifies each distinct pattern once, on its least subset, folding
-the verdict into the report.  A configuration is classified by
-``is_c_good`` at 2; goodness at c is read off it, because light at 2
-implies light at every c <= 2, and the sweep at c runs only for one that is
-valid, collinearity-free and heavy at 2.
+scan, in one process, counts and then classifies.  It counts: a pattern
+does not change under translation, and every subset is a translate of
+exactly one subset that contains 1, so only those are walked, each
+weighted by its translates, and each pattern gets its count and its least
+subset.  Then it classifies each distinct pattern once, on its least
+subset, folding the verdict into the report.  A configuration is
+classified by ``is_c_good`` at 2; goodness at c is read off it, because
+light at 2 implies light at every c <= 2, and ``is_c_good`` at c runs only
+for one that is valid, collinearity-free and heavy at 2.
 
 ``star_bound_check`` and ``odd_equality_case`` reproduce the equality cases
 exactly: stars realized with power-of-four offsets have no stray
@@ -32,8 +33,8 @@ instances plus fixed hand-built systems.
 from __future__ import annotations
 
 import itertools
-import os
 import random
+from bisect import bisect_right
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -53,7 +54,6 @@ from .configuration import (
 from .goodness import (
     PAPER_C,
     is_c_good,
-    is_c_light,
     is_collinearity_free,
     is_valid,
     largest_star,
@@ -78,10 +78,6 @@ def certified_bound(k: int) -> int:
     if k % 2 == 0:
         return (k * k - 2 * k) // 4
     return (k - 1) * (k - 3) // 4 + 3
-
-
-def default_threads() -> int:
-    return min(8, os.cpu_count() or 1)
 
 
 @dataclass
@@ -136,20 +132,27 @@ class ScanReport:
 
 def _scan_chunk(payload: tuple) -> dict[tuple[int, ...], list]:
     """Count the subsets with their lead in ``leads`` by difference pattern:
-    each pattern maps to [count, least subset].  Nothing is classified here;
-    ``scan_ground`` classifies each pattern once, after the merge."""
+    each pattern maps to [count, least subset].  Nothing is classified here.
+
+    A pattern does not change under translation, so only subsets that
+    contain 1 are walked.  One with maximum m stands for its translates
+    with lead a <= N + 1 - m, and counts the leads in ``leads`` up to that
+    bound; one that would count none (m > N + 1 - min(leads)) is not
+    visited.  Subsets come in lexicographic order, so the first of a
+    pattern, shifted to the least lead, is its least subset."""
     # c is unread: perfbench/workloads.py builds this 4-tuple payload
     ground_n, k, _c, leads = payload
+    leads = sorted(leads)
+    shift = leads[0] - 1
     counts: dict[tuple[int, ...], list] = {}
-    for lead in leads:
-        for rest in itertools.combinations(range(lead + 1, ground_n + 1), k - 1):
-            points = (lead,) + rest
-            pattern = difference_pattern(points)
-            if pattern in counts:
-                counts[pattern][0] += 1
-            else:
-                # subsets come in lexicographic order: the first is the least
-                counts[pattern] = [1, points]
+    for rest in itertools.combinations(range(2, ground_n + 2 - leads[0]), k - 1):
+        points = (1,) + rest
+        translates = bisect_right(leads, ground_n + 1 - rest[-1])
+        pattern = difference_pattern(points)
+        if pattern in counts:
+            counts[pattern][0] += translates
+        else:
+            counts[pattern] = [translates, tuple(x + shift for x in points)]
     return counts
 
 
@@ -161,9 +164,10 @@ def scan_ground(
     threads: int | None = None,
     budget: int | None = None,
 ) -> ScanReport:
-    """Classify every k-subset of [1..N]: workers count the subsets per
-    difference pattern, and each distinct pattern is classified once, on its
-    least subset.  See the module docstring."""
+    """Classify every k-subset of [1..N]: count the subsets per difference
+    pattern, then classify each distinct pattern once, on its least subset.
+    See the module docstring.  The budget bounds C(N, k), the subsets
+    counted.  ``threads`` has no effect: the scan runs in one process."""
     c = parse_c(c)
     if k < 4 or ground_n < k:
         raise ValueError(f"need 4 <= k <= N, got k={k}, N={ground_n}")
@@ -173,27 +177,7 @@ def scan_ground(
         raise BudgetExceededError(
             f"scan infeasible: C({ground_n},{k}) = {total} exceeds budget {limit}"
         )
-    leads = list(range(1, ground_n - k + 2))
-    # ProcessPoolExecutor forks every worker at once: never ask for more
-    # than there are cores or leads to hand out.
-    requested = default_threads() if threads is None else threads
-    workers = max(1, min(requested, os.cpu_count() or 1, len(leads)))
-    if workers == 1:
-        partials = [_scan_chunk((ground_n, k, c, tuple(leads)))]
-    else:
-        from concurrent.futures import ProcessPoolExecutor
-
-        # one payload per worker, so each worker's counts span all its leads;
-        # striding spreads the heavy low leads across workers
-        payloads = [(ground_n, k, c, tuple(leads[w::workers])) for w in range(workers)]
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            partials = list(pool.map(_scan_chunk, payloads))
-    patterns: dict[tuple[int, ...], list] = {}
-    for part in partials:
-        for pattern, (count, points) in part.items():
-            entry = patterns.setdefault(pattern, [0, points])
-            entry[0] += count
-            entry[1] = min(entry[1], points)
+    patterns = _scan_chunk((ground_n, k, c, tuple(range(1, ground_n - k + 2))))
     report = ScanReport(ground_n=ground_n, k=k, c=c)
     bound = certified_bound(k)
     best: list[tuple[int, tuple[int, ...]]] = []
@@ -202,7 +186,7 @@ def scan_ground(
         config = from_points(points)
         certified = config.certified_count()
         at_2 = is_c_good(config, TWO)
-        good_c = at_2.c_good or (c != TWO and at_2.c_light is False and is_c_light(config, c)[0])
+        good_c = at_2.c_good or (c != TWO and at_2.c_light is False and is_c_good(config, c).c_good)
         report.subsets_scanned += count
         report.c2_divergences += count if good_c != at_2.c_good else 0
         report.cross_check_failures += 0 if certified == comb(k, 2) - len(set(pattern)) else count

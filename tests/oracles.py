@@ -131,6 +131,27 @@ def brute_distinct_differences(points) -> int:
     return len({abs(a - b) for a, b in itertools.combinations(points, 2)})
 
 
+def all_leads_pattern_counts(ground_n, k, leads):
+    """Walk every k-subset of [1..N] whose lead (least element) is in
+    ``leads``, in lexicographic order, and map each difference pattern (each
+    index pair labelled by the position of the first pair with the same
+    difference) to [count, least subset]."""
+    counts = {}
+    for lead in leads:
+        for rest in itertools.combinations(range(lead + 1, ground_n + 1), k - 1):
+            points = (lead,) + rest
+            first = {}
+            pattern = tuple(
+                first.setdefault(points[j] - points[i], n)
+                for n, (i, j) in enumerate(itertools.combinations(range(k), 2))
+            )
+            if pattern in counts:
+                counts[pattern][0] += 1
+            else:
+                counts[pattern] = [1, points]
+    return counts
+
+
 def brute_digit_ground_set(limit, kappa):
     """Every v in 1..limit whose base-(kappa+1) digits of v - 1 are all 0 or 1."""
 

@@ -199,7 +199,7 @@ class TestVerify:
 class TestScan:
     def test_small_scan_report(self, tmp_path, capsys):
         out = tmp_path / "scan.txt"
-        code, text, _ = run(capsys, "scan", "--N", "10", "--k", "4", "--c", "2", "--threads", "1", "--out", str(out))
+        code, text, _ = run(capsys, "scan", "--N", "10", "--k", "4", "--c", "2", "--out", str(out))
         assert code == 0
         report = reportfmt.parse(text)
         assert report["subsets_scanned"] == 210
@@ -212,19 +212,19 @@ class TestScan:
 
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_budget_must_be_positive(self, capsys, budget):
-        code, text, err = run(capsys, "scan", "--N", "8", "--k", "4", "--threads", "1", "--budget", budget)
+        code, text, err = run(capsys, "scan", "--N", "8", "--k", "4", "--budget", budget)
         assert code == 2
         assert text == "" and err.startswith("error: ") and len(err.splitlines()) == 1
 
     def test_paper_c_literal(self, capsys):
-        code, text, _ = run(capsys, "scan", "--N", "9", "--k", "4", "--c", "paper", "--threads", "1")
+        code, text, _ = run(capsys, "scan", "--N", "9", "--k", "4", "--c", "paper")
         assert code == 0
         report = reportfmt.parse(text)
         assert report["c"] == Fraction(2) - Fraction(1, 2**29)
 
     @pytest.mark.parametrize("k", ["2", "3"])
     def test_k_below_4_is_a_usage_error(self, capsys, k):
-        code, text, err = run(capsys, "scan", "--N", "5", "--k", k, "--threads", "1")
+        code, text, err = run(capsys, "scan", "--N", "5", "--k", k)
         assert code == 2
         assert text == ""
         assert err.startswith("error: ") and err.count("\n") == 1
@@ -233,7 +233,7 @@ class TestScan:
 @pytest.mark.parametrize(
     "command",
     [
-        ["scan", "--N", "8", "--k", "4", "--threads", "1"],
+        ["scan", "--N", "8", "--k", "4"],
         ["analyze", "--points", "1,2,4,8"],
         ["build", "random-local", "--n", "8", "--k", "4"],
     ],
@@ -289,7 +289,7 @@ class TestFileErrors:
 
     def test_scan_out_in_missing_directory(self, tmp_path, capsys):
         out = tmp_path / "missing" / "scan.txt"
-        code, _, err = run(capsys, "scan", "--N", "8", "--k", "4", "--threads", "1", "--out", str(out))
+        code, _, err = run(capsys, "scan", "--N", "8", "--k", "4", "--out", str(out))
         assert code == 2
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()

@@ -124,60 +124,68 @@ class TestCollinearity:
             assert config.implies(witness)
 
 
+# valid and collinearity-free; its first heaviness witness at 2 is on six variables
+SIX_VARIABLE_HEAVY = [
+    (1, 0, -1, 0, -1, 0, 0, 1, 0),
+    (1, 0, 0, -1, 1, -1, 0, 0, 0),
+    (0, 0, 0, 1, 0, -1, 0, -1, 1),
+    (-1, 0, 0, 0, 0, -1, 1, 0, 1),
+    (-1, 1, 1, 0, 0, -1, 0, 0, 0),
+]
+
+
 class TestLightness:
+    """Lightness through ``is_c_good`` on valid, collinearity-free
+    configurations, where it is the verdict of the heaviness sweep."""
+
     def test_cube_is_2_heavy_with_eight_variable_witness(self):
-        light, witness = gd.is_c_light(example_c_cube(), TWO)
-        assert not light
+        report = gd.is_c_good(example_c_cube(), TWO)
+        assert report.valid and report.collinearity_free and report.c_light is False
+        witness = report.heaviness_witness
         assert witness.variables == (1, 2, 3, 4, 5, 6, 7, 8)
         assert witness.t == 4
 
     def test_first_witness_on_six_variables(self):
         # 6 is the least size is_c_good sweeps; here the first witness has it
-        contents = [
-            (1, 0, -1, 0, -1, 0, 0, 1, 0),
-            (1, 0, 0, -1, 1, -1, 0, 0, 0),
-            (0, 0, 0, 1, 0, -1, 0, -1, 1),
-            (-1, 0, 0, 0, 0, -1, 1, 0, 1),
-            (-1, 1, 1, 0, 0, -1, 0, 0, 0),
-        ]
-        report = gd.is_c_good(cfg.from_equalities(9, contents), TWO)
+        report = gd.is_c_good(cfg.from_equalities(9, SIX_VARIABLE_HEAVY), TWO)
         assert report.valid and report.collinearity_free and not report.c_light
         witness = report.heaviness_witness
         assert witness.variables == (1, 2, 3, 6, 7, 9) and witness.t == 3
-        assert section_dim(contents, 9, witness.variables) == 3
+        assert section_dim(SIX_VARIABLE_HEAVY, 9, witness.variables) == 3
 
     def test_cube_heavy_at_paper_c_too(self):
-        light, _ = gd.is_c_light(example_c_cube(), PAPER_C)
-        assert not light
+        report = gd.is_c_good(example_c_cube(), PAPER_C)
+        assert report.collinearity_free and report.c_light is False
 
     def test_stars_are_2_light(self):
         for k in (4, 6, 8, 12):
-            light, witness = gd.is_c_light(star_of(k), TWO)
-            assert light and witness is None
+            report = gd.is_c_good(star_of(k), TWO)
+            assert report.c_light and report.heaviness_witness is None
 
     def test_rank_zero_light_for_any_c(self):
         config = cfg.from_points((0, 1, 3, 7))
         for c in (Fraction(3, 2), PAPER_C, TWO):
-            assert gd.is_c_light(config, c)[0]
+            assert gd.is_c_good(config, c).c_light
 
     def test_heaviness_monotone_in_c(self):
         configs = [
             example_c_cube(),
-            cfg.from_points((1, 2, 3, 4)),
-            cfg.from_points((1, 2, 5, 6, 9)),
+            cfg.from_equalities(9, SIX_VARIABLE_HEAVY),
+            cfg.from_points((0, 1, 3, 7)),
             star_of(6),
         ]
         cs = [Fraction(11, 10), Fraction(3, 2), Fraction(19, 10), PAPER_C, TWO]
         for config in configs:
-            heavy = [not gd.is_c_light(config, c)[0] for c in cs]
+            heavy = [gd.is_c_good(config, c).c_light is False for c in cs]
             # once heavy at some c, heavy at every larger c
             for a, b in zip(heavy, heavy[1:]):
                 assert (not a) or b
 
     def test_heaviness_witness_reverifies_by_independent_rank(self):
         config = example_c_cube()
-        light, witness = gd.is_c_light(config, TWO)
-        assert not light
+        report = gd.is_c_good(config, TWO)
+        assert report.c_light is False
+        witness = report.heaviness_witness
         rows = [list(r) for r in witness.section_basis.rows]
         assert frac_rank(rows) == witness.t >= 1
         for row in rows:
@@ -187,7 +195,7 @@ class TestLightness:
 
     def test_rejects_c_out_of_range(self):
         with pytest.raises(ValueError):
-            gd.is_c_light(star_of(4), Fraction(1))
+            gd.is_c_good(star_of(4), Fraction(1))
         with pytest.raises(ValueError):
             gd.is_c_good(star_of(4), Fraction(5, 2))
 
@@ -401,4 +409,5 @@ class TestAgainstDefinitionLiteralOracle:
                 if report.c_light is not None:
                     assert report.c_light == brute_c_light(points, c)
                     # the sweep from size 6 finds the same witness as the one from 2
-                    assert report.heaviness_witness == gd.is_c_light(config, c)[1]
+                    from_2 = gd._heaviness_sweep(config, gd._heavy_needs(c, range(2, k + 1)))
+                    assert report.heaviness_witness == from_2

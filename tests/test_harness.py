@@ -1,4 +1,5 @@
 import itertools
+import os
 import time
 from fractions import Fraction
 from math import comb
@@ -9,7 +10,13 @@ from hypothesis import given, settings, strategies as st
 from difflocal import harness as h
 from difflocal.configuration import difference_pattern, distinct_difference_count, from_points
 from difflocal.goodness import is_c_good, largest_star
-from oracles import brute_c_good, brute_certified_count, brute_distinct_differences, brute_largest_star
+from oracles import (
+    all_leads_pattern_counts,
+    brute_c_good,
+    brute_certified_count,
+    brute_distinct_differences,
+    brute_largest_star,
+)
 
 
 class TestParseC:
@@ -60,7 +67,7 @@ class TestCertifiedBound:
 
 class TestScanGround:
     def test_small_scan_counts(self):
-        report = h.scan_ground(10, 4, "2", threads=1)
+        report = h.scan_ground(10, 4, "2")
         assert report.subsets_scanned == 210
         assert report.good_count + report.bad_count == 210
         assert report.max_certified == 2
@@ -69,53 +76,19 @@ class TestScanGround:
         assert sum(report.histogram.values()) == report.good_count
 
     def test_max_witness_reverifies_end_to_end(self):
-        report = h.scan_ground(16, 4, "paper", threads=1)
+        report = h.scan_ground(16, 4, "paper")
         points = report.max_certified_witness
         config = from_points(points)
         assert config.certified_count() == report.max_certified == 2
         assert is_c_good(config, h.PAPER_C).c_good
         assert largest_star(config)[0] == 4
 
-    def test_threaded_matches_single_thread(self):
-        single = h.scan_ground(13, 4, "paper", threads=1)
-        multi = h.scan_ground(13, 4, "paper", threads=2)
-        assert single.to_report() == multi.to_report()
-
-    def test_worker_count_clamped_to_cores_and_leads(self, monkeypatch):
-        import concurrent.futures
-        import os
-
-        requested = []
-
-        class SerialPool:
-            # stands in for ProcessPoolExecutor: records the size, starts nothing
-            def __init__(self, max_workers):
-                requested.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, items):
-                return map(fn, items)
-
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 4)
-        report = h.scan_ground(12, 4, "2", threads=100_000)
-        assert requested == [4]
-        assert report.to_report() == h.scan_ground(12, 4, "2", threads=1).to_report()
-        monkeypatch.setattr(os, "cpu_count", lambda: 64)
-        h.scan_ground(12, 4, "2", threads=100_000)
-        assert requested == [4, 9]  # leads 1..9
-
     def test_no_divergence_between_c_values(self):
-        report = h.scan_ground(14, 4, "paper", threads=1)
+        report = h.scan_ground(14, 4, "paper")
         assert report.c2_divergences == 0
 
     def test_odd_k_bound(self):
-        report = h.scan_ground(12, 5, "2", threads=1)
+        report = h.scan_ground(12, 5, "2")
         assert report.bound == 5
         assert report.bound_respected
 
@@ -124,7 +97,7 @@ class TestScanGround:
         # the parity bounds are the paper's from k = 4 on; at k = 2 a rank-0
         # subset would meet the bound 0 without counting as an attainer
         with pytest.raises(ValueError, match="4 <= k"):
-            h.scan_ground(5, k, "2", threads=1)
+            h.scan_ground(5, k, "2")
 
     def test_budget(self):
         from difflocal.verifier import BudgetExceededError
@@ -135,7 +108,7 @@ class TestScanGround:
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_must_be_positive(self, budget):
         with pytest.raises(ValueError, match="budget must be positive"):
-            h.scan_ground(8, 4, "2", threads=1, budget=budget)
+            h.scan_ground(8, 4, "2", budget=budget)
 
 
 def reference_scan(ground_n, k, c, classify, distinct):
@@ -200,8 +173,7 @@ class TestScanMemo:
 
         want = reference_scan(10, 4, "2", classify, brute_distinct_differences)
         assert want.attainer_count > 0
-        for threads in (1, 2):
-            assert_same_scan(h.scan_ground(10, 4, "2", threads=threads), want)
+        assert_same_scan(h.scan_ground(10, 4, "2"), want)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -213,7 +185,7 @@ class TestScanMemo:
     def test_matches_uncached_loop(self, ground, c):
         ground_n, k = ground
         want = reference_scan(ground_n, k, c, uncached_classify(c), distinct_difference_count)
-        assert_same_scan(h.scan_ground(ground_n, k, c, threads=1), want)
+        assert_same_scan(h.scan_ground(ground_n, k, c), want)
 
     @pytest.mark.parametrize("c,divergences", [("3/2", 1), ("paper", 0)])
     def test_heavy_at_2(self, c, divergences):
@@ -222,18 +194,16 @@ class TestScanMemo:
         # scan runs only for a basis heavy at 2
         want = reference_scan(14, 8, c, uncached_classify(c), distinct_difference_count)
         assert want.c2_divergences == divergences
-        for threads in (1, 2):
-            assert_same_scan(h.scan_ground(14, 8, c, threads=threads), want)
+        assert_same_scan(h.scan_ground(14, 8, c), want)
 
     def test_odd_k_witnesses_match_across_threads(self):
         # every attainer is a non-star at odd k
-        single = h.scan_ground(14, 7, "2", threads=1)
+        single = h.scan_ground(14, 7, "2")
         assert single.non_star_attainers == single.attainer_count > 0
         assert_same_scan(h.scan_ground(14, 7, "2", threads=2), single)
 
     def test_each_pattern_classified_once(self, monkeypatch):
-        # the workers only count, so every classification happens in this
-        # process: one per distinct pattern, however many workers met it
+        # one classification per distinct pattern, however many subsets have it
         subsets = itertools.combinations(range(1, 16), 6)
         distinct = len({difference_pattern(points) for points in subsets})
         calls = []
@@ -243,34 +213,33 @@ class TestScanMemo:
             return from_points(points)
 
         monkeypatch.setattr(h, "from_points", counting_from_points)
-        for threads in (1, 2):
-            calls.clear()
-            h.scan_ground(15, 6, "paper", threads=threads)
-            assert len(calls) == distinct
+        h.scan_ground(15, 6, "paper")
+        assert len(calls) == distinct
 
-    def test_witnesses_do_not_depend_on_payload_order(self, monkeypatch):
-        import concurrent.futures
-        import os
+class TestQuotientWalk:
+    """``_scan_chunk`` walks only the subsets that contain 1, each weighted
+    by its translates; the oracle walks every subset with a lead in ``leads``."""
 
-        class ReversedPool:
-            # stands in for ProcessPoolExecutor: runs serially, returns the
-            # partials last payload first
-            def __init__(self, max_workers):
-                pass
+    @pytest.mark.parametrize("ground_n,k", [(50, 4), (30, 5), (24, 6), (15, 6), (14, 8)])
+    def test_counts_match_all_leads_walk(self, ground_n, k):
+        leads = tuple(range(1, ground_n - k + 2))
+        # each single lead is the call perfbench/workloads.py times per lead
+        lead_sets = [leads] + [(lead,) for lead in leads]
+        lead_sets += [leads[start::step] for step in (2, 3) for start in range(step)]
+        for chosen in lead_sets:
+            got = h._scan_chunk((ground_n, k, h.PAPER_C, chosen))
+            assert got == all_leads_pattern_counts(ground_n, k, chosen), chosen
 
-            def __enter__(self):
-                return self
+    def test_benchmark_call_starts_no_process(self, monkeypatch):
+        # perfbench/workloads.py still passes threads=2, which has no effect
+        want = {ground: h.scan_ground(*ground, "paper") for ground in [(36, 4), (15, 6)]}
 
-            def __exit__(self, *exc):
-                return False
+        def no_fork():
+            raise AssertionError("the scan started a process")
 
-            def map(self, fn, items):
-                return [fn(item) for item in items][::-1]
-
-        single = h.scan_ground(14, 7, "2", threads=1)
-        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", ReversedPool)
-        monkeypatch.setattr(os, "cpu_count", lambda: 2)
-        assert_same_scan(h.scan_ground(14, 7, "2", threads=2), single)
+        monkeypatch.setattr(os, "fork", no_fork)
+        for (ground_n, k), report in want.items():
+            assert_same_scan(h.scan_ground(ground_n, k, "paper", threads=2), report)
 
 
 class TestStarBoundCheck:
