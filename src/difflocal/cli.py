@@ -34,7 +34,7 @@ from .constructions import (
 )
 from .goodness import is_c_good, largest_star, parse_c
 from .harness import scan_ground
-from .verifier import BudgetExceededError, check_local_property
+from .verifier import BudgetExceededError, check_local_property, resolve_budget
 
 EXIT_OK = 0
 EXIT_PROPERTY_FAIL = 1
@@ -168,7 +168,7 @@ def cmd_analyze(args) -> int:
         raise CliError(f"analyze supports at most 24 points, got {len(points)}")
     c = parse_c(args.c)
     config = from_points(points)
-    goodness = is_c_good(config, c)
+    goodness = is_c_good(config, c, budget=resolve_budget(None))
     star_size, star_witness = largest_star(config)
     certified = config.certified_pairs()
     distinct = distinct_difference_count(points)

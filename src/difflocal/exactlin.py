@@ -10,7 +10,8 @@ so two spans are equal iff their bases compare equal as tuples.
 All elimination is fraction-free (cross-multiplication followed by gcd
 renormalization), so no Fraction objects are created on the hot paths and no
 rounding can occur anywhere.  Two loops do it: ``_eliminate`` reduces one
-vector against canonical rows (``reduce``, ``member``, ``residue``), and
+vector against echelon rows (``reduce``, ``member``, ``residue``, and the
+residue-row searches of ``goodness``), and
 ``echelon`` runs forward elimination with an optional augmented block
 (``rank_of_columns``, ``section_dim``, and the implication solver).
 """
@@ -90,10 +91,13 @@ def reduce(vectors: Iterable[Sequence[int]], ambient_dim: int | None = None) -> 
 
 
 def _eliminate(w: list[int], rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> int:
-    """Reduce ``w`` in place against canonical rows; returns ``den > 0``.
+    """Reduce ``w`` in place against echelon rows; returns ``den > 0``.
 
-    Cross-multiplied elimination: afterwards ``w / den`` is the true residue
-    of the original ``w`` modulo the rows' span.
+    Each row must be zero at the pivots of the rows before it, as canonical
+    rows are, so that clearing one pivot never refills an earlier one.
+    Cross-multiplied elimination: afterwards ``w`` is zero at every pivot
+    and ``w / den`` is the true residue of the original ``w`` modulo the
+    rows' span.
     """
     n = len(w)
     den = 1

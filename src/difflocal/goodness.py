@@ -6,14 +6,22 @@ exactly three variables, and *c-light* (for rational 1 < c <= 2) when every
 collection of t >= 1 independent implied equations spans at least c*t + 1
 variables.  A configuration that is all three is *c-good*.
 
-Collinearity and c-lightness are one ordered section search with a need
-per size: the first variable set S, by size and then lexicographically,
-whose section t = dim{v in span : supp(v) in S} reaches the need at |S|.
-Collinearity is need 1 on 3 variables of a valid configuration; heaviness
-at c = p/q, |S| < c*t + 1, is t >= (|S| - 1)*q // p + 1, a sparsity
-condition in the sense of Lee and Streinu that grows with |S|.  The first
-heaviness witness is support-closed: the closure of a witness is a witness
-found no later.  Validity and stars are read off ``config.residues``.
+Every check is read off ``config.residues``, whose row i is the residue of
+e_i modulo the span.  The rows represent the quotient by the span, so for
+every variable set S, rank(rows of S) = |S| - t(S), where t(S) is the
+section dimension dim{v in span : supp(v) in S} (the dual of the basis
+column matroid; Oxley, *Matroid Theory*, ch. 2).  Hence:
+
+- valid iff no two rows are equal;
+- collinearity-free, given valid, iff every three rows are independent;
+- heavy at c = p/q iff some S has p*(|S| - rank) > q*(|S| - 1), that is
+  |S| < c*t + 1, a sparsity condition in the sense of Lee and Streinu.
+
+Heaviness is decided by a pruned depth-first search over the rows (see
+``is_c_good``).  ``_heaviness_sweep``, the size-then-lexicographic section
+search, runs only after a heavy verdict, to name the first witness in that
+order; it is support-closed (the closure of a witness is a witness found no
+later).
 
 A *star of size 2p* is p pairwise-disjoint index pairs whose sums are all
 forced equal by the span; single sum-equal pairs (p = 1) do not count.
@@ -30,6 +38,7 @@ from math import comb
 
 from . import exactlin
 from .configuration import KConfiguration, distinct_difference_count, from_equalities, from_points
+from .verifier import BudgetExceededError
 
 PAPER_C = Fraction(2) - Fraction(1, 2**29)
 
@@ -101,19 +110,26 @@ def parse_c(c: Fraction | int | str | float) -> Fraction:
     return value
 
 
-def _heaviness_sweep(config: KConfiguration, needs: Sequence[tuple[int, int]]) -> Optional[HeavinessWitness]:
+def _heaviness_sweep(
+    config: KConfiguration, needs: Sequence[tuple[int, int]], budget: Optional[int] = None
+) -> Optional[HeavinessWitness]:
     """The first variable set S, by the sizes of ``needs`` and then
     lexicographically, whose section has t >= the need at |S|.
 
     The (size, need) pairs have needs that never decrease, so the search
     stops at the first need above the rank; t is the rank minus the rank of
-    the basis columns outside S.
+    the basis columns outside S.  Raises BudgetExceededError on visiting
+    more than ``budget`` subsets (None: no bound).
     """
     k, r = config.k, config.rank
+    visited = 0
     for size, need in needs:
         if need > r:
             break
         for subset in itertools.combinations(range(1, k + 1), size):
+            visited += 1
+            if budget is not None and visited > budget:
+                raise BudgetExceededError(f"heaviness witness sweep exceeds its budget of {budget} subsets")
             outside = [j for j in range(k) if (j + 1) not in subset]
             t = r - exactlin.rank_of_columns(config.basis, outside)
             if t >= need:
@@ -127,45 +143,155 @@ def _heavy_needs(c: Fraction, sizes: range) -> list[tuple[int, int]]:
     return [(size, (size - 1) * q // p + 1) for size in sizes]
 
 
+def _residue_rows(config: KConfiguration) -> list[list[int]]:
+    """Rows of ``config.residues`` cut to the columns where some row is nonzero."""
+    return [list(row) for row in zip(*[col for col in zip(*config.residues) if any(col)])]
+
+
+def _collinearity_witness(config: KConfiguration) -> Optional[tuple[int, ...]]:
+    """The generator of the first 3-set section, lexicographically, with
+    t = 1: the first three dependent residue rows, of a valid configuration.
+
+    Validity makes every two rows independent (a dependent pair is a
+    zero-sum span vector on two variables, an implied x_i = x_j).  So rows
+    a < b < c are dependent iff rows b and c, reduced against row a and
+    made primitive with a positive leading entry, are equal.
+    """
+    rows = _residue_rows(config)
+    k = len(rows)
+    for a in range(k - 2):
+        row_a = rows[a]
+        pivot_a = exactlin._leading(row_a)
+        first: dict[tuple[int, ...], int] = {}
+        found = None
+        for b in range(a + 1, k):
+            w = rows[b][:]
+            exactlin._eliminate(w, (row_a,), (pivot_a,))
+            exactlin._normalize(w, exactlin._leading(w))
+            key = tuple(w)
+            if key not in first:
+                first[key] = b
+            elif found is None or first[key] < found[0]:
+                found = (first[key], b)
+        if found is not None:
+            return exactlin.section_dim(config.basis, (a + 1, found[0] + 1, found[1] + 1))[1].rows[0]
+    return None
+
+
+def _heavy_by_dfs(config: KConfiguration, c: Fraction, budget: Optional[int]) -> tuple[bool, int]:
+    """Whether some variable set is heavy at c, by the pruned search of
+    ``is_c_good``, and the number of nodes visited.  Raises
+    BudgetExceededError on visiting more than ``budget`` nodes (None: no
+    bound).
+
+    The echelon is a stack: a row is pushed already reduced against the
+    rows below it, so it is zero at their pivots, which is all
+    ``exactlin._eliminate`` needs, and popping it restores the parent's.
+    """
+    rows = _residue_rows(config)
+    k, r = len(rows), config.rank
+    p, q = c.numerator, c.denominator
+    gain = p - q
+    echelon: list[list[int]] = []
+    pivots: list[int] = []
+    nodes = 0
+
+    def heavy_from(start: int, s: int, rho: int) -> bool:
+        # S has size s and rank rho; try S + {i} for each i >= start in turn
+        nonlocal nodes
+        for i in range(start, k):
+            if gain * min(s + k - i, rho + r) - p * rho <= -q:
+                return False  # no set S + T, T in {i..k-1}, can be heavy
+            nodes += 1
+            if budget is not None and nodes > budget:
+                raise BudgetExceededError(f"heaviness search exceeds its budget of {budget} nodes")
+            w = rows[i][:]
+            exactlin._eliminate(w, echelon, pivots)
+            pivot = exactlin._leading(w)
+            if pivot is None:
+                # only a dependent row raises t, so only here can S + {i} be a hit
+                if p * (s + 1 - rho) > q * s or heavy_from(i + 1, s + 1, rho):
+                    return True
+                continue
+            echelon.append(w)
+            pivots.append(pivot)
+            found = heavy_from(i + 1, s + 1, rho + 1)
+            echelon.pop()
+            pivots.pop()
+            if found:
+                return True
+        return False
+
+    return heavy_from(0, 0, 0), nodes
+
+
 def is_collinearity_free(config: KConfiguration) -> tuple[bool, Optional[tuple[int, ...]]]:
     """False, with a support-3 span member, iff some 3-variable equation is
-    implied: the search over 3-sets with need 1 (see ``is_c_good``).
+    implied, that is iff three residue rows are dependent; the witness is the
+    first such 3-set's section generator (see ``is_c_good``).
     Raises ValueError on an invalid configuration."""
     if not is_valid(config)[0]:
         raise ValueError("is_collinearity_free needs a valid configuration")
-    witness = _heaviness_sweep(config, [(3, 1)])
-    return witness is None, None if witness is None else witness.section_basis.rows[0]
+    witness = _collinearity_witness(config)
+    return witness is None, witness
 
 
-def is_c_good(config: KConfiguration, c: Fraction | int | str | float) -> GoodnessReport:
+def is_c_good(
+    config: KConfiguration, c: Fraction | int | str | float, budget: Optional[int] = None
+) -> GoodnessReport:
     """Aggregate verdict; checks run in the order valid, collinearity-free, c-light.
 
-    After ``is_valid``, one search covers the 3-sets with need 1, then sets
-    from size 6 with the heaviness needs at c.  On a valid configuration a
-    3-set section has t <= 1 and a full-support generator, because a nonzero
+    After ``is_valid``, collinearity is the first 3-set, lexicographically,
+    whose residue rows are dependent.  On a valid configuration a 3-set
+    section has t <= 1 and a full-support generator, because a nonzero
     zero-sum vector on two variables is an implied x_i = x_j (t = 2 is the
-    whole zero-sum space on S).  So a 3-variable hit's one row is the
+    whole zero-sum space on S).  So that section's one row is the
     collinearity witness.
 
-    Sizes 4 and 5 are skipped.  Once validity and collinearity-freeness
-    hold, every section has t <= |S| - 3: a section of dimension |S| - 2 or
-    more meets the 2-dimensional space of zero-sum vectors on any three
-    variables of S (both lie in the (|S| - 1)-dimensional zero-sum space on
-    S), and a nonzero span vector on at most three variables is an implied
-    x_i = x_j or a support-3 equation.  A witness at c <= 2 needs
-    |S| < c*t + 1 <= 2t + 1, that is t >= (|S| - 1) // 2 + 1, which is 2 at
-    |S| = 4 and 3 at |S| = 5: above |S| - 3 at both, so no set of fewer than
-    6 variables holds one.
+    Sets of 4 or 5 variables are never heavy.  Once validity and
+    collinearity-freeness hold, every section has t <= |S| - 3: a section of
+    dimension |S| - 2 or more meets the 2-dimensional space of zero-sum
+    vectors on any three variables of S (both lie in the
+    (|S| - 1)-dimensional zero-sum space on S), and a nonzero span vector on
+    at most three variables is an implied x_i = x_j or a support-3 equation.
+    A witness at c <= 2 needs |S| < c*t + 1 <= 2t + 1, that is
+    t >= (|S| - 1) // 2 + 1, which is 2 at |S| = 4 and 3 at |S| = 5: above
+    |S| - 3 at both, so no set of fewer than 6 variables holds one, and a
+    configuration on fewer than 6 variables is light.
+
+    From 6 variables, heaviness at c = p/q is decided by a depth-first
+    search over the residue rows in lexicographic order.  It keeps a
+    fraction-free echelon of the rows of the current set S, one
+    ``exactlin._eliminate`` reduction per node, so each node knows s = |S|
+    and its rank rho, and t(S) = s - rho.  A node is a hit when
+    p*(s - rho) > q*(s - 1).  Write f(S') = (p - q)*|S'| - p*rank(S'), so
+    that S' is a hit iff f(S') > -q.  A branch that can still add m indices
+    reaches only sets S' with s <= |S'| <= s + m and
+    rank(S') >= max(rho, |S'| - r), r = ``config.rank``, since rank never
+    drops as rows are added and t(S') <= r.  So
+    f(S') <= (p - q)*n - p*max(rho, n - r) at n = |S'|, which rises up to
+    n = rho + r (slope p - q > 0) and falls after it (slope -q); its
+    maximum over the branch is (p - q)*top - p*rho with
+    top = min(s + m, rho + r), and the branch is pruned when that is at
+    most -q.
+
+    ``_heaviness_sweep`` runs only after a hit, from 6 variables with the
+    heaviness needs at c, to name the first witness by size and then
+    lexicographically.  ``budget`` bounds the search nodes plus the subsets
+    that sweep visits (None: no bound); BudgetExceededError past it.
     """
     c = parse_c(c)
     valid, eq_witness = is_valid(config)
     if not valid:
         return GoodnessReport(c, False, None, None, equality_witness=eq_witness)
-    witness = _heaviness_sweep(config, [(3, 1)] + _heavy_needs(c, range(6, config.k + 1)))
-    if witness is None:
+    collinear = _collinearity_witness(config)
+    if collinear is not None:
+        return GoodnessReport(c, True, False, None, collinearity_witness=collinear)
+    heavy, nodes = _heavy_by_dfs(config, c, budget) if config.k >= 6 else (False, 0)
+    if not heavy:
         return GoodnessReport(c, True, True, True)
-    if len(witness.variables) == 3:
-        return GoodnessReport(c, True, False, None, collinearity_witness=witness.section_basis.rows[0])
+    left = None if budget is None else budget - nodes
+    witness = _heaviness_sweep(config, _heavy_needs(c, range(6, config.k + 1)), left)
     return GoodnessReport(c, True, True, False, heaviness_witness=witness)
 
 

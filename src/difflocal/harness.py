@@ -220,11 +220,12 @@ def realize_star(p: int) -> tuple[int, ...]:
 
 
 def star_bound_check(p_range: Iterable[int]) -> list[dict]:
-    """Realize stars of size 2p and verify count p^2 - p and 2-goodness."""
+    """Realize stars of size 2p and verify count p^2 - p and 2-goodness,
+    for p in 2..12 (24 points, as many as ``analyze`` accepts)."""
     rows = []
     for p in p_range:
-        if not 2 <= p <= 8:
-            raise ValueError(f"p must lie in 2..8, got {p}")
+        if not 2 <= p <= 12:
+            raise ValueError(f"p must lie in 2..12, got {p}")
         points = realize_star(p)
         config = from_points(points)
         certified = config.certified_count()

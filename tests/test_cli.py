@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from difflocal import cli, constructions, reportfmt
+from difflocal.harness import realize_star
 
 
 def run(capsys, *argv):
@@ -148,6 +149,23 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", "--points", "1,2,5,6,9", "--c", "paper")
         report = reportfmt.parse(out)
         assert reportfmt.parse(reportfmt.emit(report)) == report
+
+    def test_twenty_point_star_within_gate(self, capsys):
+        points = ",".join(map(str, realize_star(10)))
+        start = time.perf_counter()
+        code, out, _ = run(capsys, "analyze", "--points", points)
+        assert time.perf_counter() - start < 20
+        assert code == 0
+        report = reportfmt.parse(out)
+        assert report["goodness"]["c_good"] is True
+        assert report["largest_star"]["size"] == 20
+
+    def test_search_over_budget_exits_3(self, capsys, monkeypatch):
+        monkeypatch.setenv("DIFFLOCAL_BUDGET", "1000")
+        code, out, err = run(capsys, "analyze", "--points", ",".join(map(str, realize_star(8))))
+        assert code == 3
+        assert out == ""
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
 
 
 class TestVerify:

@@ -8,7 +8,8 @@ from hypothesis import assume, given, settings, strategies as st
 from difflocal import configuration as cfg
 from difflocal import exactlin
 from difflocal import goodness as gd
-from difflocal.harness import PAPER_C
+from difflocal.harness import PAPER_C, odd_equality_case, realize_star
+from difflocal.verifier import BudgetExceededError
 
 from oracles import (
     brute_largest_star,
@@ -109,6 +110,12 @@ class TestCollinearity:
         ok, witness = gd.is_collinearity_free(cfg.from_points((1, 2, 5, 6, 9)))
         assert not ok
         assert witness == (1, 0, -2, 0, 1)
+
+    def test_first_triple_in_lex_order(self):
+        # x1, x3, x4 and x1, x2, x5 are progressions; (1, 2, 5) comes first
+        config = cfg.from_points((0, 10, 1, 2, 20))
+        assert gd.is_collinearity_free(config) == (False, (1, -2, 0, 0, 1))
+        assert gd.is_c_good(config, TWO).collinearity_witness == (1, -2, 0, 0, 1)
 
     def test_stars_are_collinearity_free(self):
         for k in (4, 6, 8, 10):
@@ -246,7 +253,7 @@ class TestOneSearch:
             equality_systems(min_k=6, max_k=8, distinct=True),
             relabelled_heavy_systems(),
         ),
-        st.sampled_from([TWO, Fraction(19, 10), Fraction(3, 2)]),
+        st.sampled_from([TWO, Fraction(19, 10), Fraction(3, 2), PAPER_C]),
     )
     def test_verdicts_match_literal_oracles(self, system, c):
         k, contents = system
@@ -272,6 +279,65 @@ class TestOneSearch:
     def test_collinearity_needs_a_valid_configuration(self):
         with pytest.raises(ValueError):
             gd.is_collinearity_free(example_a())
+
+
+def sweep_heavy(config, c):
+    """Heaviness by the definition: the section search over every size from 2."""
+    return gd._heaviness_sweep(config, gd._heavy_needs(c, range(2, config.k + 1))) is not None
+
+
+class TestHeavinessDFS:
+    """The pruned search over residue rows against the section sweep from
+    size 2, on any configuration, valid or not."""
+
+    @pytest.mark.parametrize("p", range(5, 11))
+    def test_realized_stars(self, p):
+        # the sweep from 2 visits about a million subsets at p = 10
+        config = cfg.from_points(realize_star(p))
+        assert gd._heavy_by_dfs(config, TWO, None)[0] is sweep_heavy(config, TWO) is False
+
+    @pytest.mark.parametrize("k", [9, 11, 13])
+    def test_odd_equality_case(self, k):
+        config = cfg.from_points(odd_equality_case(k)["points"])
+        for c in (TWO, PAPER_C):
+            assert gd._heavy_by_dfs(config, c, None)[0] is sweep_heavy(config, c) is False
+
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.one_of(
+            equality_systems(max_k=8),
+            equality_systems(min_k=6, max_k=9, distinct=True),
+            relabelled_heavy_systems(),
+        ),
+        # PAPER_C has p = 2^30 - 1: the prune in big integers
+        st.sampled_from([TWO, Fraction(19, 10), Fraction(3, 2), PAPER_C]),
+    )
+    def test_systems(self, system, c):
+        config = cfg.from_equalities(*system)
+        assert gd._heavy_by_dfs(config, c, None)[0] == sweep_heavy(config, c)
+
+    def test_decides_without_column_ranks(self, monkeypatch):
+        def no_rank(*_args):
+            raise AssertionError("rank_of_columns called")
+
+        monkeypatch.setattr(exactlin, "rank_of_columns", no_rank)
+        assert gd.is_c_good(cfg.from_points(realize_star(8)), TWO).c_good
+
+    def test_budget_counts_search_nodes(self):
+        config = cfg.from_points(realize_star(8))
+        nodes = gd._heavy_by_dfs(config, TWO, None)[1]
+        assert gd.is_c_good(config, TWO, budget=nodes).c_good
+        with pytest.raises(BudgetExceededError):
+            gd.is_c_good(config, TWO, budget=nodes - 1)
+
+    def test_budget_counts_witness_sweep_subsets(self):
+        config = example_c_cube()
+        nodes = gd._heavy_by_dfs(config, TWO, None)[1]
+        # the sweep from 6 visits C(8,6) + C(8,7) subsets, then the witness
+        budget = nodes + 28 + 8 + 1
+        assert gd.is_c_good(config, TWO, budget=budget) == gd.is_c_good(config, TWO)
+        with pytest.raises(BudgetExceededError):
+            gd.is_c_good(config, TWO, budget=budget - 1)
 
 
 class TestSweepStart:

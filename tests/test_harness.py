@@ -250,7 +250,12 @@ class TestStarBoundCheck:
 
     def test_p_out_of_range(self):
         with pytest.raises(ValueError):
-            h.star_bound_check([9])
+            h.star_bound_check([13])
+
+    def test_p_9_and_10(self):
+        rows = h.star_bound_check([9, 10])
+        assert [r["certified"] for r in rows] == [72, 90]
+        assert all(r["two_good"] and r["largest_star"] == 2 * r["p"] for r in rows)
 
 
 class TestOddEqualityCase:
