@@ -13,11 +13,13 @@ difference |x_i - x_j| to repeat a difference that occurs earlier in the scan
 order (2,1), (3,1), (3,2), (4,1), ...; for a tuple of distinct numbers the
 number of distinct differences is C(k,2) minus the number of certified pairs.
 
-Certification, validity and stars all ask whether two vectors are congruent
-modulo the span.  ``KConfiguration.residues`` answers them from one table:
-the residue of each unit vector e_i, over one common denominator.  Residue
-is linear, so v and w are congruent iff sum v_i * row_i == sum w_i * row_i;
-certified pairs, and in ``goodness`` validity and stars, are read off it.
+Certification, validity, stars and implied +-1 equalities all ask whether
+two vectors are congruent modulo the span.  ``KConfiguration.residues``
+answers them from one table: the residue of each unit vector e_i, over one
+common denominator.  Residue is linear, so v and w are congruent iff
+sum v_i * row_i == sum w_i * row_i; certified pairs are read off it, and
+``pair_sum_classes`` groups index pairs by row sum, for the stars of
+``goodness`` and the candidate products of ``implications``.
 
 All variable indices in this module's public API are 1-based (x_1..x_k).
 """
@@ -162,6 +164,18 @@ class KConfiguration:
         pairs = [exactlin.residue(self.basis, [int(j == i) for j in range(k)]) for i in range(k)]
         den = lcm(*(d for _, d in pairs))
         return tuple(tuple([x * (den // d) for x in w]) for w, d in pairs)
+
+    def pair_sum_classes(self, variables: Iterable[int] | None = None) -> list[list[tuple[int, int]]]:
+        """The index pairs (a, b), a < b, of ``variables`` (default 1..k),
+        grouped by the sum of residue rows a and b: {a,b} and {c,d} share a
+        class iff e_a + e_b - e_c - e_d lies in the span.  Classes come in
+        the order of their first pair, and pairs in ``combinations`` order."""
+        rows = self.residues
+        indices = range(1, self.k + 1) if variables is None else sorted(variables)
+        classes: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        for a, b in itertools.combinations(indices, 2):
+            classes.setdefault(tuple([x + y for x, y in zip(rows[a - 1], rows[b - 1])]), []).append((a, b))
+        return list(classes.values())
 
     def certifies(self, pair: CertifiedPair) -> bool:
         """True iff the configuration certifies the pair (i, j), i > j.

@@ -19,9 +19,9 @@ column matroid; Oxley, *Matroid Theory*, ch. 2).  Hence:
 
 Heaviness is decided by a pruned depth-first search over the rows (see
 ``is_c_good``).  ``_heaviness_sweep``, the size-then-lexicographic section
-search, runs only after a heavy verdict, to name the first witness in that
-order; it is support-closed (the closure of a witness is a witness found no
-later).
+search, runs only when the witness of a heavy verdict is read, to name the
+first witness in that order; it is support-closed (the closure of a witness
+is a witness found no later).
 
 A *star of size 2p* is p pairwise-disjoint index pairs whose sums are all
 forced equal by the span; single sum-equal pairs (p = 1) do not count.
@@ -32,6 +32,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Sequence
 
 from math import comb
@@ -63,9 +64,27 @@ class StarWitness:
         return 2 * len(self.pairs)
 
 
-@dataclass(frozen=True)
+_REPORT_FIELDS = (
+    "c",
+    "valid",
+    "collinearity_free",
+    "c_light",
+    "equality_witness",
+    "collinearity_witness",
+    "heaviness_witness",
+)
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class GoodnessReport:
-    """Verdicts for one configuration at one value of c (checks short-circuit)."""
+    """Verdicts for one configuration at one value of c (checks short-circuit).
+
+    A heavy verdict names its witness when ``heaviness_witness`` is first
+    read: ``_heaviness_sweep`` runs then, within the budget the search left
+    (``heavy`` holds the configuration and that budget).  Equality, hashing
+    and repr read the witness, so two reports are equal exactly when their
+    verdicts and witnesses are.
+    """
 
     c: Fraction
     valid: bool
@@ -73,11 +92,33 @@ class GoodnessReport:
     c_light: Optional[bool]
     equality_witness: Optional[tuple[int, int]] = None
     collinearity_witness: Optional[tuple[int, ...]] = None
-    heaviness_witness: Optional[HeavinessWitness] = None
+    heavy: Optional[tuple[KConfiguration, Optional[int]]] = None
+
+    @cached_property
+    def heaviness_witness(self) -> Optional[HeavinessWitness]:
+        if self.heavy is None:
+            return None
+        config, budget = self.heavy
+        return _heaviness_sweep(config, _heavy_needs(self.c, range(6, config.k + 1)), budget)
 
     @property
     def c_good(self) -> bool:
         return bool(self.valid) and bool(self.collinearity_free) and bool(self.c_light)
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in _REPORT_FIELDS)
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GoodnessReport):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"{name}={value!r}" for name, value in zip(_REPORT_FIELDS, self._values()))
+        return f"GoodnessReport({body})"
 
 
 def is_valid(config: KConfiguration) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -275,10 +316,12 @@ def is_c_good(
     top = min(s + m, rho + r), and the branch is pruned when that is at
     most -q.
 
-    ``_heaviness_sweep`` runs only after a hit, from 6 variables with the
-    heaviness needs at c, to name the first witness by size and then
-    lexicographically.  ``budget`` bounds the search nodes plus the subsets
-    that sweep visits (None: no bound); BudgetExceededError past it.
+    After a hit, ``_heaviness_sweep`` runs only when the report's
+    ``heaviness_witness`` is read, from 6 variables with the heaviness needs
+    at c, to name the first witness by size and then lexicographically.
+    ``budget`` bounds the search nodes plus the subsets that sweep visits
+    (None: no bound): BudgetExceededError past it, from the search here or
+    from the sweep when the witness is read.
     """
     c = parse_c(c)
     valid, eq_witness = is_valid(config)
@@ -290,9 +333,7 @@ def is_c_good(
     heavy, nodes = _heavy_by_dfs(config, c, budget) if config.k >= 6 else (False, 0)
     if not heavy:
         return GoodnessReport(c, True, True, True)
-    left = None if budget is None else budget - nodes
-    witness = _heaviness_sweep(config, _heavy_needs(c, range(6, config.k + 1)), left)
-    return GoodnessReport(c, True, True, False, heaviness_witness=witness)
+    return GoodnessReport(c, True, True, False, heavy=(config, None if budget is None else budget - nodes))
 
 
 def points_c_good(points: Sequence, c: Fraction | int | str | float) -> bool:
@@ -310,21 +351,18 @@ def points_c_good(points: Sequence, c: Fraction | int | str | float) -> bool:
 def largest_star(config: KConfiguration) -> tuple[int, Optional[StarWitness]]:
     """Size 2p of the largest implied star, with disjoint witness pairs.
 
-    Index pairs are grouped into sum-equality classes ({a,b} ~ {c,d} iff
-    e_a + e_b - e_c - e_d lies in the span: iff rows a + b and c + d of
-    ``config.residues`` are equal).  In a valid configuration every class is
-    pairwise disjoint, since {a,b} ~ {a,c} would put e_b - e_c in the span,
-    so the largest class (the first in index order on ties) is the star.  A
-    single sum-equal pair is no star: anything below two pairs reports size
-    0.  Raises ValueError on an invalid configuration.
+    Index pairs are grouped into sum-equality classes by
+    ``config.pair_sum_classes`` ({a,b} ~ {c,d} iff e_a + e_b - e_c - e_d
+    lies in the span: iff rows a + b and c + d of ``config.residues`` are
+    equal).  In a valid configuration every class is pairwise disjoint,
+    since {a,b} ~ {a,c} would put e_b - e_c in the span, so the largest
+    class (the first in index order on ties) is the star.  A single
+    sum-equal pair is no star: anything below two pairs reports size 0.
+    Raises ValueError on an invalid configuration.
     """
     if not is_valid(config)[0]:
         raise ValueError("largest_star needs a valid configuration")
-    rows = config.residues
-    classes: dict[tuple, list[tuple[int, int]]] = {}
-    for a, b in itertools.combinations(range(config.k), 2):
-        classes.setdefault(tuple([x + y for x, y in zip(rows[a], rows[b])]), []).append((a + 1, b + 1))
-    best_pairs = max(classes.values(), key=len, default=[])
+    best_pairs = max(config.pair_sum_classes(), key=len, default=[])
     if len(best_pairs) < 2:
         return 0, None
     return 2 * len(best_pairs), StarWitness(tuple(best_pairs))

@@ -504,18 +504,29 @@ def _check_intersection(rng: random.Random, outcomes: list) -> None:
 
 
 def _harvest_hub_equalities(config: KConfiguration, hub: int) -> list[DifferenceEquality]:
-    """A maximal independent family of implied 4-variable equalities through x_hub."""
+    """A maximal independent family of implied 4-variable equalities through x_hub.
+
+    x_hub + x_u - x_v - x_w is implied iff {hub, u} and {v, w} share a
+    ``pair_sum_classes`` class.  The implied ones are taken greedily in the
+    order of the sorted trio (u, v, w), then of u's place in it.
+    """
     k = config.k
+    implied = []
+    for pairs in config.pair_sum_classes():
+        for u in [a + b - hub for a, b in pairs if hub in (a, b)]:
+            for v, w in pairs:
+                if not {v, w} & {hub, u}:
+                    trio = sorted((u, v, w))
+                    implied.append((trio, trio.index(u)))
+    implied.sort()
     found: list[DifferenceEquality] = []
     contents: list[tuple[int, ...]] = []
-    for trio in itertools.combinations([v for v in range(1, k + 1) if v != hub], 3):
-        for plus in range(3):
-            vec = _hub_content(k, hub, trio, plus)
-            if config.implies(vec):
-                trial = contents + [vec]
-                if exactlin.reduce(trial, k).rank == len(trial):
-                    contents.append(vec)
-                    found.append(_eq(k, vec))
+    for trio, plus in implied:
+        vec = _hub_content(k, hub, trio, plus)
+        trial = contents + [vec]
+        if exactlin.reduce(trial, k).rank == len(trial):
+            contents.append(vec)
+            found.append(_eq(k, vec))
     return found
 
 

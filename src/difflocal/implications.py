@@ -10,6 +10,11 @@ module enumerates minimal implications, checks those structural clauses, and
 classifies how two equalities through a common variable align (equal sums vs
 equal differences).
 
+A produced equality has four +-1 entries, +1 on {a,b} and -1 on {c,d}.
+Residue modulo the premises' span is linear, so it lies in the span iff the
+residue rows satisfy r_a + r_b = r_c + r_d: the candidates are read off the
+pair-sum classes of the premises' configuration, with no membership test.
+
 Produced equalities are stored in one orientation; a content and its negation
 are treated as the same equality throughout.
 """
@@ -25,6 +30,7 @@ from typing import Iterator, Optional, Sequence
 from . import exactlin
 from .configuration import (
     DifferenceEquality,
+    KConfiguration,
     canonical_sign,
     from_equalities,
     render_content,
@@ -57,30 +63,29 @@ class Alignment(Enum):
     NEITHER = "neither"
 
 
-def _candidate_products(basis: exactlin.ExactBasis, variables: Sequence[int]) -> list[tuple[int, ...]]:
-    """Span members with exactly four +-1 entries, canonically oriented.
+def _candidate_products(config: KConfiguration, variables: Sequence[int]) -> list[tuple[int, ...]]:
+    """Span members with exactly four +-1 entries on ``variables``,
+    canonically oriented, in support-lexicographic and then sign-pattern
+    order.
 
-    For each 4-subset of the candidate variables, the three zero-sum unit
-    vectors on that support (up to sign) are tested for membership in the
-    span.  They are distinct, and supports differ across subsets, so no
-    candidate repeats.
+    Residue is linear, so e_a + e_b - e_c - e_d lies in the span iff rows
+    a + b and c + d of ``config.residues`` are equal: the candidates are the
+    pairs of disjoint pairs in one ``pair_sum_classes`` class.  Pairs come
+    in ``combinations`` order, so the first of two disjoint pairs holds the
+    least index and takes the +1.  Two pairs that meet are no candidate (in
+    an invalid configuration {a,b} ~ {a,c} is the implied x_b = x_c).
     """
-    k = basis.ambient_dim
-    out = []
-    for quad in itertools.combinations(sorted(variables), 4):
-        a, b, c, d = (q - 1 for q in quad)
-        patterns = (
-            ((a, 1), (b, 1), (c, -1), (d, -1)),
-            ((a, 1), (b, -1), (c, 1), (d, -1)),
-            ((a, 1), (b, -1), (c, -1), (d, 1)),
-        )
-        for pat in patterns:
-            vec = [0] * k
-            for idx, val in pat:
-                vec[idx] = val
-            if exactlin.member(basis, vec):
-                out.append(tuple(vec))
-    return out
+    k = config.k
+    found = []
+    for pairs in config.pair_sum_classes(variables):
+        for (a, b), (c, d) in itertools.combinations(pairs, 2):
+            if not {a, b} & {c, d}:
+                vec = [0] * k
+                vec[a - 1] = vec[b - 1] = 1
+                vec[c - 1] = vec[d - 1] = -1
+                found.append((sorted((a, b, c, d)), b, tuple(vec)))
+    found.sort()
+    return [vec for _, _, vec in found]
 
 
 def _solve_coefficients(
@@ -106,15 +111,16 @@ def _solve_coefficients(
 
 
 def _implied_products(
-    basis: exactlin.ExactBasis, premises: Sequence[DifferenceEquality], exclude: set
+    config: KConfiguration, premises: Sequence[DifferenceEquality], exclude: set
 ) -> Iterator[tuple[tuple[int, ...], tuple[Fraction, ...]]]:
     """``(product, coefficients)`` for each product the premises minimally imply.
 
-    ``basis`` spans the premises.  Candidates come in ``_candidate_products``
-    order; those whose canonical content is in ``exclude`` are skipped.
+    ``config`` is spanned by the premises.  Candidates come in
+    ``_candidate_products`` order; those whose canonical content is in
+    ``exclude`` are skipped.
     """
     variables = sorted({v for p in premises for v in p.support})
-    for cand in _candidate_products(basis, variables):
+    for cand in _candidate_products(config, variables):
         if canonical_sign(cand) in exclude:
             continue
         coeffs = _solve_coefficients(premises, cand)
@@ -145,11 +151,11 @@ def minimal_implications(
     for size in range(1, max_t + 1):
         for idx_subset in itertools.combinations(range(len(eqs)), size):
             subset = [eqs[i] for i in idx_subset]
-            basis = exactlin.reduce([e.content for e in subset], k)
-            if basis.rank != size:
+            config = from_equalities(k, subset)
+            if config.rank != size:
                 continue  # dependent premises cannot minimally imply
             premise_keys = {e.canonical_content for e in subset}
-            found = next(_implied_products(basis, subset, premise_keys), None)
+            found = next(_implied_products(config, subset, premise_keys), None)
             if found is not None:
                 results.append((idx_subset, MinimalImplication(tuple(subset), *found)))
     results.sort(key=lambda pair: pair[0])
@@ -204,7 +210,7 @@ def check_structure(impl: MinimalImplication) -> StructureReport:
     signs_ok = all(abs(c) == 1 for c in impl.coefficients)
 
     exclude = {canonical_sign(impl.product)} | {p.canonical_content for p in impl.premises}
-    implied = _implied_products(config.basis, impl.premises, exclude)
+    implied = _implied_products(config, impl.premises, exclude)
     second = next((cand for cand, _ in implied), None)
     return StructureReport(
         precondition_2good=goodness.c_good,

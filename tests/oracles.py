@@ -208,6 +208,24 @@ def literal_largest_star(contents, k) -> int:
     return _largest_disjoint(classes)
 
 
+def literal_candidate_products(contents, k, variables):
+    """Span members with four +-1 entries on ``variables``, first nonzero
+    entry +1: every 4-subset a < b < c < d in lexicographic order, then its
+    three sign patterns with +1 on {a,b}, {a,c}, {a,d}, each tested by
+    solving a linear system."""
+    out = []
+    for a, b, c, d in itertools.combinations(sorted(variables), 4):
+        for plus, minus in (((a, b), (c, d)), ((a, c), (b, d)), ((a, d), (b, c))):
+            vec = [0] * k
+            for v in plus:
+                vec[v - 1] = 1
+            for v in minus:
+                vec[v - 1] = -1
+            if frac_solvable(contents, vec):
+                out.append(tuple(vec))
+    return out
+
+
 def section_dim(contents, k, support):
     """dim {v in span(contents) : supp(v) subseteq support}, via rank difference."""
     if not contents:

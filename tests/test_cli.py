@@ -160,6 +160,20 @@ class TestAnalyze:
         assert report["goodness"]["c_good"] is True
         assert report["largest_star"]["size"] == 20
 
+    def test_witness_sweep_over_budget_exits_3(self, capsys, monkeypatch):
+        # the cube is heavy at 2 on all 8 variables: the search takes 8
+        # nodes, and the witness sweep, run when the report reads the
+        # witness, gets the 12 left of 20
+        cube = "0,1,10,11,100,101,110,111"
+        code, out, _ = run(capsys, "analyze", "--points", cube, "--c", "2")
+        assert code == 0
+        assert reportfmt.parse(out)["goodness"]["heaviness_witness"]["variable_count"] == 8
+        monkeypatch.setenv("DIFFLOCAL_BUDGET", "20")
+        code, out, err = run(capsys, "analyze", "--points", cube, "--c", "2")
+        assert code == 3
+        assert out == ""
+        assert err == "error: heaviness witness sweep exceeds its budget of 12 subsets\n"
+
     def test_search_over_budget_exits_3(self, capsys, monkeypatch):
         monkeypatch.setenv("DIFFLOCAL_BUDGET", "1000")
         code, out, err = run(capsys, "analyze", "--points", ",".join(map(str, realize_star(8))))

@@ -8,7 +8,7 @@ from hypothesis import assume, given, settings, strategies as st
 from difflocal import configuration as cfg
 from difflocal import exactlin
 from difflocal import goodness as gd
-from difflocal.harness import PAPER_C, odd_equality_case, realize_star
+from difflocal.harness import PAPER_C, lemma_property_suite, odd_equality_case, realize_star, scan_ground
 from difflocal.verifier import BudgetExceededError
 
 from oracles import (
@@ -335,9 +335,70 @@ class TestHeavinessDFS:
         nodes = gd._heavy_by_dfs(config, TWO, None)[1]
         # the sweep from 6 visits C(8,6) + C(8,7) subsets, then the witness
         budget = nodes + 28 + 8 + 1
+        unbounded = gd.is_c_good(config, TWO).heaviness_witness
+        assert unbounded is not None
+        assert gd.is_c_good(config, TWO, budget=budget).heaviness_witness == unbounded
         assert gd.is_c_good(config, TWO, budget=budget) == gd.is_c_good(config, TWO)
+        # the search itself fits; the sweep runs out when the witness is read
+        report = gd.is_c_good(config, TWO, budget=budget - 1)
+        assert report.c_light is False
         with pytest.raises(BudgetExceededError):
-            gd.is_c_good(config, TWO, budget=budget - 1)
+            report.heaviness_witness
+
+
+class TestWitnessOnDemand:
+    """A heavy report names its witness only when it is read."""
+
+    @staticmethod
+    def forbid_sweep(monkeypatch):
+        def no_sweep(*_args):
+            raise AssertionError("_heaviness_sweep called")
+
+        monkeypatch.setattr(gd, "_heaviness_sweep", no_sweep)
+
+    def test_heavy_verdict_without_sweep(self, monkeypatch):
+        self.forbid_sweep(monkeypatch)
+        report = gd.is_c_good(example_c_cube(), TWO)
+        assert report.c_light is False
+        with pytest.raises(AssertionError, match="_heaviness_sweep"):
+            report.heaviness_witness
+
+    @pytest.mark.parametrize(
+        "call",
+        [
+            # the cube 0, 1, 10, 11, 100, ... is heavy at 2
+            lambda: gd.points_c_good((0, 1, 10, 11, 100, 101, 110, 111), TWO) is False,
+            # (14, 8) holds a pattern heavy at 2 and at the paper's c
+            lambda: scan_ground(14, 8, "paper").c2_divergences == 0,
+            lambda: lemma_property_suite(seed=0, instance_count=16)["failures"] == 0,
+        ],
+        ids=["points_c_good", "scan_ground", "lemma_suite"],
+    )
+    def test_verdict_callers_never_sweep(self, monkeypatch, call):
+        self.forbid_sweep(monkeypatch)
+        assert call()
+
+    def test_witness_read_once(self, monkeypatch):
+        calls = []
+        sweep = gd._heaviness_sweep
+        monkeypatch.setattr(gd, "_heaviness_sweep", lambda *args: calls.append(args) or sweep(*args))
+        report = gd.is_c_good(cfg.from_equalities(*SIX_OF_NINE), TWO)
+        assert report.heaviness_witness is report.heaviness_witness
+        assert len(report.heaviness_witness.variables) == 6
+        assert len(calls) == 1
+
+    def test_reports_compare_by_witness(self):
+        cube = gd.is_c_good(example_c_cube(), TWO)
+        six = gd.is_c_good(cfg.from_equalities(*SIX_OF_NINE), TWO)
+        # the same verdicts, different witnesses
+        assert (cube.valid, cube.collinearity_free, cube.c_light) == (six.valid, six.collinearity_free, six.c_light)
+        assert cube != six
+        again = gd.is_c_good(example_c_cube(), TWO)
+        assert cube == again and hash(cube) == hash(again)
+        assert repr(cube) == (
+            "GoodnessReport(c=Fraction(2, 1), valid=True, collinearity_free=True, c_light=False, "
+            f"equality_witness=None, collinearity_witness=None, heaviness_witness={cube.heaviness_witness!r})"
+        )
 
 
 class TestSweepStart:

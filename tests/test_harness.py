@@ -7,6 +7,7 @@ from math import comb
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from difflocal import exactlin
 from difflocal import harness as h
 from difflocal.configuration import difference_pattern, distinct_difference_count, from_points
 from difflocal.goodness import is_c_good, largest_star
@@ -16,6 +17,9 @@ from oracles import (
     brute_certified_count,
     brute_distinct_differences,
     brute_largest_star,
+    frac_rank,
+    frac_solvable,
+    satisfied_contents,
 )
 
 
@@ -285,6 +289,33 @@ class TestLemmaSuite:
         # every category produced checks
         names = set(report["checks_by_name"])
         assert {"hub-implication-size<=4", "pair-six-variables", "2-full-intersection", "cross-check"} <= names
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            (0, 1, 10, 11, 100, 101, 110, 111),
+            h.realize_star(4),
+            (1, 2, 4, 8, 9, 11, 15),
+            (3, 7, 12, 18, 19, 25, 31, 40, 44),
+        ],
+    )
+    def test_hub_harvest_matches_literal_greedy(self, monkeypatch, points):
+        # the implied x_k + x_u - x_v - x_w, by the sorted trio and then u's
+        # place in it, each kept when independent of those kept before
+        k = len(points)
+        contents = satisfied_contents(points)
+        want: list = []
+        for trio in itertools.combinations(range(1, k), 3):
+            for plus in range(3):
+                vec = [0] * k
+                vec[k - 1] = 1
+                for pos, var in enumerate(trio):
+                    vec[var - 1] = 1 if pos == plus else -1
+                if frac_solvable(contents, vec) and frac_rank(want + [vec]) == len(want) + 1:
+                    want.append(vec)
+        monkeypatch.setattr(exactlin, "member", None)  # read off the pair-sum classes
+        got = h._harvest_hub_equalities(from_points(points), k)
+        assert [list(eq.content) for eq in got] == want
 
     def test_deterministic_given_seed(self):
         a = h.lemma_property_suite(seed=9, instance_count=20)

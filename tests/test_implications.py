@@ -1,16 +1,92 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from difflocal import configuration as cfg
+from difflocal import exactlin
 from difflocal import implications as imp
 from difflocal.harness import sec5_figure_premises, subbox_figure_premises, three_implication_figure
 
-from oracles import frac_solvable
+from oracles import frac_solvable, literal_candidate_products
 
 
 def eq(k, content):
     return cfg.DifferenceEquality.from_content(k, content)
+
+
+@st.composite
+def premise_systems(draw):
+    """(k, contents) of up to five equalities x_a - x_b = x_c - x_d on k
+    variables, repeated indices allowed, so invalid and collinear spans
+    occur; or a star x_1 + x_2 = x_3 + x_4 = ... with up to two extra
+    equalities, whose first pair-sum class holds three or more disjoint
+    pairs."""
+    k = draw(st.integers(min_value=4, max_value=9))
+    index = st.integers(min_value=0, max_value=k - 1)
+    contents = []
+    if k >= 6 and draw(st.booleans()):
+        for p in range(1, draw(st.integers(min_value=3, max_value=k // 2))):
+            vec = [0] * k
+            vec[0] = vec[1] = 1
+            vec[2 * p] = vec[2 * p + 1] = -1
+            contents.append(tuple(vec))
+        extra = 2
+    else:
+        extra = 5
+    for a, b, c, d in draw(st.lists(st.lists(index, min_size=4, max_size=4), max_size=extra)):
+        vec = [0] * k
+        vec[a] += 1
+        vec[b] -= 1
+        vec[c] -= 1
+        vec[d] += 1
+        if any(vec):
+            contents.append(tuple(vec))
+    return k, contents
+
+
+class TestCandidateProducts:
+    """``_candidate_products`` against solving a linear system for every one
+    of the 3*C(|V|,4) sign patterns."""
+
+    @settings(max_examples=200, deadline=None)
+    @given(premise_systems(), st.data())
+    def test_matches_literal_enumeration(self, system, data):
+        k, contents = system
+        variables = data.draw(st.sets(st.integers(min_value=1, max_value=k)))
+        config = cfg.from_equalities(k, contents)
+        assert imp._candidate_products(config, variables) == literal_candidate_products(contents, k, variables)
+
+    def test_invalid_premises_overlapping_pairs(self):
+        # x1 = x2 and x3 = x4: {1,3} ~ {2,3} ~ {1,4} ~ {2,4} in one class
+        contents = [(1, -1, 0, 0), (0, 0, 1, -1)]
+        config = cfg.from_equalities(4, contents)
+        assert [(1, 3), (1, 4), (2, 3), (2, 4)] in config.pair_sum_classes()
+        got = imp._candidate_products(config, [1, 2, 3, 4])
+        assert got == literal_candidate_products(contents, 4, [1, 2, 3, 4])
+        assert got == [(1, -1, 1, -1), (1, -1, -1, 1)]
+
+    def test_star_class_of_four_pairs(self):
+        contents = [
+            (1, 1, -1, -1, 0, 0, 0, 0),
+            (1, 1, 0, 0, -1, -1, 0, 0),
+            (1, 1, 0, 0, 0, 0, -1, -1),
+        ]
+        config = cfg.from_equalities(8, contents)
+        assert [(1, 2), (3, 4), (5, 6), (7, 8)] in config.pair_sum_classes()
+        got = imp._candidate_products(config, range(1, 9))
+        assert len(got) == 6  # C(4, 2) pairs of the star's pairs
+        assert got == literal_candidate_products(contents, 8, range(1, 9))
+
+    def test_implications_run_without_membership_tests(self, monkeypatch):
+        def no_member(*_args):
+            raise AssertionError("exactlin.member called")
+
+        monkeypatch.setattr(exactlin, "member", no_member)
+        impls = imp.minimal_implications(sec5_figure_premises(), 4)
+        four = [m for m in impls if m.size == 4]
+        assert len(four) == 1
+        assert imp.check_structure(four[0]).all_clauses_pass
 
 
 class TestMinimalImplications:
