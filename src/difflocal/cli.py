@@ -105,18 +105,15 @@ def write_manifest(
 
 
 def _parse_points(args) -> list[int]:
-    if args.points is not None:
-        raw = args.points.split(",")
-        source = "--points"
-    else:
+    if args.points is None:
         return read_set_file(args.points_file, strict=args.strict)
     points = []
-    for item in raw:
+    for item in args.points.split(","):
         item = item.strip()
         try:
             points.append(int(item))
         except ValueError:
-            raise CliError(f"{source}: not an integer: {item!r}")
+            raise CliError(f"--points: not an integer: {item!r}")
     return points
 
 
@@ -315,8 +312,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "analyze" and args.points is None and args.points_file is None:
-            raise CliError("analyze needs a points file or --points")
+        if args.command == "analyze" and (args.points is None) == (args.points_file is None):
+            raise CliError("analyze needs exactly one of a points file and --points")
         return args.func(args)
     except tuple(kind for kind, _ in EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

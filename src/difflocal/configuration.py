@@ -16,7 +16,9 @@ number of distinct differences is C(k,2) minus the number of certified pairs.
 Certification, validity, stars and implied +-1 equalities all ask whether
 two vectors are congruent modulo the span.  ``KConfiguration.residues``
 answers them from one table: the residue of each unit vector e_i, over one
-common denominator.  Residue is linear, so v and w are congruent iff
+common denominator, read off the canonical basis with no elimination and
+kept on the free (non-pivot) columns, where alone it can be nonzero.
+Residue is linear, so v and w are congruent iff
 sum v_i * row_i == sum w_i * row_i; certified pairs are read off it, and
 ``pair_sum_classes`` groups index pairs by row sum, for the stars of
 ``goodness`` and the candidate products of ``implications``.
@@ -158,12 +160,19 @@ class KConfiguration:
 
     @cached_property
     def residues(self) -> tuple[tuple[int, ...], ...]:
-        """Row i - 1 is the residue of e_i modulo the span; all rows share
-        one denominator (see the module docstring)."""
-        k = self.k
-        pairs = [exactlin.residue(self.basis, [int(j == i) for j in range(k)]) for i in range(k)]
-        den = lcm(*(d for _, d in pairs))
-        return tuple(tuple([x * (den // d) for x in w]) for w, d in pairs)
+        """Row i - 1 is the residue of e_i modulo the span, on the free
+        (non-pivot) columns, over one denominator den = lcm of the pivot
+        entries: den*e_j at a free column j, and -(den / r_p)*r at the
+        pivot p of a basis row r.  Every residue is zero at a pivot."""
+        basis = self.basis
+        pivots = basis.pivots
+        free = sorted(set(range(self.k)).difference(pivots))
+        den = lcm(*(r[p] for r, p in zip(basis.rows, pivots)))
+        rows = [tuple([den * (j == i) for j in free]) for i in range(self.k)]
+        for r, p in zip(basis.rows, pivots):
+            scale = -(den // r[p])
+            rows[p] = tuple([scale * r[j] for j in free])
+        return tuple(rows)
 
     def pair_sum_classes(self, variables: Iterable[int] | None = None) -> list[list[tuple[int, int]]]:
         """The index pairs (a, b), a < b, of ``variables`` (default 1..k),

@@ -9,11 +9,13 @@ so two spans are equal iff their bases compare equal as tuples.
 
 All elimination is fraction-free (cross-multiplication followed by gcd
 renormalization), so no Fraction objects are created on the hot paths and no
-rounding can occur anywhere.  Two loops do it: ``_eliminate`` reduces one
-vector against echelon rows (``reduce``, ``member``, ``residue``, and the
-residue-row searches of ``goodness``), and
-``echelon`` runs forward elimination with an optional augmented block
-(``rank_of_columns``, ``section_dim``, and the implication solver).
+rounding can occur anywhere.  One loop does it: ``_eliminate`` reduces one
+vector against echelon rows.  ``reduce`` adds back-substitution to it,
+``echelon`` (``section_dim`` and the implication solver) forward elimination
+with an optional augmented block, and ``member`` and the residue-row
+searches of ``goodness`` use it as it is.  ``residue`` and
+``rank_of_columns`` have no caller in the package; they are kept for the
+benchmark, which traces them.
 """
 
 from __future__ import annotations
@@ -143,37 +145,26 @@ def echelon(mat: list[list[int]], width: int) -> int:
 
     Pivots are searched on the first ``width`` columns only; any further
     columns are an augmented block carried through the same row operations.
-    Afterwards the first ``rank`` rows hold the pivots and every later row is
-    zero on the first ``width`` columns, so its augmented block records a
-    linear relation among the original rows.
+    Each row is reduced by ``_eliminate`` against the pivot rows kept so far,
+    in pivot order.  Afterwards the first ``rank`` rows hold the pivots, in
+    pivot order, and every later row is zero on the first ``width`` columns,
+    so its augmented block records a linear relation among the original rows.
     """
-    n = len(mat)
-    rank = 0
-    for col in range(width):
-        if rank == n:
-            break
-        for i in range(rank, n):
-            if mat[i][col]:
-                break
-        else:
+    rows: list[list[int]] = []
+    pivots: list[int] = []
+    dependent = []
+    for w in mat:
+        _eliminate(w, rows, pivots)
+        j = _leading(w[:width])
+        if j is None:
+            dependent.append(w)
             continue
-        pivot = mat[i]
-        mat[rank], mat[i] = pivot, mat[rank]
-        pv = pivot[col]
-        end = len(pivot)
-        for i in range(rank + 1, n):
-            row = mat[i]
-            f = row[col]
-            if f:
-                # entries before col are zero in every row below the pivot
-                for j in range(col, end):
-                    row[j] = row[j] * pv - pivot[j] * f
-                g = gcd(*row)
-                if g > 1:
-                    for j in range(col, end):
-                        row[j] //= g
-        rank += 1
-    return rank
+        _normalize(w, j)
+        pos = bisect_left(pivots, j)
+        rows.insert(pos, w)
+        pivots.insert(pos, j)
+    mat[:] = rows + dependent
+    return len(rows)
 
 
 def rank_of_columns(basis: ExactBasis, columns: Sequence[int]) -> int:

@@ -18,10 +18,10 @@ column matroid; Oxley, *Matroid Theory*, ch. 2).  Hence:
   |S| < c*t + 1, a sparsity condition in the sense of Lee and Streinu.
 
 Heaviness is decided by a pruned depth-first search over the rows (see
-``is_c_good``).  ``_heaviness_sweep``, the size-then-lexicographic section
-search, runs only when the witness of a heavy verdict is read, to name the
-first witness in that order; it is support-closed (the closure of a witness
-is a witness found no later).
+``is_c_good``).  The witness of a heavy verdict is named only when it is
+read, by the same search at sizes 6, 7, ... in turn, where only sets of
+exactly that size are hits: the first witness by size and then
+lexicographically.
 
 A *star of size 2p* is p pairwise-disjoint index pairs whose sums are all
 forced equal by the span; single sum-equal pairs (p = 1) do not count.
@@ -80,10 +80,10 @@ class GoodnessReport:
     """Verdicts for one configuration at one value of c (checks short-circuit).
 
     A heavy verdict names its witness when ``heaviness_witness`` is first
-    read: ``_heaviness_sweep`` runs then, within the budget the search left
-    (``heavy`` holds the configuration and that budget).  Equality, hashing
-    and repr read the witness, so two reports are equal exactly when their
-    verdicts and witnesses are.
+    read: ``_heaviness_sweep`` runs the search by size then, within the
+    budget the verdict search left (``heavy`` holds the configuration and
+    that budget).  Equality, hashing and repr read the witness, so two
+    reports are equal exactly when their verdicts and witnesses are.
     """
 
     c: Fraction
@@ -99,7 +99,7 @@ class GoodnessReport:
         if self.heavy is None:
             return None
         config, budget = self.heavy
-        return _heaviness_sweep(config, _heavy_needs(self.c, range(6, config.k + 1)), budget)
+        return _heaviness_sweep(config, self.c, budget)
 
     @property
     def c_good(self) -> bool:
@@ -151,44 +151,6 @@ def parse_c(c: Fraction | int | str | float) -> Fraction:
     return value
 
 
-def _heaviness_sweep(
-    config: KConfiguration, needs: Sequence[tuple[int, int]], budget: Optional[int] = None
-) -> Optional[HeavinessWitness]:
-    """The first variable set S, by the sizes of ``needs`` and then
-    lexicographically, whose section has t >= the need at |S|.
-
-    The (size, need) pairs have needs that never decrease, so the search
-    stops at the first need above the rank; t is the rank minus the rank of
-    the basis columns outside S.  Raises BudgetExceededError on visiting
-    more than ``budget`` subsets (None: no bound).
-    """
-    k, r = config.k, config.rank
-    visited = 0
-    for size, need in needs:
-        if need > r:
-            break
-        for subset in itertools.combinations(range(1, k + 1), size):
-            visited += 1
-            if budget is not None and visited > budget:
-                raise BudgetExceededError(f"heaviness witness sweep exceeds its budget of {budget} subsets")
-            outside = [j for j in range(k) if (j + 1) not in subset]
-            t = r - exactlin.rank_of_columns(config.basis, outside)
-            if t >= need:
-                return HeavinessWitness(subset, t, exactlin.section_dim(config.basis, subset)[1])
-    return None
-
-
-def _heavy_needs(c: Fraction, sizes: range) -> list[tuple[int, int]]:
-    """(|S|, need) pairs of the heaviness test at c = p/q: t >= (|S| - 1)*q // p + 1."""
-    p, q = c.numerator, c.denominator
-    return [(size, (size - 1) * q // p + 1) for size in sizes]
-
-
-def _residue_rows(config: KConfiguration) -> list[list[int]]:
-    """Rows of ``config.residues`` cut to the columns where some row is nonzero."""
-    return [list(row) for row in zip(*[col for col in zip(*config.residues) if any(col)])]
-
-
 def _collinearity_witness(config: KConfiguration) -> Optional[tuple[int, ...]]:
     """The generator of the first 3-set section, lexicographically, with
     t = 1: the first three dependent residue rows, of a valid configuration.
@@ -198,7 +160,7 @@ def _collinearity_witness(config: KConfiguration) -> Optional[tuple[int, ...]]:
     a < b < c are dependent iff rows b and c, reduced against row a and
     made primitive with a positive leading entry, are equal.
     """
-    rows = _residue_rows(config)
+    rows = config.residues
     k = len(rows)
     for a in range(k - 2):
         row_a = rows[a]
@@ -206,7 +168,7 @@ def _collinearity_witness(config: KConfiguration) -> Optional[tuple[int, ...]]:
         first: dict[tuple[int, ...], int] = {}
         found = None
         for b in range(a + 1, k):
-            w = rows[b][:]
+            w = list(rows[b])
             exactlin._eliminate(w, (row_a,), (pivot_a,))
             exactlin._normalize(w, exactlin._leading(w))
             key = tuple(w)
@@ -219,51 +181,80 @@ def _collinearity_witness(config: KConfiguration) -> Optional[tuple[int, ...]]:
     return None
 
 
-def _heavy_by_dfs(config: KConfiguration, c: Fraction, budget: Optional[int]) -> tuple[bool, int]:
-    """Whether some variable set is heavy at c, by the pruned search of
-    ``is_c_good``, and the number of nodes visited.  Raises
-    BudgetExceededError on visiting more than ``budget`` nodes (None: no
-    bound).
+def _heavy_by_dfs(
+    config: KConfiguration, c: Fraction, budget: Optional[int], size: Optional[int] = None
+) -> tuple[Optional[tuple[int, ...]], int]:
+    """The first heavy variable set at c (1-based), or None, by the pruned
+    search of ``is_c_good``, and the number of nodes visited.  With ``size``
+    only sets of exactly that size are hits, and branches that cannot reach
+    it are cut.  Raises BudgetExceededError on visiting more than ``budget``
+    nodes (None: no bound).
 
     The echelon is a stack: a row is pushed already reduced against the
     rows below it, so it is zero at their pivots, which is all
     ``exactlin._eliminate`` needs, and popping it restores the parent's.
     """
-    rows = _residue_rows(config)
-    k, r = len(rows), config.rank
+    rows = config.residues
+    k, r = config.k, config.rank
     p, q = c.numerator, c.denominator
     gain = p - q
+    most = k if size is None else size
     echelon: list[list[int]] = []
     pivots: list[int] = []
     nodes = 0
 
-    def heavy_from(start: int, s: int, rho: int) -> bool:
-        # S has size s and rank rho; try S + {i} for each i >= start in turn
+    def heavy_from(start: int, s: int, rho: int) -> Optional[tuple[int, ...]]:
+        # S has size s and rank rho; try S + {i} for each i >= start in turn,
+        # while S + {i..k-1} can still reach the size
         nonlocal nodes
-        for i in range(start, k):
-            if gain * min(s + k - i, rho + r) - p * rho <= -q:
-                return False  # no set S + T, T in {i..k-1}, can be heavy
+        top = rho + r if rho + r < most else most  # min() would cost a call per node
+        for i in range(start, k if size is None else k + s + 1 - size):
+            if gain * min(s + k - i, top) - p * rho <= -q:
+                return None  # no set S + T, T in {i..k-1}, can be heavy
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceededError(f"heaviness search exceeds its budget of {budget} nodes")
-            w = rows[i][:]
+            w = list(rows[i])
             exactlin._eliminate(w, echelon, pivots)
             pivot = exactlin._leading(w)
             if pivot is None:
-                # only a dependent row raises t, so only here can S + {i} be a hit
-                if p * (s + 1 - rho) > q * s or heavy_from(i + 1, s + 1, rho):
-                    return True
+                # t rises: S + {i} may be a hit
+                if p * (s + 1 - rho) > q * s and size in (None, s + 1):
+                    return (i + 1,)
+                found = s + 1 < most and heavy_from(i + 1, s + 1, rho)
+            elif s + 1 == size:
+                # t stays, so S + {i} is a hit only if S is heavy too; the
+                # search without a size would have stopped at S
+                if p * (s - rho) > q * s:
+                    return (i + 1,)
                 continue
-            echelon.append(w)
-            pivots.append(pivot)
-            found = heavy_from(i + 1, s + 1, rho + 1)
-            echelon.pop()
-            pivots.pop()
+            else:
+                echelon.append(w)
+                pivots.append(pivot)
+                found = heavy_from(i + 1, s + 1, rho + 1)
+                echelon.pop()
+                pivots.pop()
             if found:
-                return True
-        return False
+                return (i + 1,) + found
+        return None
 
     return heavy_from(0, 0, 0), nodes
+
+
+# the benchmark traces this name as goodness.heaviness_sweep
+def _heaviness_sweep(
+    config: KConfiguration, c: Fraction, budget: Optional[int] = None
+) -> Optional[HeavinessWitness]:
+    """The first heavy variable set at c by size, from 6, and then
+    lexicographically, with its section: ``_heavy_by_dfs`` at each size in
+    turn, all within one ``budget`` of nodes."""
+    for size in range(6, config.k + 1):
+        hit, nodes = _heavy_by_dfs(config, c, budget, size)
+        if hit is not None:
+            return HeavinessWitness(hit, *exactlin.section_dim(config.basis, hit))
+        if budget is not None:
+            budget -= nodes
+    return None
 
 
 def is_collinearity_free(config: KConfiguration) -> tuple[bool, Optional[tuple[int, ...]]]:
@@ -316,12 +307,16 @@ def is_c_good(
     top = min(s + m, rho + r), and the branch is pruned when that is at
     most -q.
 
-    After a hit, ``_heaviness_sweep`` runs only when the report's
-    ``heaviness_witness`` is read, from 6 variables with the heaviness needs
-    at c, to name the first witness by size and then lexicographically.
-    ``budget`` bounds the search nodes plus the subsets that sweep visits
-    (None: no bound): BudgetExceededError past it, from the search here or
-    from the sweep when the witness is read.
+    After a hit, the witness is named only when the report's
+    ``heaviness_witness`` is read: ``_heaviness_sweep`` runs the same search
+    at each size from 6 in turn, where only sets of exactly that size are
+    hits, top is at most that size, and branches that cannot reach it are
+    cut.  The search visits the sets of one size in lexicographic order and
+    a cut branch holds no hit, so its first hit is the first witness by
+    size and then lexicographically.
+    ``budget`` bounds the nodes of both searches (None: no bound):
+    BudgetExceededError past it, from the verdict search here or from the
+    witness search when the witness is read.
     """
     c = parse_c(c)
     valid, eq_witness = is_valid(config)
@@ -330,8 +325,8 @@ def is_c_good(
     collinear = _collinearity_witness(config)
     if collinear is not None:
         return GoodnessReport(c, True, False, None, collinearity_witness=collinear)
-    heavy, nodes = _heavy_by_dfs(config, c, budget) if config.k >= 6 else (False, 0)
-    if not heavy:
+    heavy, nodes = _heavy_by_dfs(config, c, budget) if config.k >= 6 else (None, 0)
+    if heavy is None:
         return GoodnessReport(c, True, True, True)
     return GoodnessReport(c, True, True, False, heavy=(config, None if budget is None else budget - nodes))
 

@@ -161,18 +161,32 @@ class TestAnalyze:
         assert report["largest_star"]["size"] == 20
 
     def test_witness_sweep_over_budget_exits_3(self, capsys, monkeypatch):
-        # the cube is heavy at 2 on all 8 variables: the search takes 8
-        # nodes, and the witness sweep, run when the report reads the
-        # witness, gets the 12 left of 20
+        # the cube is heavy at 2 on all 8 variables: the verdict search
+        # takes 8 nodes, and the witness search, run when the report reads
+        # the witness, 63 more; under a budget of 20 it gets the 12 left
         cube = "0,1,10,11,100,101,110,111"
         code, out, _ = run(capsys, "analyze", "--points", cube, "--c", "2")
         assert code == 0
         assert reportfmt.parse(out)["goodness"]["heaviness_witness"]["variable_count"] == 8
-        monkeypatch.setenv("DIFFLOCAL_BUDGET", "20")
-        code, out, err = run(capsys, "analyze", "--points", cube, "--c", "2")
-        assert code == 3
+        monkeypatch.setenv("DIFFLOCAL_BUDGET", "71")
+        code, fitted, _ = run(capsys, "analyze", "--points", cube, "--c", "2")
+        assert (code, fitted) == (0, out)
+        for budget in ("70", "20"):
+            monkeypatch.setenv("DIFFLOCAL_BUDGET", budget)
+            code, out, err = run(capsys, "analyze", "--points", cube, "--c", "2")
+            assert code == 3
+            assert out == ""
+        assert err == "error: heaviness search exceeds its budget of 12 nodes\n"
+
+    def test_file_and_points_together_exit_2(self, tmp_path, capsys):
+        points = tmp_path / "points.txt"
+        points.write_text("1\n2\n5\n6\n9\n")
+        code, out, err = run(capsys, "analyze", str(points), "--points", "1,2,3,4")
+        assert code == 2
         assert out == ""
-        assert err == "error: heaviness witness sweep exceeds its budget of 12 subsets\n"
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        # either input alone is fine
+        assert run(capsys, "analyze", str(points))[0] == 0
 
     def test_search_over_budget_exits_3(self, capsys, monkeypatch):
         monkeypatch.setenv("DIFFLOCAL_BUDGET", "1000")

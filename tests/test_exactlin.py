@@ -139,6 +139,26 @@ def test_rank_of_columns_matches_rational_rank(vectors, columns):
     assert exactlin.rank_of_columns(basis, cols) == frac_rank(restricted)
 
 
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_echelon_against_rational_rank(data):
+    # pivots on the first `width` columns; the rest of each row and an
+    # identity block ride along
+    width = data.draw(st.integers(1, 5))
+    length = data.draw(st.integers(width + 1, width + 3))
+    entry = st.integers(-3, 3)
+    rows = data.draw(st.lists(st.lists(entry, min_size=length, max_size=length), min_size=1, max_size=6))
+    n = len(rows)
+    mat = [row + [int(j == i) for j in range(n)] for i, row in enumerate(rows)]
+    rank = exactlin.echelon(mat, width)
+    assert rank == frac_rank([row[:width] for row in rows])
+    for row in mat[rank:]:
+        assert not any(row[:width])
+        ys = row[length:]
+        assert any(ys)
+        assert row[:length] == [sum(y * r[j] for y, r in zip(ys, rows)) for j in range(length)]
+
+
 def test_section_dims_against_bruteforce_supports():
     vectors = [(1, -1, -1, 1, 0), (1, 0, -2, 0, 1)]
     basis = exactlin.reduce(vectors)

@@ -1,6 +1,7 @@
 import itertools
 from fractions import Fraction
-from math import comb
+from math import comb, lcm
+from typing import Optional, Sequence
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -281,9 +282,42 @@ class TestOneSearch:
             gd.is_collinearity_free(example_a())
 
 
+def reference_sweep(
+    config: cfg.KConfiguration, needs: Sequence[tuple[int, int]], budget: Optional[int] = None
+) -> Optional[gd.HeavinessWitness]:
+    """The first variable set S, by the sizes of ``needs`` and then
+    lexicographically, whose section has t >= the need at |S|.
+
+    The (size, need) pairs have needs that never decrease, so the search
+    stops at the first need above the rank; t is the rank minus the rank of
+    the basis columns outside S.  Raises BudgetExceededError on visiting
+    more than ``budget`` subsets (None: no bound).
+    """
+    k, r = config.k, config.rank
+    visited = 0
+    for size, need in needs:
+        if need > r:
+            break
+        for subset in itertools.combinations(range(1, k + 1), size):
+            visited += 1
+            if budget is not None and visited > budget:
+                raise BudgetExceededError(f"heaviness witness sweep exceeds its budget of {budget} subsets")
+            outside = [j for j in range(k) if (j + 1) not in subset]
+            t = r - exactlin.rank_of_columns(config.basis, outside)
+            if t >= need:
+                return gd.HeavinessWitness(subset, t, exactlin.section_dim(config.basis, subset)[1])
+    return None
+
+
+def heavy_needs(c: Fraction, sizes: range) -> list[tuple[int, int]]:
+    """(|S|, need) pairs of the heaviness test at c = p/q: t >= (|S| - 1)*q // p + 1."""
+    p, q = c.numerator, c.denominator
+    return [(size, (size - 1) * q // p + 1) for size in sizes]
+
+
 def sweep_heavy(config, c):
     """Heaviness by the definition: the section search over every size from 2."""
-    return gd._heaviness_sweep(config, gd._heavy_needs(c, range(2, config.k + 1))) is not None
+    return reference_sweep(config, heavy_needs(c, range(2, config.k + 1))) is not None
 
 
 class TestHeavinessDFS:
@@ -294,13 +328,13 @@ class TestHeavinessDFS:
     def test_realized_stars(self, p):
         # the sweep from 2 visits about a million subsets at p = 10
         config = cfg.from_points(realize_star(p))
-        assert gd._heavy_by_dfs(config, TWO, None)[0] is sweep_heavy(config, TWO) is False
+        assert gd._heavy_by_dfs(config, TWO, None)[0] is None and sweep_heavy(config, TWO) is False
 
     @pytest.mark.parametrize("k", [9, 11, 13])
     def test_odd_equality_case(self, k):
         config = cfg.from_points(odd_equality_case(k)["points"])
         for c in (TWO, PAPER_C):
-            assert gd._heavy_by_dfs(config, c, None)[0] is sweep_heavy(config, c) is False
+            assert gd._heavy_by_dfs(config, c, None)[0] is None and sweep_heavy(config, c) is False
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -314,14 +348,34 @@ class TestHeavinessDFS:
     )
     def test_systems(self, system, c):
         config = cfg.from_equalities(*system)
-        assert gd._heavy_by_dfs(config, c, None)[0] == sweep_heavy(config, c)
+        assert (gd._heavy_by_dfs(config, c, None)[0] is not None) == sweep_heavy(config, c)
+        assert gd._heaviness_sweep(config, c) == reference_sweep(config, heavy_needs(c, range(6, config.k + 1)))
 
-    def test_decides_without_column_ranks(self, monkeypatch):
+    def test_witness_may_end_on_an_independent_row(self):
+        # x1 = x2 = x3 = x4 is heavy on four variables, so the first 6-set is
+        # heavy at 2 though rows 5 and 6 raise no t
+        config = cfg.from_equalities(6, [(1, -1, 0, 0, 0, 0), (0, 0, 1, -1, 0, 0), (1, 0, -1, 0, 0, 0)])
+        witness = gd._heaviness_sweep(config, TWO)
+        assert witness == reference_sweep(config, heavy_needs(TWO, range(6, 7)))
+        assert (witness.variables, witness.t) == ((1, 2, 3, 4, 5, 6), 3)
+
+    @staticmethod
+    def forbid_column_ranks(monkeypatch):
         def no_rank(*_args):
             raise AssertionError("rank_of_columns called")
 
         monkeypatch.setattr(exactlin, "rank_of_columns", no_rank)
+
+    def test_decides_without_column_ranks(self, monkeypatch):
+        self.forbid_column_ranks(monkeypatch)
         assert gd.is_c_good(cfg.from_points(realize_star(8)), TWO).c_good
+
+    def test_names_witness_without_column_ranks(self, monkeypatch):
+        expected = reference_sweep(example_c_cube(), heavy_needs(TWO, range(6, 9)))
+        self.forbid_column_ranks(monkeypatch)
+        witness = gd.is_c_good(example_c_cube(), TWO).heaviness_witness
+        assert witness == expected
+        assert (witness.variables, witness.t) == (tuple(range(1, 9)), 4)
 
     def test_budget_counts_search_nodes(self):
         config = cfg.from_points(realize_star(8))
@@ -333,8 +387,10 @@ class TestHeavinessDFS:
     def test_budget_counts_witness_sweep_subsets(self):
         config = example_c_cube()
         nodes = gd._heavy_by_dfs(config, TWO, None)[1]
-        # the sweep from 6 visits C(8,6) + C(8,7) subsets, then the witness
-        budget = nodes + 28 + 8 + 1
+        assert nodes == 8
+        # the witness search takes 39 nodes at size 6 and 16 at size 7,
+        # then 8 to the witness at size 8
+        budget = nodes + 39 + 16 + 8
         unbounded = gd.is_c_good(config, TWO).heaviness_witness
         assert unbounded is not None
         assert gd.is_c_good(config, TWO, budget=budget).heaviness_witness == unbounded
@@ -489,10 +545,29 @@ class TestResidueTable:
         v, w = data.draw(vector), data.draw(vector)
 
         def image(vec):
-            return [sum(x * row[col] for x, row in zip(vec, rows)) for col in range(k)]
+            return [sum(x * row[col] for x, row in zip(vec, rows)) for col in range(len(rows[0]))]
 
         diff = [a - b for a, b in zip(v, w)]
         assert (image(v) == image(w)) == frac_solvable(contents, diff)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            equality_systems(max_k=8).map(lambda system: cfg.from_equalities(*system)),
+            st.lists(st.integers(min_value=-30, max_value=30), min_size=2, max_size=9, unique=True).map(
+                cfg.from_points
+            ),
+        )
+    )
+    def test_rows_are_unit_vector_residues(self, config):
+        # the closed form against one elimination per unit vector, cut to
+        # the free columns and scaled to the shared denominator
+        k, basis = config.k, config.basis
+        pairs = [exactlin.residue(basis, [int(j == i) for j in range(k)]) for i in range(k)]
+        assert all(w[p] == 0 for w, _ in pairs for p in basis.pivots)
+        free = [j for j in range(k) if j not in basis.pivots]
+        den = lcm(*(d for _, d in pairs))
+        assert config.residues == tuple(tuple(w[j] * (den // d) for j in free) for w, d in pairs)
 
 
 class TestDeskScanBound:
@@ -535,6 +610,6 @@ class TestAgainstDefinitionLiteralOracle:
                     assert report.collinearity_free == brute_collinearity_free(points)
                 if report.c_light is not None:
                     assert report.c_light == brute_c_light(points, c)
-                    # the sweep from size 6 finds the same witness as the one from 2
-                    from_2 = gd._heaviness_sweep(config, gd._heavy_needs(c, range(2, k + 1)))
+                    # the search from size 6 finds the same witness as the sweep from 2
+                    from_2 = reference_sweep(config, heavy_needs(c, range(2, k + 1)))
                     assert report.heaviness_witness == from_2
