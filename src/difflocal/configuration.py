@@ -304,3 +304,16 @@ def difference_pattern(points: Sequence[int | Fraction]) -> tuple[int, ...]:
     number of distinct labels."""
     first: dict[int | Fraction, int] = {}
     return tuple([first.setdefault(points[j] - points[i], n) for n, (i, j) in _index_pairs(len(points))])
+
+
+def first_progression(points: Sequence[int | Fraction]) -> tuple[int, int, int] | None:
+    """The lexicographically first 1-based index triple (i, j, l) of an
+    increasing tuple with a_j - a_i = a_l - a_j, or None if the tuple holds
+    no 3-term progression.  Each pair i < j names at most one l, the index
+    of 2*a_j - a_i, so one dict lookup per pair finds it."""
+    index = {a: n for n, a in enumerate(points, 1)}
+    for i, j in itertools.combinations(range(len(points)), 2):
+        l = index.get(2 * points[j] - points[i])
+        if l is not None:
+            return i + 1, j + 1, l
+    return None

@@ -207,9 +207,10 @@ def _heavy_by_dfs(
         # S has size s and rank rho; try S + {i} for each i >= start in turn,
         # while S + {i..k-1} can still reach the size
         nonlocal nodes
-        top = rho + r if rho + r < most else most  # min() would cost a call per node
+        # min() would cost a call per node and per child
+        top = rho + r if rho + r < most else most
         for i in range(start, k if size is None else k + s + 1 - size):
-            if gain * min(s + k - i, top) - p * rho <= -q:
+            if gain * (s + k - i if s + k - i < top else top) - p * rho <= -q:
                 return None  # no set S + T, T in {i..k-1}, can be heavy
             nodes += 1
             if budget is not None and nodes > budget:

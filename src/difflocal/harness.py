@@ -15,7 +15,12 @@ does not change under translation, and every subset is a translate of
 exactly one subset that contains 1, so only those are walked, each
 weighted by its translates, and each pattern gets its count and its least
 subset.  Then it classifies each distinct pattern once, on its least
-subset, folding the verdict into the report.  A configuration is
+subset, folding the verdict into the report.  A pattern whose least subset
+holds a 3-term progression, a_j - a_i = a_l - a_j (``first_progression``),
+is counted bad without classification: the subset satisfies
+x_i - 2x_j + x_l = 0, a support-3 equation, so its configuration is
+collinear and bad at every c.  Its certified count is still computed, so
+the cross-check covers every subset.  Any other configuration is
 classified by ``is_c_good`` at 2; goodness at c is read off it, because
 light at 2 implies light at every c <= 2, and ``is_c_good`` at c runs only
 for one that is valid, collinearity-free and heavy at 2.
@@ -47,6 +52,7 @@ from .configuration import (
     KConfiguration,
     difference_pattern,
     distinct_difference_count,
+    first_progression,
     from_equalities,
     from_points,
     is_difference_content,
@@ -166,8 +172,12 @@ def scan_ground(
 ) -> ScanReport:
     """Classify every k-subset of [1..N]: count the subsets per difference
     pattern, then classify each distinct pattern once, on its least subset.
-    See the module docstring.  The budget bounds C(N, k), the subsets
-    counted.  ``threads`` has no effect: the scan runs in one process."""
+    A pattern whose least subset holds a 3-term progression,
+    a_j - a_i = a_l - a_j, is bad at c and at 2 without ``is_c_good``: it
+    implies x_i - 2x_j + x_l = 0, a support-3 equation, so the configuration
+    is collinear.  Its cross-check still runs.  See the module docstring.
+    The budget bounds C(N, k), the subsets counted.  ``threads`` has no
+    effect: the scan runs in one process."""
     c = parse_c(c)
     if k < 4 or ground_n < k:
         raise ValueError(f"need 4 <= k <= N, got k={k}, N={ground_n}")
@@ -185,11 +195,15 @@ def scan_ground(
     for pattern, (count, points) in patterns.items():
         config = from_points(points)
         certified = config.certified_count()
+        report.subsets_scanned += count
+        report.cross_check_failures += 0 if certified == comb(k, 2) - len(set(pattern)) else count
+        if first_progression(points) is not None:
+            # collinear, so bad at c and at 2 alike
+            report.bad_count += count
+            continue
         at_2 = is_c_good(config, TWO)
         good_c = at_2.c_good or (c != TWO and at_2.c_light is False and is_c_good(config, c).c_good)
-        report.subsets_scanned += count
         report.c2_divergences += count if good_c != at_2.c_good else 0
-        report.cross_check_failures += 0 if certified == comb(k, 2) - len(set(pattern)) else count
         if not good_c:
             report.bad_count += count
             continue

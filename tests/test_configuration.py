@@ -6,10 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from difflocal import configuration as cfg
+from difflocal.goodness import PAPER_C, is_c_good
 
 from oracles import (
     brute_certified_count,
     brute_certifies,
+    brute_collinearity_free,
     brute_distinct_differences,
     frac_solvable,
     satisfied_contents,
@@ -265,3 +267,32 @@ def test_difference_pattern_counts_differences_and_is_affine_invariant(points, a
     assert len(pattern) == comb(len(points), 2)
     assert len(set(pattern)) == cfg.distinct_difference_count(points)
     assert cfg.difference_pattern([a * x + b for x in points]) == pattern
+
+
+def literal_first_progression(points):
+    for i, j, l in itertools.combinations(range(len(points)), 3):
+        if points[j] - points[i] == points[l] - points[j]:
+            return i + 1, j + 1, l + 1
+    return None
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(3, 9).flatmap(
+        lambda k: st.lists(
+            st.integers(-40, 40) | st.integers(-10**6, 10**6), min_size=k, max_size=k, unique=True
+        )
+    ).map(sorted)
+)
+def test_first_progression_is_a_progression_and_makes_a_collinear_set(points):
+    # the scan counts a pattern with a progression bad without classifying it
+    found = cfg.first_progression(points)
+    assert found == literal_first_progression(points)
+    if found is None:
+        return
+    i, j, l = found
+    assert points[j - 1] - points[i - 1] == points[l - 1] - points[j - 1]
+    assert not brute_collinearity_free(points)
+    config = cfg.from_points(points)
+    for c in (2, Fraction(19, 10), PAPER_C):
+        assert not is_c_good(config, c).c_good

@@ -9,7 +9,12 @@ from hypothesis import given, settings, strategies as st
 
 from difflocal import exactlin
 from difflocal import harness as h
-from difflocal.configuration import difference_pattern, distinct_difference_count, from_points
+from difflocal.configuration import (
+    difference_pattern,
+    distinct_difference_count,
+    first_progression,
+    from_points,
+)
 from difflocal.goodness import is_c_good, largest_star
 from oracles import (
     all_leads_pattern_counts,
@@ -219,6 +224,29 @@ class TestScanMemo:
         monkeypatch.setattr(h, "from_points", counting_from_points)
         h.scan_ground(15, 6, "paper")
         assert len(calls) == distinct
+
+    def test_progressions_are_not_classified(self, monkeypatch):
+        # a pattern with a 3-term progression is collinear, so bad at every c,
+        # and is_c_good runs only on the others: 25 of the 786 patterns here
+        points_of = {}
+        classified = []
+
+        def recording_from_points(points):
+            config = from_points(points)
+            points_of[id(config)] = points
+            return config
+
+        def recording_is_c_good(config, c, budget=None):
+            classified.append(points_of[id(config)])
+            return is_c_good(config, c, budget)
+
+        monkeypatch.setattr(h, "from_points", recording_from_points)
+        monkeypatch.setattr(h, "is_c_good", recording_is_c_good)
+        h.scan_ground(36, 4, "paper")
+        h.scan_ground(15, 6, "paper")
+        assert len(classified) == 25
+        assert all(first_progression(points) is None for points in classified)
+
 
 class TestQuotientWalk:
     """``_scan_chunk`` walks only the subsets that contain 1, each weighted
