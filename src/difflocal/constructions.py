@@ -14,13 +14,20 @@ set inside [1..floor(n^c)] and then deletes one element from every k-subset
 whose configuration fails to be c-good, until exactly n elements remain whose
 k-subsets are all c-good.  Because deleting elements never creates new bad
 subsets, a single deterministic sweep in subset order suffices, and it need
-only visit the subsets that can be bad: those containing a *core* (a 3-term
-progression or two disjoint pairs with one difference), the only way a
-subset repeats a difference.  The cores are read off one difference table
-of the sample; for each lead element in turn the sweep collects the
-k-subsets it leads that contain a core of live elements and visits them in
-subset order, classifying each difference pattern once.  The result is
-re-verified exhaustively, over every k-subset, before it is returned.
+only visit the subsets that can be bad.  A subset repeats a difference iff
+it contains a *core*: a 3-term progression, or a 4-core {a<b, p<q} with
+b - a = q - p.  Its difference equalities are spanned by the equations of
+its cores, so a subset with no progression and at most one 4-core forms the
+rank-0 configuration or a rank-1 one spanned by a support-4 vector.  That is
+valid and collinearity-free, and light for c <= 2, since a heavy variable set
+needs t >= 3 implied equations.  So only the subsets that hold a progression
+or two distinct 4-cores can be bad, and at k = 4, where two distinct 4-cores
+need five points, only those with a progression: on the progression-free
+ground set the sweep classifies nothing.  For each lead element in turn the
+sweep collects the k-subsets it leads that contain such a *seed* of live
+elements and visits them in subset order, classifying each difference
+pattern once.  The result is re-verified over every k-subset before it is
+returned, by a check that shares nothing with the sweep.
 
 At desk scale the sphere-slice parameters collapse inside [1..n^c] (the base
 16*kappa*m alone overshoots the interval), so the ground set uses the other
@@ -39,12 +46,12 @@ import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb
 from typing import Sequence
 
-from .configuration import difference_pattern
-from .goodness import parse_c, points_c_good
+from .configuration import difference_pattern, from_points
+from .goodness import is_c_good, parse_c, points_c_good
 from .verifier import BudgetExceededError, default_budget
 
 MAX_ENUMERATION = 10**8
@@ -388,15 +395,26 @@ def _alteration_sweep(
     lexicographic index order that skips subsets with a deleted element and
     deletes the largest element of each c-bad one: deleting elements never
     creates bad subsets, so every subset that survives such a pass was
-    inspected and found good.  Only subsets that contain a core can be bad
-    (a subset without one has pairwise distinct differences, forms the
-    rank-0 configuration and is c-good), so this pass visits just those.
-    For each live lead index in increasing order it collects the k-subsets
-    with that least index that contain a core of live elements, and visits
-    them in lexicographic order under the same liveness test.  Every
-    subset the full pass would find bad is among them (a deletion only ever
-    kills an element above the current lead), so the deletions and their
-    order are the same.
+    inspected and found good.  This pass visits only the subsets that
+    contain a *seed* (``_seeds_by_lead``): a 3-term progression, or the
+    union of two distinct 4-cores.  Every other subset is c-good for
+    c <= 2.  Its difference equalities are spanned by the progressions and
+    4-cores it contains (``from_points``), so with no progression and at
+    most one 4-core {a<b, p<q}, b - a = q - p, it forms the rank-0
+    configuration or the rank-1 one spanned by x_a - x_b - x_p + x_q.  The
+    latter implies no x_i = x_j and no support-3 equation (its only span
+    vectors are multiples of a support-4 one), so it is valid and
+    collinearity-free, and it is light, since a heavy variable set needs
+    t >= 3 > rank (see ``goodness.is_c_good``).
+
+    For each live lead index in increasing order the sweep collects the
+    k-subsets with that least index that contain a seed of live elements,
+    and visits them in lexicographic order under the same liveness test.
+    Every subset the full pass would find bad is among them (a deletion
+    only ever kills an element above the current lead), so the deletions
+    and their order are the same.  A subset is held as a bit mask with bit
+    n - 1 - i for index i, so a larger mask is a lexicographically earlier
+    subset of the same size.
 
     A subset's verdict depends only on its difference pattern
     (``configuration.difference_pattern``), which fixes its configuration.
@@ -404,62 +422,109 @@ def _alteration_sweep(
     """
     elems = sorted(sampled)
     n = len(elems)
-    dead: set[int] = set()
+    bits = [1 << (n - 1 - i) for i in range(n)]
+    width = f"0{n}b"  # the mask's binary digits, index 0 first
+    seeds = _seeds_by_lead(elems, k)
+    dead = 0
     deletion_log: list[tuple[int, tuple[int, ...]]] = []
-    cores = _cores_by_lead(elems)
     verdicts: dict[tuple[int, ...], bool] = {}
     for lead in range(n):
-        if lead in dead:
+        if dead & bits[lead]:
             continue
-        later = [i for i in range(lead + 1, n) if i not in dead]
-        candidates: set[tuple[int, ...]] = set()
+        later = [i for i in range(lead + 1, n) if not dead & bits[i]]
+        candidates: set[int] = set()
         for first in [lead] + later:
-            for core in cores[first]:
-                required = core if first == lead else (lead,) + core
-                if len(required) > k or not dead.isdisjoint(core):
+            for seed in seeds[first]:
+                required = seed | bits[lead]
+                missing = k - required.bit_count()
+                if missing < 0:
+                    break  # the seeds of one lead come fewest elements first
+                if seed & dead:
                     continue
-                rest = [i for i in later if i not in required]
-                for extra in combinations(rest, k - len(required)):
-                    candidates.add(tuple(sorted(required + extra)))
-        for idx in sorted(candidates):
-            if not dead.isdisjoint(idx):
+                if missing == 0:
+                    candidates.add(required)
+                    continue
+                rest = [bits[i] for i in later if not bits[i] & required]
+                candidates.update(map(required.__or__, map(sum, combinations(rest, missing))))
+        for mask in sorted(candidates, reverse=True):
+            if mask & dead:
                 continue
-            points = tuple(elems[i] for i in idx)
+            points = tuple(compress(elems, map("1".__eq__, format(mask, width))))
             pattern = difference_pattern(points)
             good = verdicts.get(pattern)
             if good is None:
                 good = verdicts[pattern] = points_c_good(points, c)
             if not good:
-                dead.add(idx[-1])
-                deletion_log.append((elems[idx[-1]], points))
-    return [e for i, e in enumerate(elems) if i not in dead], deletion_log
+                dead |= mask & -mask
+                deletion_log.append((points[-1], points))
+    return [e for i, e in enumerate(elems) if not dead & bits[i]], deletion_log
 
 
-def _cores_by_lead(elems: Sequence[int]) -> list[list[tuple[int, ...]]]:
-    """The cores of a sorted sequence, as index tuples listed under their least index.
+def _seeds_by_lead(elems: Sequence[int], k: int) -> list[list[int]]:
+    """The seeds of a sorted sequence for k-subsets, as masks (bit n - 1 - i
+    for index i) listed under their least index, fewest elements first.
 
-    A core is a 3-term progression or a 4-set {a<b, c<d} with b - a = d - c;
-    a subset repeats a difference iff it contains one.  Both are read off
-    one difference table.  Its pairs (a, b) with one difference are listed
-    with a and b increasing, so two of them, (a, b) before (p, q), either
-    share the middle index b = p (a progression) or are disjoint; a 4-set
-    b - a = q - p also has p - a = q - b and is met twice.
+    A seed is a 3-term progression, or the union of two distinct 4-cores
+    that fits in k elements.  Each index pair (i, j) names at most one
+    progression, through the index of 2*a_j - a_i.  The 4-cores, needed only
+    from k = 5, are read off one difference table: its pairs (a, b) with one
+    difference are listed with a and b increasing, so two of them, (a, b)
+    before (p, q), either share the middle index b = p (a progression) or
+    are disjoint (a 4-core, met twice, since b - a = q - p also gives
+    p - a = q - b).  Two 4-cores inside one k-subset share at least 8 - k
+    indices, so they are paired only within the groups of cores that hold
+    one (8 - k)-set of indices: over all pairs only from k = 8, where the
+    one group is keyed by the empty set.
     """
+    n = len(elems)
+    bits = [1 << (n - 1 - i) for i in range(n)]
+    index = {a: i for i, a in enumerate(elems)}
+    found: set[int] = set()
     table: dict[int, list[tuple[int, int]]] = {}
     for j, high in enumerate(elems):
         for i in range(j):
-            table.setdefault(high - elems[i], []).append((i, j))
-    found: set[tuple[int, ...]] = set()
-    for group in table.values():
-        for (a, b), (p, q) in combinations(group, 2):
-            found.add((a, b, q) if b == p else tuple(sorted((a, b, p, q))))
-    by_lead: list[list[tuple[int, ...]]] = [[] for _ in elems]
-    for core in found:
-        by_lead[core[0]].append(core)
+            third = index.get(2 * high - elems[i])
+            if third is not None:
+                found.add(bits[i] | bits[j] | bits[third])
+            if k >= 5:
+                table.setdefault(high - elems[i], []).append((i, j))
+    quads = {
+        tuple(sorted((a, b, p, q)))
+        for group in table.values()
+        for (a, b), (p, q) in combinations(group, 2)
+        if b != p
+    }
+    groups: dict[tuple[int, ...], list[int]] = {}
+    for quad in quads:
+        mask = sum(bits[i] for i in quad)
+        for part in combinations(quad, max(8 - k, 0)):
+            groups.setdefault(part, []).append(mask)
+    found.update(a | b for group in groups.values() for a, b in combinations(group, 2))
+    by_lead: list[list[int]] = [[] for _ in elems]
+    for seed in sorted(found, key=int.bit_count):
+        by_lead[n - seed.bit_length()].append(seed)
     return by_lead
 
 
 def _verify_all_good(elements: Sequence[int], k: int, c: Fraction) -> None:
-    for subset in combinations(elements, k):
-        if not points_c_good(subset, c):
+    """Raise InvariantError naming the first k-subset, in subset order, that
+    is not c-good.
+
+    The construction's postcondition, checked independently of the sweep
+    that established it: every k-subset is examined, and nothing of the
+    sweep (its seeds, its cores, its verdicts) is reused.  A subset whose
+    C(k, 2) differences are pairwise distinct forms the rank-0
+    configuration, which is c-good; every other subset is classified by
+    ``is_c_good`` through a difference-pattern memo of this call's own.
+    """
+    pairs = comb(k, 2)
+    verdicts: dict[tuple[int, ...], bool] = {}
+    for subset in combinations(sorted(elements), k):
+        if len({b - a for a, b in combinations(subset, 2)}) == pairs:
+            continue
+        pattern = difference_pattern(subset)
+        good = verdicts.get(pattern)
+        if good is None:
+            good = verdicts[pattern] = is_c_good(from_points(subset), c).c_good
+        if not good:
             raise InvariantError(f"postcondition violated: {subset} is not {c}-good")

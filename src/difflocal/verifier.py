@@ -100,12 +100,20 @@ def check_local_property(
         nonlocal best_count, best_subset
         if best_count is not None and distinct >= best_count:
             return
-        if len(chosen) == k:
-            subset = tuple(chosen)
-            if best_count is None or distinct < best_count:
-                best_count, best_subset = distinct, subset
-            return
         remaining = k - len(chosen)
+        if remaining == 1:
+            # the last element: its differences to the chosen values are
+            # pairwise distinct, and new unless diff_mult counts them already
+            for value in pts[start:]:
+                total = distinct
+                for c in chosen:
+                    if not diff_mult.get(value - c):
+                        total += 1
+                if best_count is None or total < best_count:
+                    best_count, best_subset = total, (*chosen, value)
+                    if distinct >= best_count:
+                        return
+            return
         for idx in range(start, n - remaining + 1):
             value = pts[idx]
             added = []

@@ -1,16 +1,23 @@
 import itertools
 import random
+import re
 from fractions import Fraction
 from math import comb
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from difflocal import constructions as con
-from difflocal.configuration import from_points
+from difflocal.configuration import difference_pattern, first_progression, from_points
 from difflocal.goodness import PAPER_C, is_c_good, points_c_good
 from difflocal.verifier import BudgetExceededError
-from oracles import brute_alteration_sweep, brute_c_good, brute_digit_ground_set, integer_root
+from oracles import (
+    brute_alteration_sweep,
+    brute_c_good,
+    brute_digit_ground_set,
+    brute_distinct_differences,
+    integer_root,
+)
 
 
 def coefficient_triples(kappa):
@@ -272,6 +279,9 @@ class TestAlterationSweep:
             (12, 6, 2, 7, 25, False),
             (10, 6, 1, 7, 21, True),
             (16, 6, 1, 0, 23, True),
+            (12, 8, 1, 0, 13, True),
+            (10, 8, 1, 7, 21, True),
+            (8, 8, 2, 0, 16, True),  # progression-free: it deletes 5 heavy cubes
         ],
     )
     def test_samples_against_the_brute_sweep(self, n, k, kappa, seed, size, deletes):
@@ -281,6 +291,89 @@ class TestAlterationSweep:
         expected = brute_alteration_sweep(sample, k, lambda points: points_c_good(points, c))
         assert bool(expected[1]) == deletes
         assert con._alteration_sweep(sample, k, c) == expected
+
+    def test_k4_classifies_nothing_on_a_progression_free_sample(self, monkeypatch):
+        # two distinct 4-cores need five points, so at k = 4 only a
+        # progression makes a subset worth classifying
+        def refuse(*args):
+            raise AssertionError("a subset without a progression was classified")
+
+        monkeypatch.setattr(con, "points_c_good", refuse)
+        monkeypatch.setattr(con, "difference_pattern", refuse)
+        sample = first_sample(20, 2, 3)
+        assert con._alteration_sweep(sample, 4, Fraction(19, 10)) == (sorted(sample), [])
+
+
+def literal_cores(points):
+    """The 3-term progressions and the 4-sets w < x < y < z with x - w = z - y
+    of an increasing tuple, by trying every triple and quadruple."""
+    progressions = [t for t in itertools.combinations(points, 3) if t[1] - t[0] == t[2] - t[1]]
+    quads = [q for q in itertools.combinations(points, 4) if q[1] - q[0] == q[3] - q[2]]
+    return progressions, quads
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 30), st.integers(1, 30), st.sets(st.integers(-30, 90), max_size=3))
+def test_one_four_core_and_no_progression_is_good(d, s, extra):
+    # the subsets the sweep skips: {0, d, s, s + d} is a 4-core, and the
+    # extra points add no other core
+    points = tuple(sorted({0, d, s, s + d} | extra))
+    assume(len(points) == 4 + len(extra))
+    progressions, quads = literal_cores(points)
+    assume(not progressions and len(quads) == 1)
+    for c in (Fraction(2), Fraction(19, 10), Fraction(3, 2), PAPER_C):
+        assert brute_c_good(points, c)
+
+
+class TestVerifyAllGood:
+    """The postcondition check, over every k-subset and apart from the sweep."""
+
+    C = Fraction(19, 10)
+
+    @pytest.mark.parametrize(
+        "elements, k, progression",
+        [
+            ((1, 2, 5, 11, 12, 13), 4, True),  # the progression 11, 12, 13
+            # the third 7-subset is collinear (2*12 - 3*17 + 27 = 0) with no
+            # progression, at rank 4; at rank 2 collinearity forces a progression
+            ((4, 12, 14, 17, 27, 29, 32, 35), 7, False),
+        ],
+    )
+    def test_names_the_first_bad_subset(self, elements, k, progression):
+        subsets = list(itertools.combinations(elements, k))
+        first = next(s for s in subsets if not brute_c_good(s, self.C))
+        assert first != subsets[0]
+        assert (first_progression(first) is not None) == progression
+        with pytest.raises(con.InvariantError, match=re.escape(f"{first} is not {self.C}-good")):
+            con._verify_all_good(elements, k, self.C)
+
+    def test_classifies_each_repeated_pattern_once(self, monkeypatch):
+        elements = con.random_local_set(12, 6, self.C, seed=7).elements
+        classified = []
+        real = con.is_c_good
+
+        def counting(config, c):
+            classified.append(config)
+            return real(config, c)
+
+        monkeypatch.setattr(con, "is_c_good", counting)
+        con._verify_all_good(elements, 6, self.C)
+        repeated = {
+            difference_pattern(s)
+            for s in itertools.combinations(elements, 6)
+            if brute_distinct_differences(s) < comb(6, 2)
+        }
+        assert len(classified) == len(repeated) > 1
+
+    def test_shares_nothing_with_the_sweep(self, monkeypatch):
+        elements = con.random_local_set(12, 6, self.C, seed=7).elements
+
+        def refuse(*args):
+            raise AssertionError("the postcondition check used the sweep")
+
+        for name in ("_alteration_sweep", "_seeds_by_lead", "points_c_good"):
+            monkeypatch.setattr(con, name, refuse)
+        con._verify_all_good(elements, 6, self.C)
 
 
 @settings(max_examples=60, deadline=None)

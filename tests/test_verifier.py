@@ -67,6 +67,27 @@ class TestCheckLocalProperty:
             assert verdict.min_differences == brute
             assert brute_distinct_differences(verdict.witness_subset) == brute
 
+    @settings(max_examples=150, deadline=None)
+    @given(
+        st.integers(2, 6).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.lists(st.integers(-30, 30), min_size=1, max_size=12).filter(
+                    lambda values: len(set(values)) >= k
+                ),
+            )
+        )
+    )
+    def test_minimum_and_witness_against_every_subset(self, k_values):
+        # duplicates count once; the witness is the least subset at the minimum
+        k, values = k_values
+        counts = {s: brute_distinct_differences(s) for s in itertools.combinations(sorted(set(values)), k)}
+        least = min(counts.values())
+        verdict = verifier.check_local_property(values, k, least)
+        assert verdict.min_differences == least
+        assert verdict.witness_subset == min(s for s, n in counts.items() if n == least)
+        assert verdict.holds
+
     def test_monotone_in_ell(self):
         points = (0, 1, 4, 9, 11, 16)
         verdict4 = verifier.check_local_property(points, 4, 4)
