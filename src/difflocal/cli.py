@@ -88,6 +88,17 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
+def _path_field(path: str | Path) -> str:
+    """``str(path)`` as a report field: ``./``-prefixed when the report would
+    otherwise read it back as another scalar (``123``, ``true``, ``1/2``)."""
+    text = str(path)
+    try:
+        reportfmt.emit([text])
+    except ValueError:
+        return f"./{text}"
+    return text
+
+
 def write_manifest(
     out_path: Path, command: str, params: dict, seed, inputs: list[Path], outputs: list[Path]
 ) -> Path:
@@ -96,8 +107,8 @@ def write_manifest(
         "version": __version__,
         "parameters": {key: params[key] for key in sorted(params)},
         "seed": "none" if seed is None else seed,
-        "inputs": [{"path": str(p), "sha256": _sha256(p)} for p in inputs],
-        "outputs": [{"path": str(p), "sha256": _sha256(p)} for p in outputs],
+        "inputs": [{"path": _path_field(p), "sha256": _sha256(p)} for p in inputs],
+        "outputs": [{"path": _path_field(p), "sha256": _sha256(p)} for p in outputs],
     }
     manifest_path = out_path.with_name(out_path.name + ".manifest")
     manifest_path.write_text(reportfmt.emit(manifest))
@@ -165,7 +176,7 @@ def cmd_analyze(args) -> int:
         raise CliError(f"analyze supports at most 24 points, got {len(points)}")
     c = parse_c(args.c)
     config = from_points(points)
-    goodness = is_c_good(config, c, budget=resolve_budget(None))
+    goodness = is_c_good(config, c, budget=resolve_budget())
     star_size, star_witness = largest_star(config)
     certified = config.certified_pairs()
     distinct = distinct_difference_count(points)
@@ -224,7 +235,7 @@ def cmd_verify(args) -> int:
     verdict = check_local_property(points, args.k, args.l, budget=args.budget)
     report = {
         "report": "verify",
-        "set_file": str(args.set_file),
+        "set_file": _path_field(args.set_file),
         "n": len(points),
         "k": args.k,
         "l": args.l,

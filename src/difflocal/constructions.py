@@ -52,7 +52,7 @@ from typing import Sequence
 
 from .configuration import difference_pattern, from_points
 from .goodness import is_c_good, parse_c, points_c_good
-from .verifier import BudgetExceededError, default_budget
+from .verifier import BudgetExceededError, resolve_budget
 
 MAX_ENUMERATION = 10**8
 EXACT_POWER_BITS = 1 << 20
@@ -303,7 +303,7 @@ def random_local_set(
     (keeping small elements dense).  The postcondition is machine-checked by
     a full re-scan before returning (InvariantError if it fails).  Raises
     BudgetExceededError, before the ground set is built, when the ground set
-    or C(n, k) exceeds ``default_budget()`` (every sample has at least n
+    or C(n, k) exceeds ``resolve_budget()`` (every sample has at least n
     elements), and when an attempt's sweep would scan more than that many
     subsets.
     """
@@ -325,7 +325,7 @@ def random_local_set(
         raise ConstructionError(
             f"ground set inside [1, {limit}] has only {ground_size} elements, need {n}"
         )
-    budget = default_budget()
+    budget = resolve_budget()
     if ground_size > budget:
         raise BudgetExceededError(
             f"ground set inside [1, {limit}] has {ground_size} elements, over budget {budget}"

@@ -9,13 +9,14 @@ so two spans are equal iff their bases compare equal as tuples.
 
 All elimination is fraction-free (cross-multiplication followed by gcd
 renormalization), so no Fraction objects are created on the hot paths and no
-rounding can occur anywhere.  One loop does it: ``_eliminate`` reduces one
-vector against echelon rows.  ``reduce`` adds back-substitution to it,
-``echelon`` (``section_dim`` and the implication solver) forward elimination
-with an optional augmented block, and ``member`` and the residue-row
-searches of ``goodness`` use it as it is.  ``residue`` and
-``rank_of_columns`` have no caller in the package; they are kept for the
-benchmark, which traces them.
+rounding can occur anywhere.  ``_eliminate`` reduces one vector against
+echelon rows, and ``echelon`` holds the one insertion loop around it: it
+brings a matrix, with an optional augmented block, to reduced row echelon
+form.  ``reduce`` is ``echelon`` with no block, ``section_dim`` and the
+implication solver read relations off the block, and ``member`` and the
+residue-row searches of ``goodness`` call ``_eliminate`` as it is.
+``residue`` and ``rank_of_columns`` have no caller in the package; they are
+kept for the benchmark, which traces them.
 """
 
 from __future__ import annotations
@@ -61,35 +62,22 @@ class ExactBasis:
 
 
 def reduce(vectors: Iterable[Sequence[int]], ambient_dim: int | None = None) -> ExactBasis:
-    """Canonical basis of the rational span of ``vectors``.
+    """Canonical basis of the rational span of ``vectors``: the first
+    ``rank`` rows that ``echelon`` leaves.
 
     Idempotent, and identical for any generating set of the same span.
     ``ambient_dim`` is required when ``vectors`` is empty.
     """
-    vecs = [tuple(v) for v in vectors]
+    mat = [list(v) for v in vectors]
     if ambient_dim is None:
-        if not vecs:
+        if not mat:
             raise ValueError("ambient_dim required for an empty generating set")
-        ambient_dim = len(vecs[0])
-    rows: list[list[int]] = []
-    pivots: list[int] = []
-    for v in vecs:
-        if len(v) != ambient_dim:
-            raise ValueError(f"dimension mismatch: expected {ambient_dim}, got {len(v)}")
-        w = list(v)
-        _eliminate(w, rows, pivots)
-        j = _leading(w)
-        if j is None:
-            continue
-        _normalize(w, j)
-        pos = bisect_left(pivots, j)
-        rows.insert(pos, w)
-        pivots.insert(pos, j)
-        for idx, r in enumerate(rows):
-            if idx != pos and r[j]:
-                _eliminate(r, (w,), (j,))  # back-substitution
-                _normalize(r, pivots[idx])
-    return ExactBasis(ambient_dim, tuple(tuple(r) for r in rows))
+        ambient_dim = len(mat[0])
+    bad = next((len(w) for w in mat if len(w) != ambient_dim), None)
+    if bad is not None:
+        raise ValueError(f"dimension mismatch: expected {ambient_dim}, got {bad}")
+    rank = echelon(mat, ambient_dim)
+    return ExactBasis(ambient_dim, tuple(map(tuple, mat[:rank])))
 
 
 def _eliminate(w: list[int], rows: Sequence[Sequence[int]], pivots: Sequence[int]) -> int:
@@ -141,28 +129,36 @@ def residue(basis: ExactBasis, v: Sequence[int]) -> tuple[tuple[int, ...], int]:
 
 
 def echelon(mat: list[list[int]], width: int) -> int:
-    """Fraction-free forward elimination of ``mat`` in place; returns its rank.
+    """Fraction-free reduced row echelon form of ``mat`` in place; returns its rank.
 
     Pivots are searched on the first ``width`` columns only; any further
     columns are an augmented block carried through the same row operations.
-    Each row is reduced by ``_eliminate`` against the pivot rows kept so far,
-    in pivot order.  Afterwards the first ``rank`` rows hold the pivots, in
-    pivot order, and every later row is zero on the first ``width`` columns,
-    so its augmented block records a linear relation among the original rows.
+    Each row is reduced by ``_eliminate`` against the pivot rows kept so far;
+    a new pivot row is made primitive with a positive pivot, inserted in
+    pivot order, and cleared from the other pivot rows.  Afterwards the
+    first ``rank`` rows hold the pivots, in pivot order, and each pivot
+    column is zero in every other pivot row: without an augmented block they
+    are the canonical basis that ``reduce`` returns.  Every later row is zero
+    on the first ``width`` columns, so its augmented block records a linear
+    relation among the original rows.
     """
     rows: list[list[int]] = []
     pivots: list[int] = []
     dependent = []
     for w in mat:
         _eliminate(w, rows, pivots)
-        j = _leading(w[:width])
-        if j is None:
+        j = _leading(w)
+        if j is None or j >= width:
             dependent.append(w)
             continue
         _normalize(w, j)
         pos = bisect_left(pivots, j)
         rows.insert(pos, w)
         pivots.insert(pos, j)
+        for idx, r in enumerate(rows):
+            if idx != pos and r[j]:
+                _eliminate(r, (w,), (j,))  # back-substitution
+                _normalize(r, pivots[idx])
     mat[:] = rows + dependent
     return len(rows)
 
@@ -177,6 +173,9 @@ def section_dim(basis: ExactBasis, support: Iterable[int]) -> tuple[int, ExactBa
 
     ``support`` is a set of 1-based variable indices.  Returns
     ``(t, section_basis)`` where ``t = dim {v in span : supp(v) subseteq S}``.
+    The basis rows are brought to echelon form on the columns outside S,
+    each carrying itself as an augmented block; the rows that vanish there
+    hold section vectors in their blocks, and those span the section.
     """
     k = basis.ambient_dim
     supp = set(support)
@@ -189,21 +188,8 @@ def section_dim(basis: ExactBasis, support: Iterable[int]) -> tuple[int, ExactBa
         return 0, ExactBasis(k, ())
     if not cols:
         return r, basis
-    # Kernel of the restriction map: eliminate on the outside columns while
-    # an identity block records which combination of basis rows each row is.
     width = len(cols)
-    aug = [
-        [row[c] for c in cols] + [int(j == i) for j in range(r)]
-        for i, row in enumerate(basis.rows)
-    ]
+    aug = [[row[c] for c in cols] + list(row) for row in basis.rows]
     done = echelon(aug, width)
-    combos = []
-    for kernel_row in aug[done:]:
-        vec = [0] * k
-        for cf, row in zip(kernel_row[width:], basis.rows):
-            if cf:
-                for c in range(k):
-                    vec[c] += cf * row[c]
-        combos.append(vec)
-    section = reduce(combos, k)
+    section = reduce([w[width:] for w in aug[done:]], k)
     return section.rank, section

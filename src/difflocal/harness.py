@@ -382,9 +382,8 @@ def _random_hub_family(rng: random.Random) -> Optional[list[DifferenceEquality]]
         others = rng.sample(range(1, k), 3)
         cand = _eq(k, _hub_content(k, hub, others, rng.randrange(3)))
         trial = contents + [cand.content]
-        if exactlin.reduce(trial, k).rank != len(trial):
-            continue
-        if not is_c_good(from_equalities(k, trial), PAPER_C).c_good:
+        config = from_equalities(k, trial)
+        if config.rank != len(trial) or not is_c_good(config, PAPER_C).c_good:
             continue
         eqs.append(cand)
         contents.append(cand.content)

@@ -30,7 +30,14 @@ class BudgetExceededError(Exception):
     """The requested scan would enumerate more subsets than the budget allows."""
 
 
-def default_budget() -> int:
+def resolve_budget(budget: int | None = None) -> int:
+    """The subset budget: ``budget``, or when None the ``DIFFLOCAL_BUDGET``
+    environment variable, or ``DEFAULT_BUDGET``; ValueError unless a
+    positive integer."""
+    if budget is not None:
+        if budget <= 0:
+            raise ValueError(f"budget must be positive, got {budget}")
+        return budget
     raw = os.environ.get(BUDGET_ENV_VAR)
     if raw is None:
         return DEFAULT_BUDGET
@@ -41,15 +48,6 @@ def default_budget() -> int:
     if value <= 0:
         raise ValueError(f"{BUDGET_ENV_VAR} must be positive, got {value}")
     return value
-
-
-def resolve_budget(budget: int | None) -> int:
-    """The subset budget: ``budget``, or ``default_budget()`` when None;
-    ValueError unless positive."""
-    limit = default_budget() if budget is None else budget
-    if limit <= 0:
-        raise ValueError(f"budget must be positive, got {limit}")
-    return limit
 
 
 @dataclass(frozen=True)
@@ -91,47 +89,41 @@ def check_local_property(
             f"exhaustive scan infeasible: C({n},{k}) = {total} exceeds budget {limit}"
         )
 
-    best_count: Optional[int] = None
+    # a k-subset spans at most C(k, 2) differences, so the first one visited
+    # sets the minimum
+    best_count = comb(k, 2) + 1
     best_subset: Optional[tuple[int, ...]] = None
     chosen: list[int] = []
     diff_mult: dict[int, int] = {}
 
     def visit(start: int, distinct: int) -> None:
         nonlocal best_count, best_subset
-        if best_count is not None and distinct >= best_count:
-            return
         remaining = k - len(chosen)
-        if remaining == 1:
-            # the last element: its differences to the chosen values are
-            # pairwise distinct, and new unless diff_mult counts them already
-            for value in pts[start:]:
-                total = distinct
-                for c in chosen:
-                    if not diff_mult.get(value - c):
-                        total += 1
-                if best_count is None or total < best_count:
-                    best_count, best_subset = total, (*chosen, value)
-                    if distinct >= best_count:
-                        return
-            return
-        for idx in range(start, n - remaining + 1):
-            value = pts[idx]
-            added = []
-            gained = 0
+        for value in pts[start : n - remaining + 1]:
+            start += 1  # now the index after value
+            # the candidate's differences to the chosen values are pairwise
+            # distinct, and new unless diff_mult counts them already
+            total = distinct
             for c in chosen:
-                d = value - c
-                if diff_mult.get(d, 0) == 0:
-                    gained += 1
-                diff_mult[d] = diff_mult.get(d, 0) + 1
-                added.append(d)
-            chosen.append(value)
-            visit(idx + 1, distinct + gained)
-            chosen.pop()
-            for d in added:
-                diff_mult[d] -= 1
+                if not diff_mult.get(value - c):
+                    total += 1
+            if total >= best_count:
+                continue
+            if remaining == 1:
+                best_count, best_subset = total, (*chosen, value)
+            else:
+                for c in chosen:
+                    diff_mult[value - c] = diff_mult.get(value - c, 0) + 1
+                chosen.append(value)
+                visit(start, total)
+                chosen.pop()
+                for c in chosen:
+                    diff_mult[value - c] -= 1
+            if distinct >= best_count:
+                return
 
     visit(0, 0)
-    assert best_count is not None and best_subset is not None
+    assert best_subset is not None
     return LocalPropertyVerdict(
         holds=best_count >= ell,
         min_differences=best_count,

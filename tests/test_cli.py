@@ -319,6 +319,26 @@ def test_analyze_out_writes_report_and_manifest(tmp_path, capsys):
     assert manifest["outputs"][0]["path"] == str(out)
 
 
+@pytest.mark.parametrize("name", ["123", "7", "true", "1/2"])
+def test_paths_that_read_as_scalars(tmp_path, capsys, monkeypatch, name):
+    # an int, bool or fraction would not read back as a string, so the
+    # reports name such a path with a "./" prefix
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "1").mkdir()
+    for argv in (
+        ["build", "behrend", "--d", "2", "--m", "3", "--out", name],
+        ["scan", "--N", "8", "--k", "4", "--out", name],
+    ):
+        code, _, err = run(capsys, *argv)
+        assert code == 0, err
+        manifest = reportfmt.parse(Path(name + ".manifest").read_text())
+        assert manifest["outputs"][0]["path"] == "./" + name
+    Path(name).write_text("1\n2\n4\n8\n16\n")
+    code, out, err = run(capsys, "verify", name, "--k", "4", "--l", "4")
+    assert code == 0, err
+    assert reportfmt.parse(out)["set_file"] == "./" + name
+
+
 class TestFileErrors:
     """A file that cannot be read or written exits 2 with one error line."""
 

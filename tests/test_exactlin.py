@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from difflocal import exactlin
 
-from oracles import frac_rank, frac_rref, frac_solvable
+from oracles import frac_rank, frac_rref, frac_solvable, section_dim
 
 STAR6 = [(1, 1, -1, -1, 0, 0), (1, 1, 0, 0, -1, -1)]
 
@@ -157,6 +157,50 @@ def test_echelon_against_rational_rank(data):
         ys = row[length:]
         assert any(ys)
         assert row[:length] == [sum(y * r[j] for y, r in zip(ys, rows)) for j in range(length)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_echelon_leaves_reduced_rows(data):
+    # without a block the pivot rows are reduce's canonical basis; with one,
+    # each pivot column is still cleared from every other pivot row
+    width = data.draw(st.integers(1, 5))
+    extra = data.draw(st.integers(0, 3))
+    entry = st.integers(-3, 3)
+    rows = data.draw(
+        st.lists(st.lists(entry, min_size=width + extra, max_size=width + extra), min_size=1, max_size=6)
+    )
+    plain = [row[:width] for row in rows]
+    rank = exactlin.echelon(plain, width)
+    assert tuple(map(tuple, plain[:rank])) == exactlin.reduce([row[:width] for row in rows]).rows
+    mat = [list(row) for row in rows]
+    assert exactlin.echelon(mat, width) == rank
+    pivots = [next(j for j, x in enumerate(row) if x) for row in mat[:rank]]
+    assert pivots == sorted(pivots) and all(p < width for p in pivots)
+    for i, p in enumerate(pivots):
+        assert mat[i][p] > 0
+        assert all(mat[other][p] == 0 for other in range(rank) if other != i)
+
+
+@st.composite
+def zero_sum_spans(draw):
+    k = draw(st.integers(2, 7))
+    head = st.lists(st.integers(-3, 3), min_size=k - 1, max_size=k - 1)
+    contents = [tuple(v) + (-sum(v),) for v in draw(st.lists(head, min_size=1, max_size=5))]
+    support = draw(st.sets(st.integers(1, k)))
+    return k, contents, support
+
+
+@settings(max_examples=200, deadline=None)
+@given(zero_sum_spans())
+def test_section_dim_against_rank_difference(case):
+    k, contents, support = case
+    t, section = exactlin.section_dim(exactlin.reduce(contents, k), support)
+    assert t == section.rank == section_dim(contents, k, support)
+    for row in section.rows:
+        assert frac_solvable(contents, row)
+        assert all(row[j] == 0 for j in range(k) if (j + 1) not in support)
+    assert exactlin.reduce(section.rows, k) == section
 
 
 def test_section_dims_against_bruteforce_supports():
