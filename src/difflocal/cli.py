@@ -4,8 +4,10 @@ Set files are UTF-8 text, one decimal integer per line, '#' starting a
 comment; readers warn and sort by default and reject non-increasing input
 under --strict.  Every file-producing command writes a sibling
 ``<out>.manifest`` recording the command, parameters, seed, tool version,
-and sha256 digests of inputs and outputs; rerunning the same command
-reproduces byte-identical outputs.
+and the sha256 digest of the output (``inputs`` is always empty: no
+command records the files it reads); rerunning the same command reproduces
+byte-identical outputs.  Both files are rendered before either is written,
+so a path that no report can name exits 2 and leaves neither.
 
 Exit codes: 0 success / property holds, 1 property fails (or construction
 retries exhausted), 2 usage or parameter validation (including a file that
@@ -80,39 +82,41 @@ def read_set_file(path: str | Path, strict: bool = False) -> list[int]:
     return values
 
 
-def write_set_file(path: Path, elements) -> None:
-    path.write_text("".join(f"{e}\n" for e in elements))
-
-
-def _sha256(path: Path) -> str:
-    return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
 def _path_field(path: str | Path) -> str:
     """``str(path)`` as a report field: ``./``-prefixed when the report would
-    otherwise read it back as another scalar (``123``, ``true``, ``1/2``)."""
+    otherwise read it back as another scalar (``123``, ``true``, ``1/2``).
+    CliError when neither form can be named (surrounding blanks, a newline)."""
     text = str(path)
-    try:
-        reportfmt.emit([text])
-    except ValueError:
-        return f"./{text}"
-    return text
+    for field in (text, f"./{text}"):
+        try:
+            reportfmt.emit([field])
+        except ValueError:
+            continue
+        return field
+    raise CliError(f"a report cannot name the path {text!r}")
 
 
-def write_manifest(
-    out_path: Path, command: str, params: dict, seed, inputs: list[Path], outputs: list[Path]
-) -> Path:
-    manifest = {
-        "manifest": command,
-        "version": __version__,
-        "parameters": {key: params[key] for key in sorted(params)},
-        "seed": "none" if seed is None else seed,
-        "inputs": [{"path": _path_field(p), "sha256": _sha256(p)} for p in inputs],
-        "outputs": [{"path": _path_field(p), "sha256": _sha256(p)} for p in outputs],
-    }
-    manifest_path = out_path.with_name(out_path.name + ".manifest")
-    manifest_path.write_text(reportfmt.emit(manifest))
-    return manifest_path
+def write_output(out: str, text: str, command: str, params: dict, seed=None) -> None:
+    """Write ``text`` to ``out`` and, after it, the sibling ``<out>.manifest``
+    holding the sha256 of the bytes written.  Both are rendered and encoded
+    before either file is opened."""
+    if not out:
+        raise CliError("--out needs a file name, got ''")
+    path = Path(out)
+    data = text.encode()
+    manifest = reportfmt.emit(
+        {
+            "manifest": command,
+            "version": __version__,
+            "parameters": {key: params[key] for key in sorted(params)},
+            "seed": "none" if seed is None else seed,
+            "inputs": [],
+            "outputs": [{"path": _path_field(path), "sha256": hashlib.sha256(data).hexdigest()}],
+        }
+    ).encode()
+    manifest_path = path.with_name(path.name + ".manifest")
+    path.write_bytes(data)
+    manifest_path.write_bytes(manifest)
 
 
 def _parse_points(args) -> list[int]:
@@ -129,7 +133,6 @@ def _parse_points(args) -> list[int]:
 
 
 def cmd_build(args) -> int:
-    out = Path(args.out)
     if args.subcommand == "behrend":
         params: dict = {"kappa": args.kappa}
         if args.n is not None:
@@ -162,9 +165,9 @@ def cmd_build(args) -> int:
             "max_retries": args.max_retries,
         }
         seed = args.seed
-    write_set_file(out, artifact.elements)
-    write_manifest(out, f"build {args.subcommand}", params, seed, [], [out])
-    print(f"wrote {len(artifact.elements)} elements to {out}")
+    text = "".join(f"{e}\n" for e in artifact.elements)
+    write_output(args.out, text, f"build {args.subcommand}", params, seed)
+    print(f"wrote {len(artifact.elements)} elements to {Path(args.out)}")
     return EXIT_OK
 
 
@@ -200,10 +203,9 @@ def cmd_analyze(args) -> int:
     cross_ok = len(certified) == total_pairs - distinct
     report["cross_check"] = "ok" if cross_ok else "MISMATCH"
     text = reportfmt.emit(report)
+    if args.out is not None:
+        write_output(args.out, text, "analyze", {"c": c, "k": config.k})
     print(text, end="")
-    if args.out:
-        Path(args.out).write_text(text)
-        write_manifest(Path(args.out), "analyze", {"c": c, "k": config.k}, None, [], [Path(args.out)])
     return EXIT_OK if cross_ok else EXIT_INVARIANT
 
 
@@ -250,17 +252,9 @@ def cmd_verify(args) -> int:
 def cmd_scan(args) -> int:
     report = scan_ground(args.N, args.k, parse_c(args.c), budget=args.budget)
     text = reportfmt.emit(report.to_report())
+    if args.out is not None:
+        write_output(args.out, text, "scan", {"N": args.N, "k": args.k, "c": report.c})
     print(text, end="")
-    if args.out:
-        Path(args.out).write_text(text)
-        write_manifest(
-            Path(args.out),
-            "scan",
-            {"N": args.N, "k": args.k, "c": report.c},
-            None,
-            [],
-            [Path(args.out)],
-        )
     if report.cross_check_failures:
         return EXIT_INVARIANT
     return EXIT_OK if report.bound_respected and not report.c2_divergences else EXIT_PROPERTY_FAIL

@@ -183,11 +183,6 @@ def section_dim(basis: ExactBasis, support: Iterable[int]) -> tuple[int, ExactBa
         if not 1 <= s <= k:
             raise ValueError(f"support index {s} outside 1..{k}")
     cols = [j for j in range(k) if (j + 1) not in supp]
-    r = basis.rank
-    if r == 0:
-        return 0, ExactBasis(k, ())
-    if not cols:
-        return r, basis
     width = len(cols)
     aug = [[row[c] for c in cols] + list(row) for row in basis.rows]
     done = echelon(aug, width)

@@ -24,6 +24,9 @@ from .configuration import distinct_difference_count, from_points
 
 DEFAULT_BUDGET = 10**8
 BUDGET_ENV_VAR = "DIFFLOCAL_BUDGET"
+# the search recurses once per chosen element; this keeps it far below
+# Python's default recursion limit of 1000
+MAX_LOCAL_K = 256
 
 
 class BudgetExceededError(Exception):
@@ -74,12 +77,13 @@ def check_local_property(
 
     Ties on the minimum resolve to the lexicographically smallest subset.
     Raises BudgetExceededError when C(|A|, k) exceeds the subset budget, and
-    ValueError when the budget is not positive.
+    ValueError when the budget is not positive or k lies outside
+    2..MAX_LOCAL_K.
     """
     pts = sorted(set(points))
     n = len(pts)
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
+    if not 2 <= k <= MAX_LOCAL_K:
+        raise ValueError(f"k must be between 2 and {MAX_LOCAL_K}, got {k}")
     if n < k:
         raise ValueError(f"need at least k={k} elements, got {n}")
     limit = resolve_budget(budget)

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import io
 import tempfile
 import time
@@ -8,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from difflocal import cli, constructions, reportfmt
+from difflocal import __version__, cli, constructions, reportfmt
 from difflocal.harness import realize_star
 
 
@@ -385,3 +386,64 @@ def test_verify_survives_arbitrary_set_files(raw):
     errors = [line for line in err.getvalue().splitlines() if line.startswith("error:")]
     assert len(errors) <= 1
     assert "Traceback" not in err.getvalue()
+
+
+OUT_COMMANDS = {
+    "build-behrend": ["build", "behrend", "--d", "2", "--m", "3"],
+    "build-random-local": ["build", "random-local", "--n", "8", "--k", "4", "--c", "1.9"],
+    "analyze": ["analyze", "--points", "1,2,5,6,9"],
+    "scan": ["scan", "--N", "8", "--k", "4"],
+}
+
+
+class TestOutput:
+    """Every --out gets its manifest, or neither file is written."""
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    @pytest.mark.parametrize("name", ["x ", "a\nb", ""], ids=["blank", "newline", "empty"])
+    def test_unnameable_path_writes_nothing(self, tmp_path, capsys, monkeypatch, command, name):
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, *OUT_COMMANDS[command], "--out", name)
+        assert code == 2
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1
+        assert repr(name) in err
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", OUT_COMMANDS)
+    def test_manifest_digests_the_bytes_on_disk(self, tmp_path, capsys, command):
+        out = tmp_path / "out.txt"
+        code, _, err = run(capsys, *OUT_COMMANDS[command], "--out", str(out))
+        assert code == 0, err
+        manifest = reportfmt.parse((tmp_path / "out.txt.manifest").read_text())
+        assert manifest["inputs"] == []
+        assert manifest["outputs"] == [
+            {"path": str(out), "sha256": hashlib.sha256(out.read_bytes()).hexdigest()}
+        ]
+
+    def test_behrend_manifest_text(self, tmp_path, capsys, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        code, out, _ = run(capsys, "build", "behrend", "--d", "2", "--m", "3", "--kappa", "2", "--out", "set.txt")
+        assert (code, out) == (0, "wrote 2 elements to set.txt\n")
+        assert Path("set.txt.manifest").read_text() == (
+            "manifest: build behrend\n"
+            f"version: {__version__}\n"
+            "parameters:\n"
+            "  d: 2\n"
+            "  kappa: 2\n"
+            "  m: 3\n"
+            "  mode: explicit\n"
+            "seed: none\n"
+            "inputs: []\n"
+            "outputs:\n"
+            "  -\n"
+            "    path: set.txt\n"
+            "    sha256: 992b9e809c278b7ef13d00f122b79f61ed82868f068a8e5fe2e5d32f3d19df9b\n"
+        )
+
+
+def test_verify_k_above_bound_exits_2(tmp_path, capsys):
+    points = tmp_path / "p.txt"
+    points.write_text("".join(f"{i}\n" for i in range(1100)))
+    code, out, err = run(capsys, "verify", str(points), "--k", "1100", "--l", "1")
+    assert code == 2
+    assert out == "" and err == "error: k must be between 2 and 256, got 1100\n"

@@ -66,6 +66,12 @@ def test_section_full_and_empty_support():
     assert t_empty == 0 and sec_empty.rank == 0
 
 
+def test_section_of_the_zero_span():
+    zero = exactlin.reduce([], 5)
+    for support in ((), (2, 4), range(1, 6)):
+        assert exactlin.section_dim(zero, support) == (0, zero)
+
+
 def test_section_affine_cube_has_four_equations_on_eight_variables():
     cube = exactlin.reduce(
         [

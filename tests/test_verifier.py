@@ -113,6 +113,15 @@ class TestCheckLocalProperty:
         with pytest.raises(ValueError, match="budget must be positive"):
             verifier.check_local_property(range(10), 4, 4, budget=budget)
 
+    def test_k_bounded_before_the_search(self):
+        # the search recurses once per chosen element: k = MAX_LOCAL_K stays
+        # well inside the recursion limit, and one more is refused up front
+        k = verifier.MAX_LOCAL_K
+        verdict = verifier.check_local_property(range(k), k, 1)
+        assert verdict.min_differences == k - 1
+        with pytest.raises(ValueError, match=f"between 2 and {k}, got {k + 1}"):
+            verifier.check_local_property(range(k + 1), k + 1, 1)
+
 
 class TestCrossCheck:
     def test_five_point_example(self):
