@@ -7,7 +7,8 @@ under --strict.  Every file-producing command writes a sibling
 and the sha256 digest of the output (``inputs`` is always empty: no
 command records the files it reads); rerunning the same command reproduces
 byte-identical outputs.  Both files are rendered before either is written,
-so a path that no report can name exits 2 and leaves neither.
+so a path that no report can name exits 2 and leaves neither; an output
+whose manifest cannot be written is removed again.
 
 Exit codes: 0 success / property holds, 1 property fails (or construction
 retries exhausted), 2 usage or parameter validation (including a file that
@@ -22,6 +23,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import sys
+from math import comb
 from pathlib import Path
 
 from . import __version__, reportfmt
@@ -99,7 +101,8 @@ def _path_field(path: str | Path) -> str:
 def write_output(out: str, text: str, command: str, params: dict, seed=None) -> None:
     """Write ``text`` to ``out`` and, after it, the sibling ``<out>.manifest``
     holding the sha256 of the bytes written.  Both are rendered and encoded
-    before either file is opened."""
+    before either file is opened, and the output is removed again when the
+    manifest cannot be written."""
     if not out:
         raise CliError("--out needs a file name, got ''")
     path = Path(out)
@@ -116,7 +119,11 @@ def write_output(out: str, text: str, command: str, params: dict, seed=None) -> 
     ).encode()
     manifest_path = path.with_name(path.name + ".manifest")
     path.write_bytes(data)
-    manifest_path.write_bytes(manifest)
+    try:
+        manifest_path.write_bytes(manifest)
+    except BaseException:
+        path.unlink()
+        raise
 
 
 def _parse_points(args) -> list[int]:
@@ -189,18 +196,17 @@ def cmd_analyze(args) -> int:
         "points": list(points),
         "c": c,
         "rank": config.rank,
-        "basis": [render_content(row) for row in config.basis.rows] or [],
+        "basis": [render_content(row) for row in config.basis.rows],
         "certified_count": len(certified),
-        "certified_pairs": [f"{i},{j}" for i, j in certified] or [],
+        "certified_pairs": [f"{i},{j}" for i, j in certified],
         "distinct_differences": distinct,
         "goodness": goodness_report_dict(goodness),
         "largest_star": {
             "size": star_size,
-            "pairs": [f"{a},{b}" for a, b in (star_witness.pairs if star_witness else ())] or [],
+            "pairs": [f"{a},{b}" for a, b in (star_witness.pairs if star_witness else ())],
         },
     }
-    total_pairs = config.k * (config.k - 1) // 2
-    cross_ok = len(certified) == total_pairs - distinct
+    cross_ok = len(certified) == comb(config.k, 2) - distinct
     report["cross_check"] = "ok" if cross_ok else "MISMATCH"
     text = reportfmt.emit(report)
     if args.out is not None:
@@ -243,7 +249,7 @@ def cmd_verify(args) -> int:
         "l": args.l,
         "holds": verdict.holds,
         "min_differences": verdict.min_differences,
-        "witness_subset": list(verdict.witness_subset or []),
+        "witness_subset": list(verdict.witness_subset),
     }
     print(reportfmt.emit(report), end="")
     return EXIT_OK if verdict.holds else EXIT_PROPERTY_FAIL

@@ -299,13 +299,14 @@ def random_local_set(
     Deterministic for fixed arguments: attempt t uses seed + t, elements of
     the ground set are sampled in increasing order with inclusion probability
     rho = min(1, 2n/|ground|), and each c-bad k-subset found in the sweep
-    loses its largest element.  Survivors beyond n are trimmed from the top
-    (keeping small elements dense).  The postcondition is machine-checked by
-    a full re-scan before returning (InvariantError if it fails).  Raises
-    BudgetExceededError, before the ground set is built, when the ground set
-    or C(n, k) exceeds ``resolve_budget()`` (every sample has at least n
-    elements), and when an attempt's sweep would scan more than that many
-    subsets.
+    loses its largest element.  At rho = 1 every attempt samples the whole
+    ground set, so only attempt 0 is made.  Survivors beyond n are trimmed
+    from the top (keeping small elements dense).  The postcondition is
+    machine-checked by a full re-scan before returning (InvariantError if it
+    fails).  Raises BudgetExceededError, before the ground set is built,
+    when the ground set or C(n, k) exceeds ``resolve_budget()`` (every
+    sample has at least n elements), and when an attempt's sweep would scan
+    more than that many subsets.
     """
     try:
         c = parse_c(c)
@@ -336,8 +337,9 @@ def random_local_set(
         )
     ground = digit_ground_set(limit, kappa)
     rho = Fraction(2 * n, ground_size)
+    tries = 1 if rho >= 1 else max_retries + 1
     failures = []
-    for attempt in range(max_retries + 1):
+    for attempt in range(tries):
         seed_used = seed + attempt
         if rho >= 1:
             sampled = list(ground)
@@ -381,8 +383,9 @@ def random_local_set(
             "trimmed": list(trimmed),
         }
         return SetArtifact(tuple(elements), provenance)
+    tried = "1 try (the sample is the whole ground set, so every try is the same)" if rho >= 1 else f"{tries} tries"
     raise RetriesExhaustedError(
-        f"no attempt reached {n} survivors after {max_retries + 1} tries; attempts (id, sampled, deleted): {failures}"
+        f"no attempt reached {n} survivors after {tried}; attempts (id, sampled, deleted): {failures}"
     )
 
 

@@ -21,7 +21,9 @@ Heaviness is decided by a pruned depth-first search over the rows (see
 ``is_c_good``).  The witness of a heavy verdict is named only when it is
 read, by the same search at sizes 6, 7, ... in turn, where only sets of
 exactly that size are hits: the first witness by size and then
-lexicographically.
+lexicographically.  A ``GoodnessReport`` compares, hashes and prints by its
+fields (a heavy one holds its configuration, not its witness), so printing
+or comparing one never searches.
 
 A *star of size 2p* is p pairwise-disjoint index pairs whose sums are all
 forced equal by the span; single sum-equal pairs (p = 1) do not count.
@@ -30,7 +32,7 @@ forced equal by the span; single sum-equal pairs (p = 1) do not count.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
@@ -64,26 +66,16 @@ class StarWitness:
         return 2 * len(self.pairs)
 
 
-_REPORT_FIELDS = (
-    "c",
-    "valid",
-    "collinearity_free",
-    "c_light",
-    "equality_witness",
-    "collinearity_witness",
-    "heaviness_witness",
-)
-
-
-@dataclass(frozen=True, eq=False, repr=False)
+@dataclass(frozen=True)
 class GoodnessReport:
     """Verdicts for one configuration at one value of c (checks short-circuit).
 
     A heavy verdict names its witness when ``heaviness_witness`` is first
-    read: ``_heaviness_sweep`` runs the search by size then, within the
-    budget the verdict search left (``heavy`` holds the configuration and
-    that budget).  Equality, hashing and repr read the witness, so two
-    reports are equal exactly when their verdicts and witnesses are.
+    read: ``_heaviness_sweep`` runs the search by size then, on ``heavy``
+    (the heavy configuration) within ``witness_budget`` (the budget the
+    verdict search left).  Reports compare, hash and print by their fields,
+    so none of that runs the witness search; equal heavy configurations at
+    one c have equal witnesses, and the budget is not compared.
     """
 
     c: Fraction
@@ -92,33 +84,18 @@ class GoodnessReport:
     c_light: Optional[bool]
     equality_witness: Optional[tuple[int, int]] = None
     collinearity_witness: Optional[tuple[int, ...]] = None
-    heavy: Optional[tuple[KConfiguration, Optional[int]]] = None
+    heavy: Optional[KConfiguration] = field(default=None, repr=False)
+    witness_budget: Optional[int] = field(default=None, compare=False, repr=False)
 
     @cached_property
     def heaviness_witness(self) -> Optional[HeavinessWitness]:
         if self.heavy is None:
             return None
-        config, budget = self.heavy
-        return _heaviness_sweep(config, self.c, budget)
+        return _heaviness_sweep(self.heavy, self.c, self.witness_budget)
 
     @property
     def c_good(self) -> bool:
         return bool(self.valid) and bool(self.collinearity_free) and bool(self.c_light)
-
-    def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in _REPORT_FIELDS)
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, GoodnessReport):
-            return NotImplemented
-        return self._values() == other._values()
-
-    def __hash__(self) -> int:
-        return hash(self._values())
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"{name}={value!r}" for name, value in zip(_REPORT_FIELDS, self._values()))
-        return f"GoodnessReport({body})"
 
 
 def is_valid(config: KConfiguration) -> tuple[bool, Optional[tuple[int, int]]]:
@@ -329,7 +306,9 @@ def is_c_good(
     heavy, nodes = _heavy_by_dfs(config, c, budget) if config.k >= 6 else (None, 0)
     if heavy is None:
         return GoodnessReport(c, True, True, True)
-    return GoodnessReport(c, True, True, False, heavy=(config, None if budget is None else budget - nodes))
+    return GoodnessReport(
+        c, True, True, False, heavy=config, witness_budget=None if budget is None else budget - nodes
+    )
 
 
 def points_c_good(points: Sequence, c: Fraction | int | str | float) -> bool:

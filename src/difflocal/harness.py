@@ -243,7 +243,7 @@ def star_bound_check(p_range: Iterable[int]) -> list[dict]:
         points = realize_star(p)
         config = from_points(points)
         certified = config.certified_count()
-        expected = p * p - p
+        expected = certified_bound(2 * p)
         good = is_c_good(config, TWO).c_good
         star_size, _ = largest_star(config)
         row = {
@@ -270,7 +270,7 @@ def odd_equality_case(k: int, seed: int = 0) -> dict:
     if k % 2 == 0 or not 7 <= k <= 13:
         raise ValueError(f"k must be odd in 7..13, got {k}")
     p = (k - 1) // 2
-    expected = (k - 1) * (k - 3) // 4 + 3
+    expected = certified_bound(k)
     rng = random.Random(seed)
     big = 10**6
     for _ in range(ODD_CASE_TRIES):

@@ -361,6 +361,14 @@ class TestFileErrors:
         assert err.startswith("error: ") and "Traceback" not in err
         assert not out.exists()
 
+    def test_unwritable_manifest_removes_the_output(self, tmp_path, capsys):
+        out = tmp_path / "o.txt"
+        (tmp_path / "o.txt.manifest").mkdir()
+        code, _, err = run(capsys, "scan", "--N", "8", "--k", "4", "--out", str(out))
+        assert code == 2
+        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        assert not out.exists()
+
 
 set_file_bytes = st.one_of(
     st.binary(max_size=120),

@@ -240,6 +240,16 @@ class TestRandomLocalSet:
         with pytest.raises(BudgetExceededError, match=r"C\(9,4\)"):
             con.random_local_set(9, 4, Fraction(19, 10))
 
+    def test_whole_ground_sample_is_tried_once(self, monkeypatch):
+        # at n = 8, k = 4, c = 1.01, kappa = 1 the sample is the whole ground
+        # set [1..8], so every attempt would sweep it alike and fail alike
+        sweeps = []
+        sweep = con._alteration_sweep
+        monkeypatch.setattr(con, "_alteration_sweep", lambda *args: sweeps.append(args) or sweep(*args))
+        with pytest.raises(con.RetriesExhaustedError, match="the sample is the whole ground set"):
+            con.random_local_set(8, 4, "1.01", kappa=1, max_retries=200)
+        assert len(sweeps) == 1
+
 
 def first_sample(n, kappa, seed, c=Fraction(19, 10)):
     """The sample of random_local_set's first attempt, by its documented rule."""

@@ -446,15 +446,34 @@ class TestWitnessOnDemand:
     def test_reports_compare_by_witness(self):
         cube = gd.is_c_good(example_c_cube(), TWO)
         six = gd.is_c_good(cfg.from_equalities(*SIX_OF_NINE), TWO)
-        # the same verdicts, different witnesses
+        # the same verdicts, different heavy configurations and so witnesses
         assert (cube.valid, cube.collinearity_free, cube.c_light) == (six.valid, six.collinearity_free, six.c_light)
         assert cube != six
         again = gd.is_c_good(example_c_cube(), TWO)
         assert cube == again and hash(cube) == hash(again)
         assert repr(cube) == (
             "GoodnessReport(c=Fraction(2, 1), valid=True, collinearity_free=True, c_light=False, "
-            f"equality_witness=None, collinearity_witness=None, heaviness_witness={cube.heaviness_witness!r})"
+            "equality_witness=None, collinearity_witness=None)"
         )
+
+    def test_print_compare_hash_never_sweep(self, monkeypatch):
+        cube = gd.is_c_good(example_c_cube(), TWO)
+        six = gd.is_c_good(cfg.from_equalities(*SIX_OF_NINE), TWO)
+        self.forbid_sweep(monkeypatch)
+        repr(cube)
+        assert cube != six and cube == gd.is_c_good(example_c_cube(), TWO)
+        assert len({cube, six}) == 2
+
+    def test_report_over_witness_budget_prints_compares_hashes(self):
+        # the verdict search takes 8 of the 20 nodes; the witness search
+        # needs 63 more
+        report = gd.is_c_good(example_c_cube(), TWO, budget=20)
+        assert report.c_light is False
+        assert repr(report).startswith("GoodnessReport(")
+        assert report == gd.is_c_good(example_c_cube(), TWO)
+        assert {report} == {gd.is_c_good(example_c_cube(), TWO)}
+        with pytest.raises(BudgetExceededError, match="budget of 12 nodes"):
+            report.heaviness_witness
 
 
 class TestSweepStart:
