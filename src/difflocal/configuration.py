@@ -19,9 +19,12 @@ answers them from one table: the residue of each unit vector e_i, over one
 common denominator, read off the canonical basis with no elimination and
 kept on the free (non-pivot) columns, where alone it can be nonzero.
 Residue is linear, so v and w are congruent iff
-sum v_i * row_i == sum w_i * row_i; certified pairs are read off it, and
-``pair_sum_classes`` groups index pairs by row sum, for the stars of
-``goodness`` and the candidate products of ``implications``.
+sum v_i * row_i == sum w_i * row_i.  ``KConfiguration.residue_keys`` packs
+each row into one exact int, its digits in base B = 4m + 1 for m the
+largest |entry| of the table: a signed sum of at most four rows has digits
+below B in size, so its key is 0 iff the sum is 0.  Certified pairs are read
+off the keys, and ``pair_sum_classes`` groups index pairs by key sum, for
+the stars of ``goodness`` and the candidate products of ``implications``.
 
 All variable indices in this module's public API are 1-based (x_1..x_k).
 """
@@ -174,16 +177,43 @@ class KConfiguration:
             rows[p] = tuple([scale * r[j] for j in free])
         return tuple(rows)
 
+    @cached_property
+    def residue_keys(self) -> tuple[int, ...]:
+        """Key i - 1 is row i of ``residues`` read as base-B digits,
+        sum_n row[n] * B**n with B = 4m + 1 and m the largest |entry| of
+        the table, read off the canonical basis by the same closed form:
+        den * B**n at the n-th free column, and -(den / r_p) * sum_n r[n]
+        * B**n at the pivot p of a basis row r.  A signed sum of at most
+        four rows has digits of size at most 4m < B, which no higher digit
+        can cancel, so its key is 0 iff the sum is 0: keys add and compare
+        as the rows do, for up to four rows."""
+        basis = self.basis
+        pivots = basis.pivots
+        free = sorted(set(range(self.k)).difference(pivots))
+        den = lcm(*(r[p] for r, p in zip(basis.rows, pivots)))
+        scales = [den // r[p] for r, p in zip(basis.rows, pivots)]
+        # a basis row is 0 at the other pivots and scale * r[p] is den, so
+        # the largest entry of the table is den or a scaled basis entry
+        m = max([den] + [scale * max(map(abs, r)) for r, scale in zip(basis.rows, scales)])
+        base = 4 * m + 1
+        powers = [base**n for n in range(len(free))]
+        keys = [0] * self.k
+        for j, power in zip(free, powers):
+            keys[j] = den * power
+        for r, p, scale in zip(basis.rows, pivots, scales):
+            keys[p] = -scale * sum([r[j] * power for j, power in zip(free, powers)])
+        return tuple(keys)
+
     def pair_sum_classes(self, variables: Iterable[int] | None = None) -> list[list[tuple[int, int]]]:
         """The index pairs (a, b), a < b, of ``variables`` (default 1..k),
-        grouped by the sum of residue rows a and b: {a,b} and {c,d} share a
+        grouped by the sum of residue keys a and b: {a,b} and {c,d} share a
         class iff e_a + e_b - e_c - e_d lies in the span.  Classes come in
         the order of their first pair, and pairs in ``combinations`` order."""
-        rows = self.residues
+        keys = self.residue_keys
         indices = range(1, self.k + 1) if variables is None else sorted(variables)
-        classes: dict[tuple[int, ...], list[tuple[int, int]]] = {}
+        classes: dict[int, list[tuple[int, int]]] = {}
         for a, b in itertools.combinations(indices, 2):
-            classes.setdefault(tuple([x + y for x, y in zip(rows[a - 1], rows[b - 1])]), []).append((a, b))
+            classes.setdefault(keys[a - 1] + keys[b - 1], []).append((a, b))
         return list(classes.values())
 
     def certifies(self, pair: CertifiedPair) -> bool:
@@ -202,23 +232,21 @@ class KConfiguration:
     def certified_pairs(self) -> list[CertifiedPair]:
         """All certified pairs (i, j), i > j, in scan order.
 
-        One pass over ``residues`` keeps the residues of e_{i'} - e_{j'} for
+        One pass over ``residue_keys`` keeps the keys of e_{i'} - e_{j'} for
         the ordered pairs below i, and within row i those of e_{i'} - e_i for
         i' < j: the witnesses of ``certifies``.
         """
-        rows = self.residues
-        # tuple([...]) sizes each tuple once; a tuple built from an iterator
-        # is resized as it grows, which fragments the heap (the analyze
-        # benchmark's peak RSS rose 7%)
-        below: set[tuple[int, ...]] = set()
+        keys = self.residue_keys
+        below: set[int] = set()
         out = []
         for i in range(1, self.k):
-            diffs = [tuple([a - b for a, b in zip(rows[i], rj)]) for rj in rows[:i]]
-            into_i: set[tuple[int, ...]] = set()
+            key_i = keys[i]
+            diffs = [key_i - key_j for key_j in keys[:i]]
+            into_i: set[int] = set()
             for j, diff in enumerate(diffs):
                 if diff in below or diff in into_i:
                     out.append((i + 1, j + 1))
-                into_i.add(tuple([-x for x in diff]))
+                into_i.add(-diff)
             below.update(diffs, into_i)
         return out
 

@@ -338,7 +338,10 @@ def random_local_set(
     ground = digit_ground_set(limit, kappa)
     rho = Fraction(2 * n, ground_size)
     tries = 1 if rho >= 1 else max_retries + 1
-    failures = []
+    # per failed attempt: its sample size, and its survivors (the sample
+    # itself when it is too small to sweep)
+    sizes = []
+    kept = []
     for attempt in range(tries):
         seed_used = seed + attempt
         if rho >= 1:
@@ -347,8 +350,9 @@ def random_local_set(
             rng = random.Random(seed_used)
             threshold = float(rho)
             sampled = [g for g in ground if rng.random() < threshold]
+        sizes.append(len(sampled))
         if len(sampled) < n:
-            failures.append((attempt, len(sampled), 0))
+            kept.append(len(sampled))
             continue
         if comb(len(sampled), k) > budget:
             raise BudgetExceededError(
@@ -356,7 +360,7 @@ def random_local_set(
             )
         survivors, deletion_log = _alteration_sweep(sampled, k, c)
         if len(survivors) < n:
-            failures.append((attempt, len(sampled), len(deletion_log)))
+            kept.append(len(survivors))
             continue
         elements = survivors[:n]
         trimmed = survivors[n:]
@@ -384,8 +388,10 @@ def random_local_set(
         }
         return SetArtifact(tuple(elements), provenance)
     tried = "1 try (the sample is the whole ground set, so every try is the same)" if rho >= 1 else f"{tries} tries"
+    size_range = f"{min(sizes)}" if min(sizes) == max(sizes) else f"{min(sizes)} to {max(sizes)}"
     raise RetriesExhaustedError(
-        f"no attempt reached {n} survivors after {tried}; attempts (id, sampled, deleted): {failures}"
+        f"no attempt reached {n} survivors after {tried}; the most was {max(kept)},"
+        f" at attempt {kept.index(max(kept))}; samples held {size_range} elements"
     )
 
 

@@ -7,10 +7,11 @@ collection of t >= 1 independent implied equations spans at least c*t + 1
 variables.  A configuration that is all three is *c-good*.
 
 Every check is read off ``config.residues``, whose row i is the residue of
-e_i modulo the span.  The rows represent the quotient by the span, so for
-every variable set S, rank(rows of S) = |S| - t(S), where t(S) is the
-section dimension dim{v in span : supp(v) in S} (the dual of the basis
-column matroid; Oxley, *Matroid Theory*, ch. 2).  Hence:
+e_i modulo the span (stars off its packed form, ``config.residue_keys``).
+The rows represent the quotient by the span, so for every variable set S,
+rank(rows of S) = |S| - t(S), where t(S) is the section dimension
+dim{v in span : supp(v) in S} (the dual of the basis column matroid;
+Oxley, *Matroid Theory*, ch. 2).  Hence:
 
 - valid iff no two rows are equal;
 - collinearity-free, given valid, iff every three rows are independent;
@@ -170,19 +171,26 @@ def _heavy_by_dfs(
     The echelon is a stack: a row is pushed already reduced against the
     rows below it, so it is zero at their pivots, which is all
     ``exactlin._eliminate`` needs, and popping it restores the parent's.
+    ``held`` is the bit mask of the echelon's pivots: a row whose nonzero
+    columns miss it is left as it is by ``_eliminate``, so it is pushed
+    as it is, with its own leading column as pivot, and the node does no
+    elimination.
     """
     rows = config.residues
+    masks = [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
+    leads = [exactlin._leading(row) for row in rows]
     k, r = config.k, config.rank
     p, q = c.numerator, c.denominator
     gain = p - q
     most = k if size is None else size
-    echelon: list[list[int]] = []
+    echelon: list[Sequence[int]] = []
     pivots: list[int] = []
     nodes = 0
 
-    def heavy_from(start: int, s: int, rho: int) -> Optional[tuple[int, ...]]:
-        # S has size s and rank rho; try S + {i} for each i >= start in turn,
-        # while S + {i..k-1} can still reach the size
+    def heavy_from(start: int, s: int, rho: int, held: int) -> Optional[tuple[int, ...]]:
+        # S has size s and rank rho, and ``held`` masks its echelon's
+        # pivots; try S + {i} for each i >= start in turn, while
+        # S + {i..k-1} can still reach the size
         nonlocal nodes
         # min() would cost a call per node and per child
         top = rho + r if rho + r < most else most
@@ -192,14 +200,17 @@ def _heavy_by_dfs(
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceededError(f"heaviness search exceeds its budget of {budget} nodes")
-            w = list(rows[i])
-            exactlin._eliminate(w, echelon, pivots)
-            pivot = exactlin._leading(w)
+            if masks[i] & held:
+                w = list(rows[i])
+                exactlin._eliminate(w, echelon, pivots)
+                pivot = exactlin._leading(w)
+            else:
+                w, pivot = rows[i], leads[i]
             if pivot is None:
                 # t rises: S + {i} may be a hit
                 if p * (s + 1 - rho) > q * s and size in (None, s + 1):
                     return (i + 1,)
-                found = s + 1 < most and heavy_from(i + 1, s + 1, rho)
+                found = s + 1 < most and heavy_from(i + 1, s + 1, rho, held)
             elif s + 1 == size:
                 # t stays, so S + {i} is a hit only if S is heavy too; the
                 # search without a size would have stopped at S
@@ -209,14 +220,14 @@ def _heavy_by_dfs(
             else:
                 echelon.append(w)
                 pivots.append(pivot)
-                found = heavy_from(i + 1, s + 1, rho + 1)
+                found = heavy_from(i + 1, s + 1, rho + 1, held | 1 << pivot)
                 echelon.pop()
                 pivots.pop()
             if found:
                 return (i + 1,) + found
         return None
 
-    return heavy_from(0, 0, 0), nodes
+    return heavy_from(0, 0, 0, 0), nodes
 
 
 # the benchmark traces this name as goodness.heaviness_sweep
@@ -271,9 +282,10 @@ def is_c_good(
 
     From 6 variables, heaviness at c = p/q is decided by a depth-first
     search over the residue rows in lexicographic order.  It keeps a
-    fraction-free echelon of the rows of the current set S, one
-    ``exactlin._eliminate`` reduction per node, so each node knows s = |S|
-    and its rank rho, and t(S) = s - rho.  A node is a hit when
+    fraction-free echelon of the rows of the current set S, at most one
+    ``exactlin._eliminate`` reduction per node (none for a row that is zero
+    at every pivot of the echelon), so each node knows s = |S| and its rank
+    rho, and t(S) = s - rho.  A node is a hit when
     p*(s - rho) > q*(s - 1).  Write f(S') = (p - q)*|S'| - p*rank(S'), so
     that S' is a hit iff f(S') > -q.  A branch that can still add m indices
     reaches only sets S' with s <= |S'| <= s + m and

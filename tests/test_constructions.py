@@ -250,6 +250,18 @@ class TestRandomLocalSet:
             con.random_local_set(8, 4, "1.01", kappa=1, max_retries=200)
         assert len(sweeps) == 1
 
+    def test_exhausted_retries_message_is_one_summary(self):
+        # at rho < 1 every attempt fails here; the message summarises them,
+        # so its length does not grow with max_retries (a list of every
+        # attempt read 158, 785 and 5987 characters)
+        messages = []
+        for retries in (5, 50, 400):
+            with pytest.raises(con.RetriesExhaustedError) as info:
+                con.random_local_set(20, 4, "1.3", kappa=1, max_retries=retries)
+            messages.append(str(info.value))
+        assert messages[0].startswith("no attempt reached 20 survivors after 6 tries; the most was ")
+        assert all(len(m) < 120 for m in messages), messages
+
 
 def first_sample(n, kappa, seed, c=Fraction(19, 10)):
     """The sample of random_local_set's first attempt, by its documented rule."""

@@ -4,7 +4,7 @@ from math import comb, lcm
 from typing import Optional, Sequence
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from difflocal import configuration as cfg
 from difflocal import exactlin
@@ -83,6 +83,20 @@ def equality_systems(draw, min_k=4, max_k=6, distinct=False):
         vec[d] += 1
         if any(vec):
             contents.append(tuple(vec))
+    return k, contents
+
+
+@st.composite
+def scaled_systems(draw, min_k=3, max_k=8):
+    """(k, contents) of up to four zero-sum contents, each k - 1 entries
+    in -20..20 and one that balances them, so the canonical basis and the
+    residue table hold large entries."""
+    k = draw(st.integers(min_value=min_k, max_value=max_k))
+    head = st.lists(st.integers(min_value=-20, max_value=20), min_size=k - 1, max_size=k - 1)
+    contents = []
+    for vec in draw(st.lists(head, max_size=4)):
+        if any(vec):
+            contents.append((*vec, -sum(vec)))
     return k, contents
 
 
@@ -377,6 +391,18 @@ class TestHeavinessDFS:
         assert witness == expected
         assert (witness.variables, witness.t) == (tuple(range(1, 9)), 4)
 
+    @pytest.mark.parametrize("p, nodes", zip(range(5, 11), [261, 755, 2205, 6515, 19493, 58939]))
+    def test_star_node_counts(self, p, nodes):
+        # rows that skip elimination are still nodes: the count is the
+        # search's, node for node
+        assert gd._heavy_by_dfs(cfg.from_points(realize_star(p)), TWO, None) == (None, nodes)
+
+    @pytest.mark.parametrize("k, nodes", [(9, 157), (11, 447), (13, 1289)])
+    def test_odd_equality_case_node_counts(self, k, nodes):
+        config = cfg.from_points(odd_equality_case(k)["points"])
+        for c in (TWO, PAPER_C):
+            assert gd._heavy_by_dfs(config, c, None) == (None, nodes)
+
     def test_budget_counts_search_nodes(self):
         config = cfg.from_points(realize_star(8))
         nodes = gd._heavy_by_dfs(config, TWO, None)[1]
@@ -568,6 +594,43 @@ class TestResidueTable:
 
         diff = [a - b for a, b in zip(v, w)]
         assert (image(v) == image(w)) == frac_solvable(contents, diff)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            equality_systems(max_k=8).map(lambda system: cfg.from_equalities(*system)),
+            scaled_systems().map(lambda system: cfg.from_equalities(*system)),
+            st.lists(st.integers(min_value=-30, max_value=30), min_size=2, max_size=12, unique=True).map(
+                cfg.from_points
+            ),
+            st.lists(st.integers(min_value=-10**6, max_value=10**6), min_size=2, max_size=12, unique=True).map(
+                cfg.from_points
+            ),
+        ),
+    )
+    # base 2m + 1 would give rows 1 + 1 and 2 + 5 one key here (m = 6)
+    @example(cfg.from_equalities(5, [(1, 3, 1, 0, -5), (2, 2, -1, 2, -5)]))
+    def test_keys_add_as_rows(self, config):
+        # keys[a] + keys[b] == keys[c] + keys[d] iff rows a + b and c + d are
+        # equal, for every a, b, c, d (a == b and c == d included, so equal
+        # keys are equal rows): pairs grouped by key sum are the pairs
+        # grouped by row sum
+        rows, keys = config.residues, config.residue_keys
+
+        def row_sum(a, b):
+            return tuple([x + y for x, y in zip(rows[a], rows[b])])
+
+        by_keys: dict = {}
+        by_rows: dict = {}
+        for a, b in itertools.combinations_with_replacement(range(config.k), 2):
+            by_keys.setdefault(keys[a] + keys[b], []).append((a, b))
+            by_rows.setdefault(row_sum(a, b), []).append((a, b))
+        assert list(by_keys.values()) == list(by_rows.values())
+        # the classes of distinct pairs, in order, as grouped by row sum
+        classes: dict = {}
+        for a, b in itertools.combinations(range(config.k), 2):
+            classes.setdefault(row_sum(a, b), []).append((a + 1, b + 1))
+        assert config.pair_sum_classes() == list(classes.values())
 
     @settings(max_examples=100, deadline=None)
     @given(
