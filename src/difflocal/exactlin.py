@@ -14,7 +14,10 @@ echelon rows, and ``echelon`` holds the one insertion loop around it: it
 brings a matrix, with an optional augmented block, to reduced row echelon
 form.  ``reduce`` is ``echelon`` with no block, ``section_dim`` and the
 implication solver read relations off the block, and ``member`` and the
-residue-row searches of ``goodness`` call ``_eliminate`` as it is.
+residue-row searches of ``goodness`` call ``_eliminate`` as it is.  The
+matroid partition of ``goodness`` does both: it brings each independent
+set to echelon form with an augmented identity block, and reduces a row
+against it with ``_eliminate`` to read the row's circuit off the block.
 ``residue`` and ``rank_of_columns`` have no caller in the package; they are
 kept for the benchmark, which traces them.
 """

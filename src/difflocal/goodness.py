@@ -18,13 +18,15 @@ Oxley, *Matroid Theory*, ch. 2).  Hence:
 - heavy at c = p/q iff some S has p*(|S| - rank) > q*(|S| - 1), that is
   |S| < c*t + 1, a sparsity condition in the sense of Lee and Streinu.
 
-Heaviness is decided by a pruned depth-first search over the rows (see
-``is_c_good``).  The witness of a heavy verdict is named only when it is
-read, by the same search at sizes 6, 7, ... in turn, where only sets of
-exactly that size are hits: the first witness by size and then
-lexicographically.  A ``GoodnessReport`` compares, hashes and prints by its
-fields (a heavy one holds its configuration, not its witness), so printing
-or comparing one never searches.
+At c = 2, and at every c that decides as 2 (c = paper included), the
+verdict is decided by matroid partition over the rows; at smaller c, by a
+pruned depth-first search over them (see ``is_c_good``).  The witness of a
+heavy verdict is named only when it is read, by that search at sizes 6,
+7, ... in turn, where only sets of exactly that size are hits: the first
+witness by size and then lexicographically.  A ``GoodnessReport``
+compares, hashes and prints by its fields (a heavy one holds its
+configuration, not its witness), so printing or comparing one never
+searches.
 
 A *star of size 2p* is p pairwise-disjoint index pairs whose sums are all
 forced equal by the span; single sum-equal pairs (p = 1) do not count.
@@ -73,10 +75,11 @@ class GoodnessReport:
 
     A heavy verdict names its witness when ``heaviness_witness`` is first
     read: ``_heaviness_sweep`` runs the search by size then, on ``heavy``
-    (the heavy configuration) within ``witness_budget`` (the budget the
-    verdict search left).  Reports compare, hash and print by their fields,
-    so none of that runs the witness search; equal heavy configurations at
-    one c have equal witnesses, and the budget is not compared.
+    (the heavy configuration) within ``witness_budget`` (the budget less
+    the verdict's independence tests or search nodes, see ``is_c_good``).
+    Reports compare, hash and print by their fields, so none of that runs
+    the witness search; equal heavy configurations at one c have equal
+    witnesses, and the budget is not compared.
     """
 
     c: Fraction
@@ -230,6 +233,104 @@ def _heavy_by_dfs(
     return heavy_from(0, 0, 0, 0), nodes
 
 
+def _light_by_partition(config: KConfiguration, budget: Optional[int]) -> tuple[bool, int]:
+    """Whether the configuration is light at c = 2, by matroid partition
+    over its residue rows (see ``is_c_good``), and the number of
+    independence tests made, each one row reduced against one set's
+    echelon.  Raises BudgetExceededError on making more than ``budget``
+    tests (None: no bound).
+
+    ``side[i]`` names the one of two independent sets that holds row i.
+    Rows join one at a time, each along a shortest path of the exchange
+    graph, found breadth first: a row is a sink for the set that does not
+    hold it when that set stays independent with it added, and otherwise
+    has an edge to each row of its fundamental circuit in that set (a new
+    row looks into both sets).  Along the path each row takes the place of
+    the next, and the last joins the set it fits.  A set's echelon carries
+    its own rows' unit vectors as an augmented block, so a row that
+    reduces to zero on the residue columns names its circuit in the block.
+    """
+    rows = config.residues
+    k, width = config.k, config.k - config.rank
+    if k >= 2 * width:
+        return False, 0  # all k rows: |S| >= 2*rank(S)
+    side: list[Optional[int]] = [None] * k
+    steps = 0
+    # each set's rows in echelon form, each carrying its unit vector as an
+    # augmented block, and their pivots, by the rows the set holds
+    echelons: dict[tuple[int, ...], tuple[list[list[int]], list[Optional[int]]]] = {}
+
+    def circuit(i: int, held: tuple[int, ...]) -> Optional[list[int]]:
+        # None when the set ``held`` stays independent with row i, else
+        # the rows of the set in row i's fundamental circuit
+        nonlocal steps
+        steps += 1
+        if budget is not None and steps > budget:
+            raise BudgetExceededError(f"matroid partition exceeds its budget of {budget} steps")
+        if held not in echelons:
+            # a set that gained its last row only is its predecessor's
+            # echelon with that row inserted
+            n = len(held)
+            base = echelons.get(held[:-1])
+            if base is None:
+                mat = [list(rows[h]) + [0] * m + [1] + [0] * (n - m - 1) for m, h in enumerate(held)]
+            else:
+                mat = [w + [0] for w in base[0]] + [list(rows[held[-1]]) + [0] * (n - 1) + [1]]
+            exactlin.echelon(mat, width)
+            echelons[held] = mat, [exactlin._leading(w) for w in mat]
+        w = list(rows[i]) + [0] * len(held)
+        exactlin._eliminate(w, *echelons[held])
+        if any(w[:width]):
+            return None
+        return [h for h, x in zip(held, w[width:]) if x]
+
+    def cover() -> list[tuple[int, ...]]:
+        return [tuple(i for i in range(k) if side[i] == j) for j in (0, 1)]
+
+    for new in range(k):
+        sets = cover()
+        parent: dict[int, Optional[int]] = {new: None}
+        queue = [new]
+        sink = None
+        for i in queue:
+            for j in (0, 1) if side[i] is None else (1 - side[i],):
+                found = circuit(i, sets[j])
+                if found is None:
+                    sink = i, j
+                    break
+                for h in found:
+                    if h not in parent:
+                        parent[h] = i
+                        queue.append(h)
+            if sink is not None:
+                break
+        if sink is None:
+            return False, steps  # the rows reached, with the new one, have |S| > 2*rank(S)
+        i, j = sink
+        while i is not None:
+            side[i], j = j, side[i]
+            i = parent[i]
+    # light iff each row e can be doubled: its extra copy reaches a sink
+    # exactly when e does, so search back from the sinks
+    sets = cover()
+    into: list[list[int]] = [[] for _ in range(k)]
+    reached = []
+    for i in range(k):
+        found = circuit(i, sets[1 - side[i]])
+        if found is None:
+            reached.append(i)
+        else:
+            for h in found:
+                into[h].append(i)
+    seen = set(reached)
+    for h in reached:
+        for i in into[h]:
+            if i not in seen:
+                seen.add(i)
+                reached.append(i)
+    return len(seen) == k, steps
+
+
 # the benchmark traces this name as goodness.heaviness_sweep
 def _heaviness_sweep(
     config: KConfiguration, c: Fraction, budget: Optional[int] = None
@@ -278,9 +379,35 @@ def is_c_good(
     A witness at c <= 2 needs |S| < c*t + 1 <= 2t + 1, that is
     t >= (|S| - 1) // 2 + 1, which is 2 at |S| = 4 and 3 at |S| = 5: above
     |S| - 3 at both, so no set of fewer than 6 variables holds one, and a
-    configuration on fewer than 6 variables is light.
+    configuration on fewer than 6 variables is light.  From 6 variables a
+    witness needs t >= 3, and t(S) <= ``config.rank``, so a configuration
+    of rank below 3 is light too.
 
-    From 6 variables, heaviness at c = p/q is decided by a depth-first
+    From 6 variables, every c in (2 - 1/floor(k/2), 2] decides as c = 2:
+    c = 2 and c = ``PAPER_C`` at every k below 2^30, and 19/10 below k = 20.
+    A set light at 2 is light at every c <= 2, since |S| >= 2t + 1 >=
+    c*t + 1.  If S is heavy at 2 then
+    |S| <= 2t; with d = 2t - |S|, (|S| - 1)/t = 2 - (d + 1)/t, where
+    t = |S|/2 <= floor(k/2) when d = 0 and t <= |S| - 1 <= 2*floor(k/2)
+    when d >= 1, so (|S| - 1)/t <= 2 - 1/floor(k/2) < c and S is heavy at
+    c too.  The cube {1, 2, 4, 5, 10, 11, 13, 14} (k = 8) is heavy at 2 and
+    light at 7/4 = 2 - 1/4, so the lower end is exact.
+
+    In that range lightness is decided by matroid partition
+    (``_light_by_partition``).  At 2, a nonempty S is heavy iff
+    |S| >= 2*rank(S), the rank of its rows.  By Nash-Williams' covering theorem (1964)
+    the rows, with row e doubled, split into two independent sets iff
+    |S| + [e in S] <= 2*rank(S) for every S; so the configuration is light
+    iff that holds for every row e.  Edmonds' matroid partition algorithm
+    (1965) decides it: cover the k rows with two independent sets, one row
+    at a time along shortest augmenting paths (a row that cannot join
+    leaves some S with |S| > 2*rank(S), so the configuration is heavy);
+    then the extra copy of e can join iff e reaches a sink of the exchange
+    graph of that cover, which one search back from the sinks decides for
+    every e at once.  The k rows have rank k - r, r = ``config.rank``, so
+    when k >= 2*(k - r) the configuration is heavy with no test at all.
+
+    Below that range, heaviness at c = p/q is decided by a depth-first
     search over the residue rows in lexicographic order.  It keeps a
     fraction-free echelon of the rows of the current set S, at most one
     ``exactlin._eliminate`` reduction per node (none for a row that is zero
@@ -297,15 +424,16 @@ def is_c_good(
     top = min(s + m, rho + r), and the branch is pruned when that is at
     most -q.
 
-    After a hit, the witness is named only when the report's
-    ``heaviness_witness`` is read: ``_heaviness_sweep`` runs the same search
-    at each size from 6 in turn, where only sets of exactly that size are
-    hits, top is at most that size, and branches that cannot reach it are
-    cut.  The search visits the sets of one size in lexicographic order and
-    a cut branch holds no hit, so its first hit is the first witness by
-    size and then lexicographically.
-    ``budget`` bounds the nodes of both searches (None: no bound):
-    BudgetExceededError past it, from the verdict search here or from the
+    After a heavy verdict, by either route, the witness is named only when
+    the report's ``heaviness_witness`` is read: ``_heaviness_sweep`` runs
+    the search at each size from 6 in turn, where only sets of exactly that
+    size are hits, top is at most that size, and branches that cannot reach
+    it are cut.  The search visits the sets of one size in lexicographic
+    order and a cut branch holds no hit, so its first hit is the first
+    witness by size and then lexicographically.
+    ``budget`` bounds the verdict's independence tests (partition) or nodes
+    (search), and the witness search gets what the verdict left (None: no
+    bound): BudgetExceededError past it, from the verdict here or from the
     witness search when the witness is read.
     """
     c = parse_c(c)
@@ -315,11 +443,17 @@ def is_c_good(
     collinear = _collinearity_witness(config)
     if collinear is not None:
         return GoodnessReport(c, True, False, None, collinearity_witness=collinear)
-    heavy, nodes = _heavy_by_dfs(config, c, budget) if config.k >= 6 else (None, 0)
-    if heavy is None:
+    if config.k < 6 or config.rank < 3:
+        return GoodnessReport(c, True, True, True)
+    if c > 2 - Fraction(1, config.k // 2):
+        light, steps = _light_by_partition(config, budget)
+    else:
+        heavy, steps = _heavy_by_dfs(config, c, budget)
+        light = heavy is None
+    if light:
         return GoodnessReport(c, True, True, True)
     return GoodnessReport(
-        c, True, True, False, heavy=config, witness_budget=None if budget is None else budget - nodes
+        c, True, True, False, heavy=config, witness_budget=None if budget is None else budget - steps
     )
 
 

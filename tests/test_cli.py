@@ -162,22 +162,22 @@ class TestAnalyze:
         assert report["largest_star"]["size"] == 20
 
     def test_witness_sweep_over_budget_exits_3(self, capsys, monkeypatch):
-        # the cube is heavy at 2 on all 8 variables: the verdict search
-        # takes 8 nodes, and the witness search, run when the report reads
-        # the witness, 63 more; under a budget of 20 it gets the 12 left
+        # the cube is heavy at 2 on all 8 variables: its 8 rows of rank 4
+        # decide the verdict with no independence test, and the witness
+        # search, run when the report reads the witness, takes 63 nodes
         cube = "0,1,10,11,100,101,110,111"
         code, out, _ = run(capsys, "analyze", "--points", cube, "--c", "2")
         assert code == 0
         assert reportfmt.parse(out)["goodness"]["heaviness_witness"]["variable_count"] == 8
-        monkeypatch.setenv("DIFFLOCAL_BUDGET", "71")
+        monkeypatch.setenv("DIFFLOCAL_BUDGET", "63")
         code, fitted, _ = run(capsys, "analyze", "--points", cube, "--c", "2")
         assert (code, fitted) == (0, out)
-        for budget in ("70", "20"):
+        for budget in ("62", "20"):
             monkeypatch.setenv("DIFFLOCAL_BUDGET", budget)
             code, out, err = run(capsys, "analyze", "--points", cube, "--c", "2")
             assert code == 3
             assert out == ""
-        assert err == "error: heaviness search exceeds its budget of 12 nodes\n"
+        assert err == "error: heaviness search exceeds its budget of 20 nodes\n"
 
     def test_file_and_points_together_exit_2(self, tmp_path, capsys):
         points = tmp_path / "points.txt"
@@ -190,11 +190,20 @@ class TestAnalyze:
         assert run(capsys, "analyze", str(points))[0] == 0
 
     def test_search_over_budget_exits_3(self, capsys, monkeypatch):
-        monkeypatch.setenv("DIFFLOCAL_BUDGET", "1000")
-        code, out, err = run(capsys, "analyze", "--points", ",".join(map(str, realize_star(8))))
-        assert code == 3
-        assert out == ""
-        assert err.startswith("error: ") and len(err.splitlines()) == 1
+        # a 16-point star is light: at 2 the partition makes 39 independence
+        # tests, and at 3/2 the search visits 1442 nodes; one short exits 3
+        points = ",".join(map(str, realize_star(8)))
+        for c, budget, error in [
+            ("2", "38", "matroid partition exceeds its budget of 38 steps"),
+            ("3/2", "1441", "heaviness search exceeds its budget of 1441 nodes"),
+        ]:
+            monkeypatch.setenv("DIFFLOCAL_BUDGET", str(int(budget) + 1))
+            assert run(capsys, "analyze", "--points", points, "--c", c)[0] == 0
+            monkeypatch.setenv("DIFFLOCAL_BUDGET", budget)
+            code, out, err = run(capsys, "analyze", "--points", points, "--c", c)
+            assert code == 3
+            assert out == ""
+            assert err == f"error: {error}\n"
 
 
 class TestVerify:

@@ -67,15 +67,16 @@ def star_of(k):
 
 
 @st.composite
-def equality_systems(draw, min_k=4, max_k=6, distinct=False):
-    """(k, contents) of up to four equalities x_a - x_b = x_c - x_d on k
-    variables.  With repeated indices allowed, invalid and collinear spans
-    occur often; ``distinct`` draws four distinct indices per equality."""
+def equality_systems(draw, min_k=4, max_k=6, distinct=False, min_count=0, max_count=4):
+    """(k, contents) of ``min_count`` to ``max_count`` equalities
+    x_a - x_b = x_c - x_d on k variables.  With repeated indices allowed,
+    invalid and collinear spans occur often; ``distinct`` draws four
+    distinct indices per equality, a content of support 4."""
     k = draw(st.integers(min_value=min_k, max_value=max_k))
     index = st.integers(min_value=0, max_value=k - 1)
     quad = st.lists(index, min_size=4, max_size=4, unique=distinct)
     contents = []
-    for a, b, c, d in draw(st.lists(quad, max_size=4)):
+    for a, b, c, d in draw(st.lists(quad, min_size=min_count, max_size=max_count)):
         vec = [0] * k
         vec[a] += 1
         vec[b] -= 1
@@ -158,7 +159,7 @@ SIX_VARIABLE_HEAVY = [
 
 class TestLightness:
     """Lightness through ``is_c_good`` on valid, collinearity-free
-    configurations, where it is the verdict of the heaviness sweep."""
+    configurations, where it is the verdict of the partition or the search."""
 
     def test_cube_is_2_heavy_with_eight_variable_witness(self):
         report = gd.is_c_good(example_c_cube(), TWO)
@@ -246,15 +247,22 @@ class TestGoodness:
 
 
 @st.composite
-def relabelled_heavy_systems(draw):
-    """The cube or ``SIX_OF_NINE`` with its variables relabelled, and at
-    most one more drawn equality, which may leave it heavy or make it
-    collinear or invalid."""
-    k, contents = draw(st.sampled_from([CUBE, SIX_OF_NINE]))
-    perm = draw(st.permutations(range(k)))
-    contents = [tuple(row[perm[i]] for i in range(k)) for row in contents]
-    extra = draw(equality_systems(min_k=k, max_k=k))[1][: draw(st.integers(0, 1))]
-    return k, contents + extra
+def relabelled_heavy_systems(draw, max_k=None, extras=1):
+    """The cube or ``SIX_OF_NINE`` with its variables relabelled among
+    k <= ``max_k`` (default: its own k), and at most ``extras`` more drawn
+    equalities, which may leave it heavy or make it collinear or invalid.
+    On more than its own variables it is heavy on fewer than all k rows."""
+    base, contents = draw(st.sampled_from([CUBE, SIX_OF_NINE]))
+    k = draw(st.integers(base, max_k or base))
+    place = draw(st.permutations(range(k)))
+    placed = []
+    for row in contents:
+        vec = [0] * k
+        for j, x in enumerate(row):
+            vec[place[j]] = x
+        placed.append(tuple(vec))
+    extra = draw(equality_systems(min_k=k, max_k=k))[1][: draw(st.integers(0, extras))]
+    return k, placed + extra
 
 
 class TestOneSearch:
@@ -404,19 +412,31 @@ class TestHeavinessDFS:
             assert gd._heavy_by_dfs(config, c, None) == (None, nodes)
 
     def test_budget_counts_search_nodes(self):
+        # at 3/2 the search decides the verdict
         config = cfg.from_points(realize_star(8))
-        nodes = gd._heavy_by_dfs(config, TWO, None)[1]
-        assert gd.is_c_good(config, TWO, budget=nodes).c_good
-        with pytest.raises(BudgetExceededError):
-            gd.is_c_good(config, TWO, budget=nodes - 1)
+        nodes = gd._heavy_by_dfs(config, Fraction(3, 2), None)[1]
+        assert nodes == 1442
+        assert gd.is_c_good(config, Fraction(3, 2), budget=nodes).c_good
+        with pytest.raises(BudgetExceededError, match="budget of 1441 nodes"):
+            gd.is_c_good(config, Fraction(3, 2), budget=nodes - 1)
+
+    @pytest.mark.parametrize("c", [TWO, PAPER_C])
+    def test_budget_counts_partition_steps(self, c):
+        # at 2 and at the paper's c the partition decides the verdict: 16
+        # rows to cover, 39 independence tests in all
+        config = cfg.from_points(realize_star(8))
+        assert gd._light_by_partition(config, None) == (True, 39)
+        assert gd.is_c_good(config, c, budget=39).c_good
+        with pytest.raises(BudgetExceededError, match="^matroid partition exceeds its budget of 38 steps$"):
+            gd.is_c_good(config, c, budget=38)
 
     def test_budget_counts_witness_sweep_subsets(self):
         config = example_c_cube()
-        nodes = gd._heavy_by_dfs(config, TWO, None)[1]
-        assert nodes == 8
+        # 8 rows of rank 4 are heavy with no independence test
+        assert gd._light_by_partition(config, None) == (False, 0)
         # the witness search takes 39 nodes at size 6 and 16 at size 7,
         # then 8 to the witness at size 8
-        budget = nodes + 39 + 16 + 8
+        budget = 39 + 16 + 8
         unbounded = gd.is_c_good(config, TWO).heaviness_witness
         assert unbounded is not None
         assert gd.is_c_good(config, TWO, budget=budget).heaviness_witness == unbounded
@@ -426,6 +446,84 @@ class TestHeavinessDFS:
         assert report.c_light is False
         with pytest.raises(BudgetExceededError):
             report.heaviness_witness
+
+
+class TestPartition:
+    """The verdict at 2 by matroid partition against the search and the
+    literal definition, on any configuration, valid or not."""
+
+    # the literal oracle tries every one of the 2^k sets of a light span
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            equality_systems(min_k=6, max_k=11, distinct=True, min_count=1, max_count=6),
+            # heavy on fewer than all k rows, so the partition runs to the end
+            relabelled_heavy_systems(max_k=11, extras=2),
+        )
+    )
+    # x1 = x2 = x3: the third row cannot join the cover
+    @example((9, [(1, -1, 0, 0, 0, 0, 0, 0, 0), (0, 1, -1, 0, 0, 0, 0, 0, 0)]))
+    # the cube on 9 variables: covered, but no row of the cube reaches a sink
+    @example((9, [row + (0,) for row in CUBE[1]]))
+    def test_matches_search_and_literal_oracle(self, system):
+        k, contents = system
+        config = cfg.from_equalities(k, contents)
+        light = gd._light_by_partition(config, None)[0]
+        assert light == (gd._heavy_by_dfs(config, TWO, None)[0] is None)
+        assert light == literal_c_light(contents, k, TWO)
+
+    @pytest.mark.parametrize("p", range(3, 13))
+    def test_realized_stars(self, p):
+        config = cfg.from_points(realize_star(p))
+        assert gd._light_by_partition(config, None)[0] is True
+        assert gd._heavy_by_dfs(config, TWO, None)[0] is None
+
+    def test_cubes(self):
+        for config in (example_c_cube(), cfg.from_points((1, 2, 4, 5, 10, 11, 13, 14))):
+            assert gd._light_by_partition(config, None)[0] is False
+            assert gd._heavy_by_dfs(config, TWO, None)[0] is not None
+            assert literal_c_light([list(row) for row in config.basis.rows], 8, TWO) is False
+
+
+class TestTwoRange:
+    """Every c in (2 - 1/floor(k/2), 2] decides as c = 2 (``is_c_good``)."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            equality_systems(min_k=6, max_k=11, distinct=True, min_count=1, max_count=6),
+            relabelled_heavy_systems(max_k=11, extras=2),
+        )
+    )
+    def test_search_decides_as_2(self, system):
+        config = cfg.from_equalities(*system)
+        self.assert_decides_as_2(config)
+
+    @pytest.mark.parametrize("p", [5, 10])
+    def test_realized_stars(self, p):
+        self.assert_decides_as_2(cfg.from_points(realize_star(p)))
+
+    @staticmethod
+    def assert_decides_as_2(config):
+        k = config.k
+        cs = [PAPER_C, 2 - Fraction(1, k // 2) + Fraction(1, 1000)]
+        if k < 20:
+            cs.append(Fraction(19, 10))
+        at_2 = gd._heavy_by_dfs(config, TWO, None)[0] is None
+        for c in cs:
+            assert (gd._heavy_by_dfs(config, c, None)[0] is None) == at_2, c
+
+    def test_cube_bounds_the_range(self, monkeypatch):
+        # the cube is light at 7/4 = 2 - 1/floor(8/2), which the search
+        # decides, and heavy just above it, which the partition decides
+        config = cfg.from_points((1, 2, 4, 5, 10, 11, 13, 14))
+        routes = []
+        for name in ("_light_by_partition", "_heavy_by_dfs"):
+            route = getattr(gd, name)
+            monkeypatch.setattr(gd, name, lambda *args, route=route, name=name: routes.append(name) or route(*args))
+        verdicts = [gd.is_c_good(config, c).c_light for c in (Fraction(7, 4), Fraction(176, 100), TWO)]
+        assert verdicts == [True, False, False]
+        assert routes == ["_heavy_by_dfs", "_light_by_partition", "_light_by_partition"]
 
 
 class TestWitnessOnDemand:
@@ -491,14 +589,14 @@ class TestWitnessOnDemand:
         assert len({cube, six}) == 2
 
     def test_report_over_witness_budget_prints_compares_hashes(self):
-        # the verdict search takes 8 of the 20 nodes; the witness search
-        # needs 63 more
+        # the verdict takes no step of the 20; the witness search needs 63
+        # nodes
         report = gd.is_c_good(example_c_cube(), TWO, budget=20)
         assert report.c_light is False
         assert repr(report).startswith("GoodnessReport(")
         assert report == gd.is_c_good(example_c_cube(), TWO)
         assert {report} == {gd.is_c_good(example_c_cube(), TWO)}
-        with pytest.raises(BudgetExceededError, match="budget of 12 nodes"):
+        with pytest.raises(BudgetExceededError, match="budget of 20 nodes"):
             report.heaviness_witness
 
 
