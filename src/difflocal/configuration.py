@@ -130,13 +130,13 @@ def is_difference_content(vec: Sequence[int]) -> bool:
     return nonzero in ([1, 1, 1, 1], [1, 1, 2], [2, 2], [1, 1])
 
 
-def render_content(vec: Sequence[int], names: Sequence[str] | None = None) -> str:
+def render_content(vec: Sequence[int]) -> str:
     """Render a coefficient vector as e.g. ``x1 - 2*x3 + x5``."""
     parts: list[str] = []
     for j, x in enumerate(vec):
         if not x:
             continue
-        name = names[j] if names is not None else f"x{j + 1}"
+        name = f"x{j + 1}"
         mag = abs(x)
         term = name if mag == 1 else f"{mag}*{name}"
         if not parts:

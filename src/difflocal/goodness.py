@@ -40,10 +40,8 @@ from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Sequence
 
-from math import comb
-
 from . import exactlin
-from .configuration import KConfiguration, distinct_difference_count, from_equalities, from_points
+from .configuration import KConfiguration, from_equalities, from_points
 from .verifier import BudgetExceededError
 
 PAPER_C = Fraction(2) - Fraction(1, 2**29)
@@ -358,6 +356,12 @@ def is_collinearity_free(config: KConfiguration) -> tuple[bool, Optional[tuple[i
     return witness is None, witness
 
 
+def decides_as_two(c: Fraction, k: int) -> bool:
+    """Whether c lies in (2 - 1/floor(k/2), 2], where every configuration on
+    k >= 2 variables has the verdict it has at c = 2 (see ``is_c_good``)."""
+    return c > 2 - Fraction(1, k // 2)
+
+
 def is_c_good(
     config: KConfiguration, c: Fraction | int | str | float, budget: Optional[int] = None
 ) -> GoodnessReport:
@@ -378,12 +382,19 @@ def is_c_good(
     at most three variables is an implied x_i = x_j or a support-3 equation.
     A witness at c <= 2 needs |S| < c*t + 1 <= 2t + 1, that is
     t >= (|S| - 1) // 2 + 1, which is 2 at |S| = 4 and 3 at |S| = 5: above
-    |S| - 3 at both, so no set of fewer than 6 variables holds one, and a
-    configuration on fewer than 6 variables is light.  From 6 variables a
-    witness needs t >= 3, and t(S) <= ``config.rank``, so a configuration
-    of rank below 3 is light too.
+    |S| - 3 at both, so no set of fewer than 6 variables holds one.  From 6
+    variables a witness needs t >= 3, and t(S) <= ``config.rank``, so a
+    configuration of rank below 3 is light.  That takes in every
+    configuration on fewer than 6 variables: the whole span is the section
+    of S = [k], so its rank is t([k]) <= k - 3.
 
-    From 6 variables, every c in (2 - 1/floor(k/2), 2] decides as c = 2:
+    The verdict is read off without a search at these early exits, in
+    order: invalid (the first equal pair of rows), collinear (the first
+    dependent 3-set), rank below 3 (light), and, in the range below, k rows
+    of rank at most k/2 (heavy, see ``_light_by_partition``).
+
+    From 6 variables, every c in (2 - 1/floor(k/2), 2] decides as c = 2
+    (``decides_as_two``):
     c = 2 and c = ``PAPER_C`` at every k below 2^30, and 19/10 below k = 20.
     A set light at 2 is light at every c <= 2, since |S| >= 2t + 1 >=
     c*t + 1.  If S is heavy at 2 then
@@ -443,9 +454,9 @@ def is_c_good(
     collinear = _collinearity_witness(config)
     if collinear is not None:
         return GoodnessReport(c, True, False, None, collinearity_witness=collinear)
-    if config.k < 6 or config.rank < 3:
+    if config.rank < 3:
         return GoodnessReport(c, True, True, True)
-    if c > 2 - Fraction(1, config.k // 2):
+    if decides_as_two(c, config.k):
         light, steps = _light_by_partition(config, budget)
     else:
         heavy, steps = _heavy_by_dfs(config, c, budget)
@@ -460,12 +471,10 @@ def is_c_good(
 def points_c_good(points: Sequence, c: Fraction | int | str | float) -> bool:
     """Whether the configuration formed by the points is c-good.
 
-    Fast path: a tuple whose C(k,2) differences are pairwise distinct forms
-    the rank-0 configuration (every difference-equality content it satisfies
-    would repeat a positive difference), which is c-good outright.
+    Pairwise distinct differences form the rank-0 configuration, which
+    ``is_c_good`` finds light with no test; the alteration sweep, the one
+    library caller, hands over only subsets that repeat a difference.
     """
-    if distinct_difference_count(points) == comb(len(points), 2):
-        return True
     return is_c_good(from_points(points), c).c_good
 
 

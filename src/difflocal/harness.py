@@ -6,24 +6,26 @@ computed through the configuration machinery, cross-checked against direct
 difference counting.  The report records the maximum certified count among
 c-good configurations against the parity bound (k^2 - 2k)/4 for even k and
 (k-1)(k-3)/4 + 3 for odd k, whether every maximal attainer is a size-k
-star, and whether classification at c and at c = 2 ever diverge (they are
-expected to coincide at these sizes, and any divergence is reported
-loudly).  Those verdicts and the cross-check depend on the subset's
-difference pattern alone (``configuration.difference_pattern``), so the
-scan, in one process, counts and then classifies.  It counts: a pattern
-does not change under translation, and every subset is a translate of
-exactly one subset that contains 1, so only those are walked, each
-weighted by its translates, and each pattern gets its count and its least
-subset.  Then it classifies each distinct pattern once, on its least
-subset, folding the verdict into the report.  A pattern whose least subset
-holds a 3-term progression, a_j - a_i = a_l - a_j (``first_progression``),
-is counted bad without classification: the subset satisfies
-x_i - 2x_j + x_l = 0, a support-3 equation, so its configuration is
-collinear and bad at every c.  Its certified count is still computed, so
-the cross-check covers every subset.  Any other configuration is
-classified by ``is_c_good`` at 2; goodness at c is read off it, because
-light at 2 implies light at every c <= 2, and ``is_c_good`` at c runs only
-for one that is valid, collinearity-free and heavy at 2.
+star, and how many subsets are classified differently at c and at c = 2.
+Every c in (2 - 1/floor(k/2), 2], ``c = paper`` included, gives every
+configuration the verdict of c = 2 (``goodness.decides_as_two``), so a
+divergence can arise only below that range.  Those verdicts and the
+cross-check depend on the subset's difference pattern alone
+(``configuration.difference_pattern``), so the scan, in one process,
+counts and then classifies.  It counts: a pattern does not change under
+translation, and every subset is a translate of exactly one subset that
+contains 1, so only those are walked, each weighted by its translates,
+and each pattern gets its count and its least subset.  Then it classifies
+each distinct pattern once, on its least subset, folding the verdict into
+the report.  A pattern whose least subset holds a 3-term progression,
+a_j - a_i = a_l - a_j (``first_progression``), is counted bad without
+classification: the subset satisfies x_i - 2x_j + x_l = 0, a support-3
+equation, so its configuration is collinear and bad at every c.  Its
+certified count is still computed, so the cross-check covers every
+subset.  Any other configuration is classified by ``is_c_good`` at 2;
+goodness at c is read off it, because light at 2 implies light at every
+c <= 2, and ``is_c_good`` at c runs only for one that is valid,
+collinearity-free and heavy at 2, with c below that range.
 
 ``star_bound_check`` and ``odd_equality_case`` reproduce the equality cases
 exactly: stars realized with power-of-four offsets have no stray
@@ -59,6 +61,7 @@ from .configuration import (
 )
 from .goodness import (
     PAPER_C,
+    decides_as_two,
     is_c_good,
     is_collinearity_free,
     is_valid,
@@ -175,7 +178,10 @@ def scan_ground(
     A pattern whose least subset holds a 3-term progression,
     a_j - a_i = a_l - a_j, is bad at c and at 2 without ``is_c_good``: it
     implies x_i - 2x_j + x_l = 0, a support-3 equation, so the configuration
-    is collinear.  Its cross-check still runs.  See the module docstring.
+    is collinear.  Its cross-check still runs.  A pattern heavy at 2 is
+    classified again at c only when c lies below (2 - 1/floor(k/2), 2],
+    since c in that range gives the verdict of 2; so ``c2_divergences`` is
+    0 there.  See the module docstring.
     The budget bounds C(N, k), the subsets counted.  ``threads`` has no
     effect: the scan runs in one process."""
     c = parse_c(c)
@@ -202,7 +208,7 @@ def scan_ground(
             report.bad_count += count
             continue
         at_2 = is_c_good(config, TWO)
-        good_c = at_2.c_good or (c != TWO and at_2.c_light is False and is_c_good(config, c).c_good)
+        good_c = at_2.c_good or (at_2.c_light is False and not decides_as_two(c, k) and is_c_good(config, c).c_good)
         report.c2_divergences += count if good_c != at_2.c_good else 0
         if not good_c:
             report.bad_count += count
@@ -401,9 +407,11 @@ def _random_general_equality(rng: random.Random, k: int) -> DifferenceEquality:
     return _eq(k, vec)
 
 
-def _random_2full_family(rng: random.Random) -> Optional[list[DifferenceEquality]]:
+def _random_2full_family(rng: random.Random) -> list[DifferenceEquality]:
     """A chain family: a 2-full hub triple extended by equalities that reuse two
-    pooled variables and introduce two fresh ones each."""
+    pooled variables and introduce two fresh ones each.  An extension is
+    nonzero on its two fresh variables, where every earlier content is zero,
+    so the contents stay independent."""
     extensions = rng.randint(1, 3)
     k = 7 + 2 * extensions
     base = [
@@ -415,26 +423,20 @@ def _random_2full_family(rng: random.Random) -> Optional[list[DifferenceEquality
     pool = list(range(1, 8))
     next_fresh = 8
     for _ in range(extensions):
-        for _ in range(30):
-            u, v = rng.sample(pool, 2)
-            su = rng.choice((1, -1))
-            sv = rng.choice((1, -1))
-            fill = -(su + sv)
-            if fill == 0:
-                sx, sy = 1, -1
-            else:
-                sx = sy = fill // 2
-            vec = [0] * k
-            vec[u - 1], vec[v - 1] = su, sv
-            vec[next_fresh - 1], vec[next_fresh] = sx, sy
-            trial = contents + [tuple(vec)]
-            if exactlin.reduce(trial, k).rank == len(trial):
-                contents = trial
-                pool.extend((next_fresh, next_fresh + 1))
-                next_fresh += 2
-                break
+        u, v = rng.sample(pool, 2)
+        su = rng.choice((1, -1))
+        sv = rng.choice((1, -1))
+        fill = -(su + sv)
+        if fill == 0:
+            sx, sy = 1, -1
         else:
-            return None
+            sx = sy = fill // 2
+        vec = [0] * k
+        vec[u - 1], vec[v - 1] = su, sv
+        vec[next_fresh - 1], vec[next_fresh] = sx, sy
+        contents.append(tuple(vec))
+        pool.extend((next_fresh, next_fresh + 1))
+        next_fresh += 2
     return [_eq(k, vec) for vec in contents]
 
 
@@ -483,9 +485,8 @@ def _check_pair_claim(rng: random.Random, outcomes: list) -> None:
         b = _random_general_equality(rng, k)
         if a.canonical_content == b.canonical_content:
             continue
+        # two primitive contents that differ up to sign are independent
         config = from_equalities(k, (a, b))
-        if config.rank != 2:
-            continue
         if not is_valid(config)[0] or not is_collinearity_free(config)[0]:
             continue
         variables = set(a.support) | set(b.support)
@@ -495,8 +496,6 @@ def _check_pair_claim(rng: random.Random, outcomes: list) -> None:
 
 def _check_intersection(rng: random.Random, outcomes: list) -> None:
     family = _random_2full_family(rng)
-    if family is None:
-        return
     n = len(family)
     for _ in range(40):
         mask1 = [rng.random() < 0.7 for _ in range(n)]

@@ -35,7 +35,7 @@ from .configuration import (
     from_equalities,
     render_content,
 )
-from .goodness import GoodnessReport, is_c_good
+from .goodness import is_c_good
 
 MAX_PREMISES = 16
 
@@ -167,7 +167,6 @@ class StructureReport:
     """Clause-by-clause verdicts for one minimal implication."""
 
     precondition_2good: bool
-    goodness: GoodnessReport
     variable_counts_ok: bool
     variable_count: int
     appearance_profile: tuple[tuple[int, int], ...]  # (variable, appearances), quadruple first
@@ -189,7 +188,7 @@ def check_structure(impl: MinimalImplication) -> StructureReport:
     """
     k = impl.premises[0].k
     config = from_equalities(k, impl.premises)
-    goodness = is_c_good(config, Fraction(2))
+    precondition = is_c_good(config, Fraction(2)).c_good
 
     equations = [p.content for p in impl.premises] + [impl.product]
     t = len(impl.premises)
@@ -213,8 +212,7 @@ def check_structure(impl: MinimalImplication) -> StructureReport:
     implied = _implied_products(config, impl.premises, exclude)
     second = next((cand for cand, _ in implied), None)
     return StructureReport(
-        precondition_2good=goodness.c_good,
-        goodness=goodness,
+        precondition_2good=precondition,
         variable_counts_ok=case_two or case_four,
         variable_count=n_vars,
         appearance_profile=profile,

@@ -325,6 +325,25 @@ class TestAlterationSweep:
         sample = first_sample(20, 2, 3)
         assert con._alteration_sweep(sample, 4, Fraction(19, 10)) == (sorted(sample), [])
 
+    @pytest.mark.parametrize(
+        "sample, k",
+        [
+            (list(range(1, 13)), 5),
+            (first_sample(16, 1, 0), 6),
+            (first_sample(14, 1, 0), 7),
+            (first_sample(12, 2, 3), 7),
+            (first_sample(8, 2, 0), 8),
+        ],
+    )
+    def test_classified_subsets_repeat_a_difference(self, monkeypatch, sample, k):
+        # each subset the sweep classifies holds a seed, a progression or two
+        # 4-cores, so its differences are never pairwise distinct
+        classified = []
+        monkeypatch.setattr(con, "points_c_good", lambda points, c: classified.append(points) or points_c_good(points, c))
+        con._alteration_sweep(sample, k, Fraction(19, 10))
+        assert classified
+        assert all(brute_distinct_differences(points) < comb(k, 2) for points in classified)
+
 
 def literal_cores(points):
     """The 3-term progressions and the 4-sets w < x < y < z with x - w = z - y

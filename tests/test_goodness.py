@@ -614,6 +614,30 @@ class TestSweepStart:
             for subset in itertools.combinations(range(1, k + 1), size):
                 assert section_dim(contents, k, subset) <= size - 3
 
+    @pytest.mark.parametrize("k", [4, 5])
+    def test_below_6_variables_rank_below_3_decides(self, monkeypatch, k):
+        # a valid, collinearity-free span is the section of all k variables,
+        # so its rank is at most k - 3: below 3 here, light with no test
+        def refuse(*args):
+            raise AssertionError("a configuration on fewer than 6 variables reached a heaviness test")
+
+        monkeypatch.setattr(gd, "_light_by_partition", refuse)
+        monkeypatch.setattr(gd, "_heavy_by_dfs", refuse)
+        vectors = itertools.product(range(-2, 3), repeat=k)
+        contents = sorted({cfg.canonical_sign(v) for v in vectors if cfg.is_difference_content(v)})
+        spans = set()
+        for count in (1, 2, 3):
+            for chosen in itertools.combinations(contents, count):
+                config = cfg.from_equalities(k, chosen)
+                if config.basis.rows in spans:
+                    continue
+                spans.add(config.basis.rows)
+                if gd.is_valid(config)[0] and gd.is_collinearity_free(config)[0]:
+                    assert config.rank < 3
+                    for c in (TWO, PAPER_C, Fraction(3, 2)):
+                        assert gd.is_c_good(config, c).c_good
+        assert len(spans) == {4: 83, 5: 2375}[k]
+
 
 class TestCToTwoClaim:
     def test_small_c_good_configurations_are_2_good(self):
@@ -764,9 +788,9 @@ class TestDeskScanBound:
 
 def test_points_c_good_agrees_with_full_machinery():
     for points in itertools.combinations(range(1, 11), 4):
-        fast = gd.points_c_good(points, TWO)
+        got = gd.points_c_good(points, TWO)
         full = gd.is_c_good(cfg.from_points(points), TWO).c_good
-        assert fast == full
+        assert got == full
 
 
 class TestAgainstDefinitionLiteralOracle:

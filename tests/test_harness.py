@@ -1,5 +1,6 @@
 import itertools
 import os
+import random
 import time
 from fractions import Fraction
 from math import comb
@@ -13,9 +14,11 @@ from difflocal.configuration import (
     difference_pattern,
     distinct_difference_count,
     first_progression,
+    from_equalities,
     from_points,
 )
 from difflocal.goodness import is_c_good, largest_star
+from difflocal.implications import is_2_full
 from oracles import (
     all_leads_pattern_counts,
     brute_c_good,
@@ -197,13 +200,34 @@ class TestScanMemo:
         assert_same_scan(h.scan_ground(ground_n, k, c), want)
 
     @pytest.mark.parametrize("c,divergences", [("3/2", 1), ("paper", 0)])
-    def test_heavy_at_2(self, c, divergences):
+    def test_heavy_at_2(self, monkeypatch, c, divergences):
         # one basis here is heavy at 2 (the cube 1,2,4,5,10,11,13,14): light at
-        # 3/2, heavy at the paper's c, and decided by the sweep at c that the
-        # scan runs only for a basis heavy at 2
+        # 3/2, heavy at the paper's c.  The scan classifies each pattern once
+        # at 2, and the cube once more at c only when c lies below
+        # (2 - 1/floor(k/2), 2], where every verdict is the one at 2
         want = reference_scan(14, 8, c, uncached_classify(c), distinct_difference_count)
         assert want.c2_divergences == divergences
+        least = {}
+        for points in itertools.combinations(range(1, 15), 8):
+            least.setdefault(difference_pattern(points), points)
+        classified = sorted(points for points in least.values() if first_progression(points) is None)
+        points_of = {}
+        calls = []
+
+        def recording_from_points(points):
+            config = from_points(points)
+            points_of[id(config)] = points
+            return config
+
+        def recording_is_c_good(config, at, budget=None):
+            calls.append((points_of[id(config)], at))
+            return is_c_good(config, at, budget)
+
+        monkeypatch.setattr(h, "from_points", recording_from_points)
+        monkeypatch.setattr(h, "is_c_good", recording_is_c_good)
         assert_same_scan(h.scan_ground(14, 8, c), want)
+        assert sorted(points for points, at in calls if at == h.TWO) == classified
+        assert [points for points, at in calls if at != h.TWO] == [(1, 2, 4, 5, 10, 11, 13, 14)] * divergences
 
     def test_odd_k_witnesses_match_across_threads(self):
         # every attainer is a non-star at odd k
@@ -344,6 +368,30 @@ class TestLemmaSuite:
         monkeypatch.setattr(exactlin, "member", None)  # read off the pair-sum classes
         got = h._harvest_hub_equalities(from_points(points), k)
         assert [list(eq.content) for eq in got] == want
+
+    def test_2full_family_needs_no_retry(self):
+        # each extension is nonzero on two fresh variables, where every
+        # earlier content is zero, so the first draw is always independent
+        for seed in range(500):
+            family = h._random_2full_family(random.Random(seed))
+            assert family is not None
+            contents = [eq.content for eq in family]
+            assert frac_rank(contents) == len(contents)
+            assert is_2_full(family)
+
+    def test_pair_claim_draws_have_rank_2(self, monkeypatch):
+        # two primitive contents that differ up to sign are independent
+        ranks = []
+
+        def recording_from_equalities(k, eqs):
+            config = from_equalities(k, eqs)
+            ranks.append(config.rank)
+            return config
+
+        monkeypatch.setattr(h, "from_equalities", recording_from_equalities)
+        for seed in range(500):
+            h._check_pair_claim(random.Random(seed), [])
+        assert set(ranks) == {2}
 
     def test_deterministic_given_seed(self):
         a = h.lemma_property_suite(seed=9, instance_count=20)
