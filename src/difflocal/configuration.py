@@ -319,19 +319,23 @@ def distinct_difference_count(points: Sequence[int | Fraction]) -> int:
 
 
 @lru_cache(maxsize=MAX_VARIABLES)
-def _index_pairs(k: int) -> tuple[tuple[int, tuple[int, int]], ...]:
-    return tuple(enumerate(itertools.combinations(range(k), 2)))
+def colex_pairs(k: int) -> tuple[tuple[int, int], ...]:
+    """The index pairs (i, j), 0 <= i < j < k, in colex order: (0,1), (0,2),
+    (1,2), (0,3), ...  The pairs among the first m indices come first, so
+    the order extends one index at a time."""
+    return tuple([(i, j) for j in range(k) for i in range(j)])
 
 
 def difference_pattern(points: Sequence[int | Fraction]) -> tuple[int, ...]:
     """Label each index pair (i, j), i < j, of an increasing tuple, in
-    ``combinations`` order, by the position of the first pair with the same
+    ``colex_pairs`` order, by the position of the first pair with the same
     difference a_j - a_i.  Every difference equality among increasing
     numbers equates two such differences, so tuples with one pattern share
     ``from_points(...).basis``; their distinct-difference count is the
-    number of distinct labels."""
+    number of distinct labels.  A tuple's pattern starts with the pattern
+    of each of its prefixes, which lets the scan build it point by point."""
     first: dict[int | Fraction, int] = {}
-    return tuple([first.setdefault(points[j] - points[i], n) for n, (i, j) in _index_pairs(len(points))])
+    return tuple([first.setdefault(points[j] - points[i], n) for n, (i, j) in enumerate(colex_pairs(len(points)))])
 
 
 def first_progression(points: Sequence[int | Fraction]) -> tuple[int, int, int] | None:

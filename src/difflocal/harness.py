@@ -15,14 +15,20 @@ cross-check depend on the subset's difference pattern alone
 counts and then classifies.  It counts: a pattern does not change under
 translation, and every subset is a translate of exactly one subset that
 contains 1, so only those are walked, each weighted by its translates,
-and each pattern gets its count and its least subset.  Then it classifies
-each distinct pattern once, on its least subset, folding the verdict into
-the report.  A pattern whose least subset holds a 3-term progression,
-a_j - a_i = a_l - a_j (``first_progression``), is counted bad without
-classification: the subset satisfies x_i - 2x_j + x_l = 0, a support-3
-equation, so its configuration is collinear and bad at every c.  Its
-certified count is still computed, so the cross-check covers every
-subset.  Any other configuration is classified by ``is_c_good`` at 2;
+and each pattern gets its count, its least subset and the canonical basis
+rows of its configuration.  The walk is depth first, and each prefix
+carries two things: its table of differences, so a subset reads its
+pattern off k - 1 lookups, and its canonical rows, made at most once and
+only when a new pattern below it needs them.  A new pattern's rows are its
+prefix's plus one content per repeated difference of its last point, so
+the walk never calls ``from_points``.  Then it classifies each distinct
+pattern once, as the configuration of those rows, folding the verdict
+into the report.  A pattern whose least subset holds a 3-term
+progression, a_j - a_i = a_l - a_j (``first_progression``), is counted
+bad without classification: the subset satisfies x_i - 2x_j + x_l = 0, a
+support-3 equation, so its configuration is collinear and bad at every
+c.  Its certified count is still computed, so the cross-check covers
+every subset.  Any other configuration is classified by ``is_c_good`` at 2;
 goodness at c is read off it, because light at 2 implies light at every
 c <= 2, and ``is_c_good`` at c runs only for one that is valid,
 collinearity-free and heavy at 2, with c below that range.
@@ -50,9 +56,10 @@ from typing import Iterable, Optional, Sequence
 
 from . import exactlin
 from .configuration import (
+    MAX_VARIABLES,
     DifferenceEquality,
     KConfiguration,
-    difference_pattern,
+    colex_pairs,
     distinct_difference_count,
     first_progression,
     from_equalities,
@@ -139,30 +146,134 @@ class ScanReport:
         }
 
 
+class _PatternWalk:
+    """The state of ``_scan_chunk``'s depth-first walk over the subsets
+    (1, p_1, ..., p_{k-1}) of [1..top], in lexicographic order.
+
+    ``first`` maps each difference of the current prefix to its label, the
+    ``colex_pairs`` position of the first pair with that difference, so the
+    label also names that pair; ``labels`` holds the prefix's pattern.  A
+    new point p_j labels its pairs (i, j) by lookup and enters only its new
+    differences, which it removes again on the way back: the pairs of p_j
+    follow every pair of the prefix in colex order and have distinct
+    differences, so the labels never change below it and each subset's
+    labels are ``difference_pattern(points)``.
+
+    ``rows[j]`` is the canonical basis rows of the prefix through p_j, made
+    only when a new pattern below it asks for them (None until then).  The
+    span of p_0..p_j is the prefix's span plus, for each pair (i, j) that
+    repeats the difference of an earlier first pair (a, b), the content
+    e_j - e_i - e_b + e_a: every difference equality among increasing
+    numbers equates two differences, and each class of equal differences
+    is spanned by its members' relations to its first pair.  Rows are
+    interned, one tuple per distinct row, shared by every pattern."""
+
+    def __init__(self, ground_n: int, k: int, leads: Sequence[int]) -> None:
+        self.k = k
+        self.last = ground_n + 1
+        self.top = ground_n + 1 - leads[0]
+        self.leads = leads
+        self.shift = leads[0] - 1
+        self.pairs = colex_pairs(k)
+        self.points = [1]
+        self.labels: list[int] = []
+        self.first: dict[int, int] = {}
+        self.rows: list[Optional[tuple]] = [()] + [None] * (k - 1)
+        self.interned: dict[tuple[int, ...], tuple[int, ...]] = {}
+        self.counts: dict[tuple[int, ...], list] = {}
+
+    def descend(self, j: int) -> None:
+        """Walk every choice of p_j, ..., p_{k-1} after the current prefix."""
+        if j == self.k - 1:
+            self.leaves()
+            return
+        points, labels, first, rows = self.points, self.labels, self.first, self.rows
+        base = len(labels)
+        for x in range(points[-1] + 1, self.top + j + 2 - self.k):
+            added = []
+            for n, p in enumerate(points, base):
+                d = x - p
+                label = first.get(d)
+                if label is None:
+                    label = first[d] = n
+                    added.append(d)
+                labels.append(label)
+            points.append(x)
+            rows[j] = None
+            self.descend(j + 1)
+            points.pop()
+            del labels[base:]
+            for d in added:
+                del first[d]
+
+    def leaves(self) -> None:
+        """Count every last point p_{k-1}; a new pattern records its least
+        subset and its rows."""
+        points, leads, last, shift, counts = self.points, self.leads, self.last, self.shift, self.counts
+        prefix = tuple(self.labels)
+        get = self.first.get
+        owned = list(zip(points, range(len(prefix), len(prefix) + len(points))))
+        for x in range(points[-1] + 1, self.top + 1):
+            new = [get(x - p, n) for p, n in owned]
+            key = prefix + tuple(new)
+            translates = bisect_right(leads, last - x)
+            entry = counts.get(key)
+            if entry is not None:
+                entry[0] += translates
+            else:
+                least = tuple([p + shift for p in points]) + (x + shift,)
+                counts[key] = [translates, least, self.extend_rows(new)]
+
+    def prefix_rows(self, j: int) -> tuple:
+        """The canonical rows of p_0..p_j, made on first use."""
+        rows = self.rows[j]
+        if rows is None:
+            base = j * (j - 1) // 2
+            rows = self.rows[j] = self.extend_rows(self.labels[base : base + j])
+        return rows
+
+    def extend_rows(self, new: Sequence[int]) -> tuple:
+        """The canonical rows of the prefix extended by a point p_j whose
+        pairs (i, j) carry the labels ``new``."""
+        j = len(new)
+        base = j * (j - 1) // 2
+        contents = []
+        for i, label in enumerate(new):
+            if label < base:  # the pair repeats the difference of an earlier first pair (a, b)
+                a, b = self.pairs[label]
+                vec = [0] * self.k
+                vec[j] += 1
+                vec[i] -= 1
+                vec[b] -= 1
+                vec[a] += 1
+                contents.append(vec)
+        rows = self.prefix_rows(j - 1)
+        if not contents:
+            return rows
+        mat = [list(r) for r in rows] + contents
+        rank = exactlin.echelon(mat, self.k)
+        interned = self.interned
+        return tuple([interned.setdefault(r, r) for r in map(tuple, mat[:rank])])
+
+
 def _scan_chunk(payload: tuple) -> dict[tuple[int, ...], list]:
     """Count the subsets with their lead in ``leads`` by difference pattern:
-    each pattern maps to [count, least subset].  Nothing is classified here.
+    each pattern maps to [count, least subset, canonical basis rows].
+    Nothing is classified here.
 
     A pattern does not change under translation, so only subsets that
-    contain 1 are walked.  One with maximum m stands for its translates
-    with lead a <= N + 1 - m, and counts the leads in ``leads`` up to that
-    bound; one that would count none (m > N + 1 - min(leads)) is not
-    visited.  Subsets come in lexicographic order, so the first of a
-    pattern, shifted to the least lead, is its least subset."""
+    contain 1 are walked, depth first (``_PatternWalk``).  One with maximum
+    m stands for its translates with lead a <= N + 1 - m, and counts the
+    leads in ``leads`` up to that bound; one that would count none
+    (m > N + 1 - min(leads)) is not visited.  Subsets come in
+    lexicographic order, so the first of a pattern, shifted to the least
+    lead, is its least subset.  Its rows are those of
+    ``from_points(least subset).basis``, built from its prefix's rows."""
     # c is unread: perfbench/workloads.py builds this 4-tuple payload
     ground_n, k, _c, leads = payload
-    leads = sorted(leads)
-    shift = leads[0] - 1
-    counts: dict[tuple[int, ...], list] = {}
-    for rest in itertools.combinations(range(2, ground_n + 2 - leads[0]), k - 1):
-        points = (1,) + rest
-        translates = bisect_right(leads, ground_n + 1 - rest[-1])
-        pattern = difference_pattern(points)
-        if pattern in counts:
-            counts[pattern][0] += translates
-        else:
-            counts[pattern] = [translates, tuple(x + shift for x in points)]
-    return counts
+    walk = _PatternWalk(ground_n, k, sorted(leads))
+    walk.descend(1)
+    return walk.counts
 
 
 def scan_ground(
@@ -174,19 +285,23 @@ def scan_ground(
     budget: int | None = None,
 ) -> ScanReport:
     """Classify every k-subset of [1..N]: count the subsets per difference
-    pattern, then classify each distinct pattern once, on its least subset.
-    A pattern whose least subset holds a 3-term progression,
+    pattern, then classify each distinct pattern once, as the configuration
+    of the canonical rows the walk built for it (``_scan_chunk``), on its
+    least subset.  A pattern whose least subset holds a 3-term progression,
     a_j - a_i = a_l - a_j, is bad at c and at 2 without ``is_c_good``: it
     implies x_i - 2x_j + x_l = 0, a support-3 equation, so the configuration
     is collinear.  Its cross-check still runs.  A pattern heavy at 2 is
     classified again at c only when c lies below (2 - 1/floor(k/2), 2],
     since c in that range gives the verdict of 2; so ``c2_divergences`` is
     0 there.  See the module docstring.
-    The budget bounds C(N, k), the subsets counted.  ``threads`` has no
-    effect: the scan runs in one process."""
+    The budget bounds C(N, k), the subsets counted, and k is at most
+    ``MAX_VARIABLES``, as for any configuration; both are checked before
+    the walk.  ``threads`` has no effect: the scan runs in one process."""
     c = parse_c(c)
     if k < 4 or ground_n < k:
         raise ValueError(f"need 4 <= k <= N, got k={k}, N={ground_n}")
+    if k > MAX_VARIABLES:
+        raise ValueError(f"scan needs k <= {MAX_VARIABLES} variables, got k={k}")
     limit = resolve_budget(budget)
     total = comb(ground_n, k)
     if total > limit:
@@ -198,8 +313,8 @@ def scan_ground(
     bound = certified_bound(k)
     best: list[tuple[int, tuple[int, ...]]] = []
     non_star: list[tuple[int, ...]] = []
-    for pattern, (count, points) in patterns.items():
-        config = from_points(points)
+    for pattern, (count, points, rows) in patterns.items():
+        config = KConfiguration(k, exactlin.ExactBasis(k, rows))
         certified = config.certified_count()
         report.subsets_scanned += count
         report.cross_check_failures += 0 if certified == comb(k, 2) - len(set(pattern)) else count

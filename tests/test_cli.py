@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from difflocal import __version__, cli, constructions, reportfmt
+from difflocal import __version__, cli, constructions, harness, reportfmt
 from difflocal.harness import realize_star
 
 
@@ -284,6 +284,16 @@ class TestScan:
         assert code == 2
         assert text == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+    def test_k_above_max_variables_exits_2_before_the_walk(self, monkeypatch, capsys):
+        def refuse(payload):
+            raise AssertionError("the scan walked")
+
+        monkeypatch.setattr(harness, "_scan_chunk", refuse)
+        code, text, err = run(capsys, "scan", "--N", "66", "--k", "65")
+        assert code == 2
+        assert text == ""
+        assert err == "error: scan needs k <= 64 variables, got k=65\n"
 
 
 @pytest.mark.parametrize(

@@ -1,3 +1,4 @@
+import gc
 import itertools
 import os
 import random
@@ -11,6 +12,7 @@ from hypothesis import given, settings, strategies as st
 from difflocal import exactlin
 from difflocal import harness as h
 from difflocal.configuration import (
+    KConfiguration,
     difference_pattern,
     distinct_difference_count,
     first_progression,
@@ -207,23 +209,16 @@ class TestScanMemo:
         # (2 - 1/floor(k/2), 2], where every verdict is the one at 2
         want = reference_scan(14, 8, c, uncached_classify(c), distinct_difference_count)
         assert want.c2_divergences == divergences
-        least = {}
-        for points in itertools.combinations(range(1, 15), 8):
-            least.setdefault(difference_pattern(points), points)
-        classified = sorted(points for points in least.values() if first_progression(points) is None)
-        points_of = {}
+        least = least_subsets([(14, 8)])
+        classified = sorted(points for points in least if first_progression(points) is None)
+        points_of = {from_points(points).basis.rows: points for points in least}
+        assert len(points_of) == len(least)
         calls = []
 
-        def recording_from_points(points):
-            config = from_points(points)
-            points_of[id(config)] = points
-            return config
-
         def recording_is_c_good(config, at, budget=None):
-            calls.append((points_of[id(config)], at))
+            calls.append((points_of[config.basis.rows], at))
             return is_c_good(config, at, budget)
 
-        monkeypatch.setattr(h, "from_points", recording_from_points)
         monkeypatch.setattr(h, "is_c_good", recording_is_c_good)
         assert_same_scan(h.scan_ground(14, 8, c), want)
         assert sorted(points for points, at in calls if at == h.TWO) == classified
@@ -241,35 +236,69 @@ class TestScanMemo:
         distinct = len({difference_pattern(points) for points in subsets})
         calls = []
 
-        def counting_from_points(points):
-            calls.append(points)
-            return from_points(points)
+        def counting_configuration(k, basis):
+            calls.append(basis.rows)
+            return KConfiguration(k, basis)
 
-        monkeypatch.setattr(h, "from_points", counting_from_points)
+        monkeypatch.setattr(h, "KConfiguration", counting_configuration)
         h.scan_ground(15, 6, "paper")
-        assert len(calls) == distinct
+        assert len(set(calls)) == len(calls) == distinct == 777
 
     def test_progressions_are_not_classified(self, monkeypatch):
         # a pattern with a 3-term progression is collinear, so bad at every c,
         # and is_c_good runs only on the others: 25 of the 786 patterns here
-        points_of = {}
+        points_of = {from_points(points).basis.rows: points for points in least_subsets([(36, 4), (15, 6)])}
+        assert len(points_of) == 786
         classified = []
 
-        def recording_from_points(points):
-            config = from_points(points)
-            points_of[id(config)] = points
-            return config
-
         def recording_is_c_good(config, c, budget=None):
-            classified.append(points_of[id(config)])
+            classified.append(points_of[config.basis.rows])
             return is_c_good(config, c, budget)
 
-        monkeypatch.setattr(h, "from_points", recording_from_points)
         monkeypatch.setattr(h, "is_c_good", recording_is_c_good)
         h.scan_ground(36, 4, "paper")
         h.scan_ground(15, 6, "paper")
         assert len(classified) == 25
         assert all(first_progression(points) is None for points in classified)
+
+    def test_scan_never_calls_from_points(self, monkeypatch):
+        # the walk builds each pattern's rows from its prefix's
+        grounds = [(36, 4, "paper"), (15, 6, "paper"), (14, 8, "3/2")]
+        want = {ground: h.scan_ground(*ground) for ground in grounds}
+
+        def refuse(points):
+            raise AssertionError("the scan called from_points")
+
+        monkeypatch.setattr(h, "from_points", refuse)
+        for ground, report in want.items():
+            assert_same_scan(h.scan_ground(*ground), report)
+
+    def test_leaves_no_more_reference_cycles(self):
+        # the walk makes none; the heaviness search at 3/2 leaves one
+        # recursive closure on the cube, 30 objects
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            gc.collect()
+            for ground_n, k in [(15, 6), (14, 8)]:
+                h._scan_chunk((ground_n, k, h.PAPER_C, tuple(range(1, ground_n - k + 2))))
+                assert gc.collect() == 0
+            h.scan_ground(15, 6, "paper")
+            h.scan_ground(14, 8, "3/2")
+            assert gc.collect() <= 30
+        finally:
+            if enabled:
+                gc.enable()
+
+
+def least_subsets(grounds):
+    """The least subset of each difference pattern of each ground (N, k), by
+    a walk over every subset that contains 1."""
+    least = {}
+    for ground_n, k in grounds:
+        for rest in itertools.combinations(range(2, ground_n + 1), k - 1):
+            least.setdefault(difference_pattern((1,) + rest), (1,) + rest)
+    return list(least.values())
 
 
 class TestQuotientWalk:
@@ -284,7 +313,32 @@ class TestQuotientWalk:
         lead_sets += [leads[start::step] for step in (2, 3) for start in range(step)]
         for chosen in lead_sets:
             got = h._scan_chunk((ground_n, k, h.PAPER_C, chosen))
-            assert got == all_leads_pattern_counts(ground_n, k, chosen), chosen
+            # the oracle labels pairs in combinations order, the walk in
+            # colex order: the classes agree, so compare them by least subset
+            want = all_leads_pattern_counts(ground_n, k, chosen)
+            assert sorted(v[:2] for v in got.values()) == sorted(want.values()), chosen
+
+    def test_every_key_is_the_difference_pattern(self):
+        # each leaf looks its key up once, in lexicographic order
+        keys = []
+
+        class Recording(dict):
+            def get(self, key, default=None):
+                keys.append(key)
+                return super().get(key, default)
+
+        walk = h._PatternWalk(15, 6, [1])
+        walk.counts = Recording()
+        walk.descend(1)
+        rests = itertools.combinations(range(2, 16), 5)
+        assert keys == [difference_pattern((1,) + rest) for rest in rests]
+
+    @pytest.mark.parametrize("ground_n,k", [(15, 6), (14, 8), (16, 7)])
+    def test_rows_match_from_points(self, ground_n, k):
+        got = h._scan_chunk((ground_n, k, h.PAPER_C, tuple(range(1, ground_n - k + 2))))
+        assert len(got) > 700
+        for count, points, rows in got.values():
+            assert rows == from_points(points).basis.rows, points
 
     def test_benchmark_call_starts_no_process(self, monkeypatch):
         # perfbench/workloads.py still passes threads=2, which has no effect
