@@ -26,6 +26,12 @@ below B in size, so its key is 0 iff the sum is 0.  Certified pairs are read
 off the keys, and ``pair_sum_classes`` groups index pairs by key sum, for
 the stars of ``goodness`` and the candidate products of ``implications``.
 
+Every content built from index pairs, e_a + e_b - e_c - e_d with repeated
+indices added up, comes from one 0-based helper, ``_sum_content``: those of
+``DifferenceEquality.from_indices`` and ``from_points`` here, of the stars
+of ``goodness``, of the scan's rows and the lemma suite's equalities in
+``harness``, and of the implied products of ``implications``.
+
 All variable indices in this module's public API are 1-based (x_1..x_k).
 """
 
@@ -46,6 +52,20 @@ MAX_VARIABLES = 64
 CertifiedPair = tuple  # (i, j) with 1 <= j < i <= k
 
 
+def _sum_content(k: int, plus: Sequence[int], minus: Sequence[int]) -> list[int]:
+    """e_a + e_b - e_c - e_d on k variables, for 0-based plus = (a, b) and
+    minus = (c, d); repeated indices add up, so (a, c), (b, b) gives the
+    progression content e_a - 2e_b + e_c (see the module docstring)."""
+    vec = [0] * k
+    a, b = plus
+    c, d = minus
+    vec[a] += 1
+    vec[b] += 1
+    vec[c] -= 1
+    vec[d] -= 1
+    return vec
+
+
 @dataclass(frozen=True)
 class DifferenceEquality:
     """The equation x_{i1} - x_{i2} = x_{i3} - x_{i4} with its content vector.
@@ -62,14 +82,12 @@ class DifferenceEquality:
 
     @classmethod
     def from_indices(cls, k: int, i1: int, i2: int, i3: int, i4: int) -> "DifferenceEquality":
+        """The equality x_{i1} - x_{i2} = x_{i3} - x_{i4}, content
+        e_{i1} + e_{i4} - e_{i2} - e_{i3} (``_sum_content``)."""
         for i in (i1, i2, i3, i4):
             if not 1 <= i <= k:
                 raise ValueError(f"index {i} outside 1..{k}")
-        vec = [0] * k
-        vec[i1 - 1] += 1
-        vec[i2 - 1] -= 1
-        vec[i3 - 1] -= 1
-        vec[i4 - 1] += 1
+        vec = _sum_content(k, (i1 - 1, i4 - 1), (i2 - 1, i3 - 1))
         if not any(vec):
             raise ValueError("trivial equation (content is the zero vector)")
         return cls(k, (i1, i2, i3, i4), tuple(vec))
@@ -285,8 +303,10 @@ def from_points(points: Sequence[int | Fraction]) -> KConfiguration:
 
     Every satisfied difference equality a_{i1} - a_{i2} = a_{i3} - a_{i4}
     amounts to two (multiset) index pairs with equal sums, so the span is
-    generated by one anchor relation per group of equal pair-sums; this
-    produces the same span as enumerating all O(k^4) index tuples.
+    generated by the relations of each group of equal pair-sums to its
+    first pair (a, b): e_a + e_b - e_c - e_d for each later pair (c, d),
+    from ``_sum_content``.  This produces the same span as enumerating all
+    O(k^4) index tuples.
     """
     pts = list(points)
     k = len(pts)
@@ -298,18 +318,7 @@ def from_points(points: Sequence[int | Fraction]) -> KConfiguration:
     for p in range(k):
         for q in range(p, k):
             groups.setdefault(pts[p] + pts[q], []).append((p, q))
-    contents = []
-    for pairs in groups.values():
-        if len(pairs) < 2:
-            continue
-        a, b = pairs[0]
-        for c, d in pairs[1:]:
-            vec = [0] * k
-            vec[a] += 1
-            vec[b] += 1
-            vec[c] -= 1
-            vec[d] -= 1
-            contents.append(vec)
+    contents = [_sum_content(k, pairs[0], pair) for pairs in groups.values() for pair in pairs[1:]]
     return KConfiguration(k, exactlin.reduce(contents, k))
 
 

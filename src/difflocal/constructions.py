@@ -128,6 +128,7 @@ def _sphere_slice(d: int, m: int, r: int, hists: list[list[int]]) -> list[tuple[
                 extend(pos + 1, rem)
 
     extend(0, r)
+    del extend  # it calls itself: free the cycle without the cyclic GC
     return out
 
 

@@ -41,7 +41,7 @@ from functools import cached_property
 from typing import Optional, Sequence
 
 from . import exactlin
-from .configuration import KConfiguration, from_equalities, from_points
+from .configuration import KConfiguration, _sum_content, from_equalities, from_points
 from .verifier import BudgetExceededError
 
 PAPER_C = Fraction(2) - Fraction(1, 2**29)
@@ -228,7 +228,10 @@ def _heavy_by_dfs(
                 return (i + 1,) + found
         return None
 
-    return heavy_from(0, 0, 0, 0), nodes
+    try:
+        return heavy_from(0, 0, 0, 0), nodes
+    finally:
+        del heavy_from  # it calls itself: free the cycle without the cyclic GC
 
 
 def _light_by_partition(config: KConfiguration, budget: Optional[int]) -> tuple[bool, int]:
@@ -499,7 +502,9 @@ def largest_star(config: KConfiguration) -> tuple[int, Optional[StarWitness]]:
 
 
 def star_configuration(k: int, pairs: Sequence[tuple[int, int]]) -> KConfiguration:
-    """The configuration {x_{i1}+x_{i2} = x_{i3}+x_{i4} = ...} on k variables."""
+    """The configuration {x_{i1}+x_{i2} = x_{i3}+x_{i4} = ...} on k variables,
+    spanned by e_{i1} + e_{i2} - e_a - e_b for each later pair (a, b)
+    (``configuration._sum_content``)."""
     if len(pairs) < 2:
         raise ValueError("a star needs at least two pairs")
     seen: set[int] = set()
@@ -510,12 +515,4 @@ def star_configuration(k: int, pairs: Sequence[tuple[int, int]]) -> KConfigurati
             raise ValueError("star pairs must be pairwise disjoint")
         seen.update((a, b))
     a0, b0 = pairs[0]
-    contents = []
-    for a, b in pairs[1:]:
-        vec = [0] * k
-        vec[a0 - 1] += 1
-        vec[b0 - 1] += 1
-        vec[a - 1] -= 1
-        vec[b - 1] -= 1
-        contents.append(vec)
-    return from_equalities(k, contents)
+    return from_equalities(k, [_sum_content(k, (a0 - 1, b0 - 1), (a - 1, b - 1)) for a, b in pairs[1:]])

@@ -59,6 +59,7 @@ from .configuration import (
     MAX_VARIABLES,
     DifferenceEquality,
     KConfiguration,
+    _sum_content,
     colex_pairs,
     distinct_difference_count,
     first_progression,
@@ -234,19 +235,16 @@ class _PatternWalk:
 
     def extend_rows(self, new: Sequence[int]) -> tuple:
         """The canonical rows of the prefix extended by a point p_j whose
-        pairs (i, j) carry the labels ``new``."""
+        pairs (i, j) carry the labels ``new``: the prefix's rows and, for
+        each pair that repeats an earlier first pair (a, b), the content
+        e_j + e_a - e_i - e_b from ``_sum_content``."""
         j = len(new)
         base = j * (j - 1) // 2
         contents = []
         for i, label in enumerate(new):
             if label < base:  # the pair repeats the difference of an earlier first pair (a, b)
                 a, b = self.pairs[label]
-                vec = [0] * self.k
-                vec[j] += 1
-                vec[i] -= 1
-                vec[b] -= 1
-                vec[a] += 1
-                contents.append(vec)
+                contents.append(_sum_content(self.k, (j, a), (i, b)))
         rows = self.prefix_rows(j - 1)
         if not contents:
             return rows
@@ -482,12 +480,10 @@ def intersection_figure() -> tuple[list[DifferenceEquality], list[DifferenceEqua
 
 
 def _hub_content(k: int, hub: int, others: Sequence[int], plus: int) -> tuple[int, ...]:
-    """x_hub and others[plus] at +1, the other two of the three ``others`` at -1."""
-    vec = [0] * k
-    vec[hub - 1] = 1
-    for pos, var in enumerate(others):
-        vec[var - 1] = 1 if pos == plus else -1
-    return tuple(vec)
+    """x_hub and others[plus] at +1, the other two of the three ``others`` at
+    -1, by ``_sum_content``; all four variables are distinct."""
+    minus = [var - 1 for pos, var in enumerate(others) if pos != plus]
+    return tuple(_sum_content(k, (hub - 1, others[plus] - 1), minus))
 
 
 def _random_hub_family(rng: random.Random) -> Optional[list[DifferenceEquality]]:
@@ -512,14 +508,13 @@ def _random_hub_family(rng: random.Random) -> Optional[list[DifferenceEquality]]
 
 
 def _random_general_equality(rng: random.Random, k: int) -> DifferenceEquality:
-    vec = [0] * k
+    """A progression x_a - 2x_b + x_c = 0 one time in four, else
+    x_a + x_b - x_c - x_d = 0, on distinct random variables."""
     if rng.random() < 0.25:
         a, b, c = rng.sample(range(k), 3)
-        vec[a], vec[b], vec[c] = 1, -2, 1
-    else:
-        a, b, c, d = rng.sample(range(k), 4)
-        vec[a], vec[b], vec[c], vec[d] = 1, 1, -1, -1
-    return _eq(k, vec)
+        return _eq(k, _sum_content(k, (a, c), (b, b)))
+    a, b, c, d = rng.sample(range(k), 4)
+    return _eq(k, _sum_content(k, (a, b), (c, d)))
 
 
 def _random_2full_family(rng: random.Random) -> list[DifferenceEquality]:
@@ -619,7 +614,7 @@ def _check_intersection(rng: random.Random, outcomes: list) -> None:
         t2 = [eq for eq, keep in zip(family, mask2) if keep]
         common = [eq for eq, k1, k2 in zip(family, mask1, mask2) if k1 and k2]
         union = [eq for eq, k1, k2 in zip(family, mask1, mask2) if k1 or k2]
-        if not common or not t1 or not t2 or t1 == t2:
+        if not common or t1 == t2:
             continue
         if not (is_2_full(t1) and is_2_full(t2)):
             continue

@@ -31,6 +31,7 @@ from . import exactlin
 from .configuration import (
     DifferenceEquality,
     KConfiguration,
+    _sum_content,
     canonical_sign,
     from_equalities,
     render_content,
@@ -74,15 +75,14 @@ def _candidate_products(config: KConfiguration, variables: Sequence[int]) -> lis
     in ``combinations`` order, so the first of two disjoint pairs holds the
     least index and takes the +1.  Two pairs that meet are no candidate (in
     an invalid configuration {a,b} ~ {a,c} is the implied x_b = x_c).
+    Each candidate is built by ``_sum_content``.
     """
     k = config.k
     found = []
     for pairs in config.pair_sum_classes(variables):
         for (a, b), (c, d) in itertools.combinations(pairs, 2):
             if not {a, b} & {c, d}:
-                vec = [0] * k
-                vec[a - 1] = vec[b - 1] = 1
-                vec[c - 1] = vec[d - 1] = -1
+                vec = _sum_content(k, (a - 1, b - 1), (c - 1, d - 1))
                 found.append((sorted((a, b, c, d)), b, tuple(vec)))
     found.sort()
     return [vec for _, _, vec in found]
@@ -90,22 +90,23 @@ def _candidate_products(config: KConfiguration, variables: Sequence[int]) -> lis
 
 def _solve_coefficients(
     premises: Sequence[DifferenceEquality], target: Sequence[int]
-) -> Optional[tuple[Fraction, ...]]:
-    """Solve target = sum c_i * premise_i exactly; None when unsolvable.
+) -> tuple[Fraction, ...]:
+    """Solve target = sum c_i * premise_i exactly, for a target in the
+    premises' span.
 
     The premises must be linearly independent, as they are for both callers
     of ``_implied_products``: ``minimal_implications`` skips dependent
-    subsets, and ``check_structure`` receives the premises it produced.  Rows
+    subsets, and ``check_structure`` receives the premises it produced.
+    Every target is a ``_candidate_products`` candidate of their span.  Rows
     ``[premise_i | e_i]`` and ``[target | e_{t+1}]`` are eliminated on the
-    content columns; a solution exists iff the rank stays t, and then the one
-    kernel row ``(y_1..y_t, y)`` gives ``c_i = -y_i / y``.
+    content columns; the rank stays t, and the one kernel row
+    ``(y_1..y_t, y)`` gives ``c_i = -y_i / y``.
     """
     k = premises[0].k
     t = len(premises)
     contents = [p.content for p in premises] + [target]
     mat = [list(vec) + [int(j == i) for j in range(t + 1)] for i, vec in enumerate(contents)]
-    if exactlin.echelon(mat, k) > t:
-        return None
+    exactlin.echelon(mat, k)
     *ys, y = mat[t][k:]
     return tuple(Fraction(-yi, y) for yi in ys)
 
@@ -124,7 +125,7 @@ def _implied_products(
         if canonical_sign(cand) in exclude:
             continue
         coeffs = _solve_coefficients(premises, cand)
-        if coeffs is not None and all(c != 0 for c in coeffs):
+        if all(c != 0 for c in coeffs):
             yield cand, coeffs
 
 

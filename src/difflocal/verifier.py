@@ -127,6 +127,7 @@ def check_local_property(
                 return
 
     visit(0, 0)
+    del visit  # it calls itself: free the cycle without the cyclic GC
     assert best_subset is not None
     return LocalPropertyVerdict(
         holds=best_count >= ell,

@@ -34,6 +34,20 @@ class TestDifferenceEquality:
             rebuilt = cfg.DifferenceEquality.from_indices(4, *eq.indices)
             assert rebuilt.content == content
 
+    @pytest.mark.parametrize(
+        "plus,minus,content",
+        [
+            ((0, 3), (1, 2), (1, -1, -1, 1, 0)),  # four distinct indices
+            ((0, 2), (1, 1), (1, -2, 1, 0, 0)),  # the progression x1 - 2*x2 + x3
+            ((3, 3), (4, 4), (0, 0, 0, 2, -2)),  # x4 = x5, written twice
+        ],
+    )
+    def test_sum_content(self, plus, minus, content):
+        # 0-based: e_a + e_b - e_c - e_d, repeated indices adding up
+        vec = cfg._sum_content(5, plus, minus)
+        assert tuple(vec) == content
+        assert cfg.DifferenceEquality.from_content(5, vec).content == content
+
     def test_same_equality_up_to_sign(self):
         a = cfg.DifferenceEquality.from_content(4, (1, -1, -1, 1))
         b = cfg.DifferenceEquality.from_content(4, (-1, 1, 1, -1))

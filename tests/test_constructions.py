@@ -45,6 +45,10 @@ class TestBehrendSet:
         assert params["r"] == 5  # slice {(1,2),(2,1)}; ties broken to smallest r
         assert art.elements == (98, 193)
 
+    def test_leaves_no_reference_cycles(self, unreachable_after):
+        # the sphere-slice walk calls itself, and drops that reference when it ends
+        assert unreachable_after(con.behrend_set, d=3, m=6, kappa=2) == 0
+
     def test_injectivity_output_size_equals_slice(self):
         for d, m, kappa in [(2, 5, 2), (3, 4, 1), (3, 6, 2)]:
             art = con.behrend_set(d=d, m=m, kappa=kappa)

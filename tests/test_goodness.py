@@ -373,6 +373,21 @@ class TestHeavinessDFS:
         assert (gd._heavy_by_dfs(config, c, None)[0] is not None) == sweep_heavy(config, c)
         assert gd._heaviness_sweep(config, c) == reference_sweep(config, heavy_needs(c, range(6, config.k + 1)))
 
+    def test_leaves_no_reference_cycles(self, unreachable_after):
+        # the search calls itself, and drops that reference when it ends
+        assert unreachable_after(gd.is_c_good, example_c_cube(), Fraction(3, 2)) == 0
+        assert unreachable_after(gd._heavy_by_dfs, example_c_cube(), TWO, None) == 0
+
+    def test_leaves_no_reference_cycles_past_its_budget(self, unreachable_after):
+        def over_budget():
+            try:
+                gd._heavy_by_dfs(example_c_cube(), Fraction(3, 2), 5)
+            except BudgetExceededError:
+                return
+            pytest.fail("the budget of 5 nodes was not exceeded")
+
+        assert unreachable_after(over_budget) == 0
+
     def test_witness_may_end_on_an_independent_row(self):
         # x1 = x2 = x3 = x4 is heavy on four variables, so the first 6-set is
         # heavy at 2 though rows 5 and 6 raise no t

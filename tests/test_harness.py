@@ -1,4 +1,3 @@
-import gc
 import itertools
 import os
 import random
@@ -273,22 +272,14 @@ class TestScanMemo:
         for ground, report in want.items():
             assert_same_scan(h.scan_ground(*ground), report)
 
-    def test_leaves_no_more_reference_cycles(self):
-        # the walk makes none; the heaviness search at 3/2 leaves one
-        # recursive closure on the cube, 30 objects
-        enabled = gc.isenabled()
-        gc.disable()
-        try:
-            gc.collect()
-            for ground_n, k in [(15, 6), (14, 8)]:
-                h._scan_chunk((ground_n, k, h.PAPER_C, tuple(range(1, ground_n - k + 2))))
-                assert gc.collect() == 0
-            h.scan_ground(15, 6, "paper")
-            h.scan_ground(14, 8, "3/2")
-            assert gc.collect() <= 30
-        finally:
-            if enabled:
-                gc.enable()
+    def test_leaves_no_more_reference_cycles(self, unreachable_after):
+        # neither the walk nor the heaviness search at 3/2, which runs on
+        # the cube at (14, 8), makes any
+        for ground_n, k in [(15, 6), (14, 8)]:
+            payload = (ground_n, k, h.PAPER_C, tuple(range(1, ground_n - k + 2)))
+            assert unreachable_after(h._scan_chunk, payload) == 0
+        assert unreachable_after(h.scan_ground, 15, 6, "paper") == 0
+        assert unreachable_after(h.scan_ground, 14, 8, "3/2") == 0
 
 
 def least_subsets(grounds):

@@ -57,6 +57,22 @@ class TestCandidateProducts:
         config = cfg.from_equalities(k, contents)
         assert imp._candidate_products(config, variables) == literal_candidate_products(contents, k, variables)
 
+    @settings(max_examples=200, deadline=None)
+    @given(premise_systems())
+    def test_every_candidate_is_solved(self, system):
+        # candidates lie in the premises' span, so ``_solve_coefficients``
+        # needs no unsolvable case
+        k, contents = system
+        premises = []
+        for vec in contents:
+            if exactlin.reduce([p.content for p in premises] + [vec], k).rank > len(premises):
+                premises.append(eq(k, vec))
+        config = cfg.from_equalities(k, contents)
+        for cand in imp._candidate_products(config, range(1, k + 1)):
+            assert frac_solvable(contents, cand)
+            coeffs = imp._solve_coefficients(premises, cand)
+            assert [sum(c * p.content[j] for c, p in zip(coeffs, premises)) for j in range(k)] == list(cand)
+
     def test_invalid_premises_overlapping_pairs(self):
         # x1 = x2 and x3 = x4: {1,3} ~ {2,3} ~ {1,4} ~ {2,4} in one class
         contents = [(1, -1, 0, 0), (0, 0, 1, -1)]

@@ -51,6 +51,10 @@ class TestCheckLocalProperty:
             assert verdict.min_differences == k - 1
             assert verdict.holds
 
+    def test_leaves_no_reference_cycles(self, unreachable_after):
+        # the search calls itself, and drops that reference when it ends
+        assert unreachable_after(verifier.check_local_property, range(12), 4, 4) == 0
+
     def test_behrend_set_has_3ap_free_local_property(self):
         art = behrend_set(d=3, m=6, kappa=2)
         assert len(art.elements) >= 3
