@@ -26,8 +26,11 @@ need five points, only those with a progression: on the progression-free
 ground set the sweep classifies nothing.  For each lead element in turn the
 sweep collects the k-subsets it leads that contain such a *seed* of live
 elements and visits them in subset order, classifying each difference
-pattern once.  The result is re-verified over every k-subset before it is
-returned, by a check that shares nothing with the sweep.
+pattern once.  The result is re-verified before it is returned, by a check
+that shares nothing with the sweep: it builds its own difference table,
+visits every k-subset that holds a progression or a 4-core (every other
+subset has pairwise distinct differences, so it forms the rank-0
+configuration), and classifies each of their patterns with no shortcut.
 
 At desk scale the sphere-slice parameters collapse inside [1..n^c] (the base
 16*kappa*m alone overshoots the interval), so the ground set uses the other
@@ -303,11 +306,11 @@ def random_local_set(
     loses its largest element.  At rho = 1 every attempt samples the whole
     ground set, so only attempt 0 is made.  Survivors beyond n are trimmed
     from the top (keeping small elements dense).  The postcondition is
-    machine-checked by a full re-scan before returning (InvariantError if it
-    fails).  Raises BudgetExceededError, before the ground set is built,
-    when the ground set or C(n, k) exceeds ``resolve_budget()`` (every
-    sample has at least n elements), and when an attempt's sweep would scan
-    more than that many subsets.
+    machine-checked before returning, over every k-subset that repeats a
+    difference (InvariantError if it fails).  Raises BudgetExceededError,
+    before the ground set is built, when the ground set or C(n, k) exceeds
+    ``resolve_budget()`` (every sample has at least n elements), and when an
+    attempt's sweep would scan more than that many subsets.
     """
     try:
         c = parse_c(c)
@@ -521,20 +524,51 @@ def _verify_all_good(elements: Sequence[int], k: int, c: Fraction) -> None:
     is not c-good.
 
     The construction's postcondition, checked independently of the sweep
-    that established it: every k-subset is examined, and nothing of the
-    sweep (its seeds, its cores, its verdicts) is reused.  A subset whose
-    C(k, 2) differences are pairwise distinct forms the rank-0
-    configuration, which is c-good; every other subset is classified by
+    that established it.  A subset whose C(k, 2) differences are pairwise
+    distinct satisfies no difference equality, so it forms the rank-0
+    configuration, which is c-good.  Every other subset holds a *core*: two
+    index pairs with one difference, covering 3 indices (a progression) or
+    4.  This check reads the cores off its own difference table, with index
+    pairs as bit masks (bit n - 1 - i for index i), and lists each under
+    its least index.  For each lead index in turn it collects the k-subsets
+    with that least index that contain a core, and visits them in
+    descending mask order, which is subset order; so the first bad subset
+    it names is the first of all k-subsets.  Only one lead's subsets are
+    held at a time, as in the sweep.  Each visited subset is classified by
     ``is_c_good`` through a difference-pattern memo of this call's own.
+    Nothing of the sweep (its seeds, its rank-1 shortcut, its verdicts) is
+    reused: every subset that repeats a difference is classified through
+    its pattern.
     """
-    pairs = comb(k, 2)
+    elems = sorted(elements)
+    n = len(elems)
+    bits = [1 << (n - 1 - i) for i in range(n)]
+    width = f"0{n}b"  # the mask's binary digits, index 0 first
+    table: dict[int, list[int]] = {}
+    for j, high in enumerate(elems):
+        for i in range(j):
+            table.setdefault(high - elems[i], []).append(bits[i] | bits[j])
+    cores: list[set[int]] = [set() for _ in elems]
+    for group in table.values():
+        for a, b in combinations(group, 2):
+            cores[n - (a | b).bit_length()].add(a | b)
     verdicts: dict[tuple[int, ...], bool] = {}
-    for subset in combinations(sorted(elements), k):
-        if len({b - a for a, b in combinations(subset, 2)}) == pairs:
-            continue
-        pattern = difference_pattern(subset)
-        good = verdicts.get(pattern)
-        if good is None:
-            good = verdicts[pattern] = is_c_good(from_points(subset), c).c_good
-        if not good:
-            raise InvariantError(f"postcondition violated: {subset} is not {c}-good")
+    for lead in range(n):
+        later = bits[lead + 1 :]
+        subsets: set[int] = set()
+        for first in range(lead, n):
+            for core in cores[first]:
+                required = core | bits[lead]
+                missing = k - required.bit_count()
+                if missing < 0:
+                    continue
+                rest = [bit for bit in later if not bit & required]
+                subsets.update(map(required.__or__, map(sum, combinations(rest, missing))))
+        for mask in sorted(subsets, reverse=True):
+            subset = tuple(compress(elems, map("1".__eq__, format(mask, width))))
+            pattern = difference_pattern(subset)
+            good = verdicts.get(pattern)
+            if good is None:
+                good = verdicts[pattern] = is_c_good(from_points(subset), c).c_good
+            if not good:
+                raise InvariantError(f"postcondition violated: {subset} is not {c}-good")

@@ -521,7 +521,9 @@ def _random_2full_family(rng: random.Random) -> list[DifferenceEquality]:
     """A chain family: a 2-full hub triple extended by equalities that reuse two
     pooled variables and introduce two fresh ones each.  An extension is
     nonzero on its two fresh variables, where every earlier content is zero,
-    so the contents stay independent."""
+    so the contents stay independent.  Its two signs on the pooled pair are
+    drawn, and ``_sum_content`` balances them on the fresh pair: equal signs
+    put the fresh pair on the other side, opposite ones split it."""
     extensions = rng.randint(1, 3)
     k = 7 + 2 * extensions
     base = [
@@ -530,23 +532,22 @@ def _random_2full_family(rng: random.Random) -> list[DifferenceEquality]:
         (1, 0, 0, 1, -1, 0, -1),
     ]
     contents = [vec + (0,) * (k - 7) for vec in base]
-    pool = list(range(1, 8))
-    next_fresh = 8
+    pool = list(range(7))  # 0-based, as _sum_content takes them
+    fresh = 7
     for _ in range(extensions):
         u, v = rng.sample(pool, 2)
         su = rng.choice((1, -1))
         sv = rng.choice((1, -1))
-        fill = -(su + sv)
-        if fill == 0:
-            sx, sy = 1, -1
+        if su == sv:
+            plus, minus = (u, v), (fresh, fresh + 1)
+            if su < 0:
+                plus, minus = minus, plus
         else:
-            sx = sy = fill // 2
-        vec = [0] * k
-        vec[u - 1], vec[v - 1] = su, sv
-        vec[next_fresh - 1], vec[next_fresh] = sx, sy
-        contents.append(tuple(vec))
-        pool.extend((next_fresh, next_fresh + 1))
-        next_fresh += 2
+            up, down = (u, v) if su > 0 else (v, u)
+            plus, minus = (up, fresh), (down, fresh + 1)
+        contents.append(_sum_content(k, plus, minus))
+        pool.extend((fresh, fresh + 1))
+        fresh += 2
     return [_eq(k, vec) for vec in contents]
 
 

@@ -371,7 +371,8 @@ def test_one_four_core_and_no_progression_is_good(d, s, extra):
 
 
 class TestVerifyAllGood:
-    """The postcondition check, over every k-subset and apart from the sweep."""
+    """The postcondition check, over every subset that repeats a difference and
+    apart from the sweep."""
 
     C = Fraction(19, 10)
 
@@ -409,6 +410,40 @@ class TestVerifyAllGood:
             if brute_distinct_differences(s) < comb(6, 2)
         }
         assert len(classified) == len(repeated) > 1
+
+    @pytest.mark.parametrize("n, k, seed", [(20, 4, 0), (20, 4, 5), (12, 6, 7)])
+    def test_visits_exactly_the_subsets_that_repeat_a_difference(self, monkeypatch, n, k, seed):
+        elements = con.random_local_set(n, k, self.C, seed=seed).elements
+        visited = []
+        sizes = []
+        pattern, choose = con.difference_pattern, con.combinations
+        monkeypatch.setattr(con, "difference_pattern", lambda points: visited.append(points) or pattern(points))
+        monkeypatch.setattr(con, "combinations", lambda items, r: sizes.append(r) or choose(items, r))
+        con._verify_all_good(elements, k, self.C)
+        repeated = [
+            s for s in itertools.combinations(sorted(elements), k) if brute_distinct_differences(s) < comb(k, 2)
+        ]
+        assert visited == repeated
+        assert 0 < len(repeated) < comb(n, k)
+        assert max(sizes) < k  # the other k-subsets are never formed
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.integers(4, 7).flatmap(
+            lambda k: st.tuples(st.just(k), st.sets(st.integers(1, 8 * k), min_size=k, max_size=k + 3))
+        ),
+        st.sampled_from([Fraction(2), Fraction(19, 10), Fraction(3, 2)]),
+    )
+    def test_against_the_literal_oracle(self, k_elements, c):
+        # dense small sets hold progressions and 4-cores, so some pass and
+        # some name a bad subset
+        k, elements = k_elements
+        first = next((s for s in itertools.combinations(sorted(elements), k) if not brute_c_good(s, c)), None)
+        if first is None:
+            con._verify_all_good(elements, k, c)
+        else:
+            with pytest.raises(con.InvariantError, match=re.escape(f"{first} is not {c}-good")):
+                con._verify_all_good(elements, k, c)
 
     def test_shares_nothing_with_the_sweep(self, monkeypatch):
         elements = con.random_local_set(12, 6, self.C, seed=7).elements
