@@ -180,8 +180,6 @@ def cmd_build(args) -> int:
 
 def cmd_analyze(args) -> int:
     points = _parse_points(args)
-    if len(set(points)) != len(points):
-        raise CliError("repeated points")
     if len(points) > 24:
         raise CliError(f"analyze supports at most 24 points, got {len(points)}")
     c = parse_c(args.c)

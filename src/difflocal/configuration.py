@@ -68,16 +68,16 @@ def _sum_content(k: int, plus: Sequence[int], minus: Sequence[int]) -> list[int]
 
 @dataclass(frozen=True)
 class DifferenceEquality:
-    """The equation x_{i1} - x_{i2} = x_{i3} - x_{i4} with its content vector.
+    """A difference equality x_{i1} - x_{i2} = x_{i3} - x_{i4} on k
+    variables, stored as its content vector alone.
 
-    Up to rearrangement an equation is identified by its content up to sign
-    (``canonical_content``); the stored index tuple records one way of writing
-    it.  Scaled versions (e.g. 2*x1 - 2*x2 = 0 vs x1 - x2 = 0) are distinct
-    equalities.
+    The ways of writing one equation share its content, so they compare
+    equal; ``same_equality`` also identifies contents up to sign
+    (``canonical_content``).  Scaled versions (e.g. 2*x1 - 2*x2 = 0 vs
+    x1 - x2 = 0) are distinct equalities.
     """
 
     k: int
-    indices: tuple[int, int, int, int]
     content: tuple[int, ...]
 
     @classmethod
@@ -90,29 +90,21 @@ class DifferenceEquality:
         vec = _sum_content(k, (i1 - 1, i4 - 1), (i2 - 1, i3 - 1))
         if not any(vec):
             raise ValueError("trivial equation (content is the zero vector)")
-        return cls(k, (i1, i2, i3, i4), tuple(vec))
+        return cls(k, tuple(vec))
 
     @classmethod
     def from_content(cls, k: int, content: Sequence[int]) -> "DifferenceEquality":
-        """Recover a difference equality from a content vector.
-
-        Accepted shapes (up to sign): four entries +-1, a 3-variable pattern
-        (1,-2,1) or (2,-1,-1), or a 2-variable pattern (1,-1) or (2,-2).
+        """The difference equality with content ``content``; ValueError
+        unless it has k entries of an accepted shape (up to sign): four
+        entries +-1, a 3-variable pattern (1,-2,1) or (2,-1,-1), or a
+        2-variable pattern (1,-1) or (2,-2) (``is_difference_content``).
         """
         if len(content) != k:
             raise ValueError(f"dimension mismatch: expected {k}, got {len(content)}")
         vec = tuple(content)
         if not is_difference_content(vec):
             raise ValueError(f"not a difference-equality content: {vec}")
-        pos = [j + 1 for j, x in enumerate(vec) if x > 0 for _ in range(x)]
-        neg = [j + 1 for j, x in enumerate(vec) if x < 0 for _ in range(-x)]
-        if len(pos) == 1:
-            # e_a - e_b: written as x_a - x_b = x_a - x_a
-            pos = [pos[0], pos[0]]
-            neg = [neg[0], pos[0]]
-        i1, i4 = pos
-        i2, i3 = neg
-        return cls(k, (i1, i2, i3, i4), vec)
+        return cls(k, vec)
 
     @property
     def support(self) -> tuple[int, ...]:
@@ -166,10 +158,14 @@ def render_content(vec: Sequence[int]) -> str:
 
 @dataclass(frozen=True)
 class KConfiguration:
-    """A canonicalized span of difference-equality contents on k variables."""
+    """A canonicalized span of difference-equality contents, built from
+    its basis alone: k is the basis's ``ambient_dim``."""
 
-    k: int
     basis: ExactBasis
+
+    @property
+    def k(self) -> int:
+        return self.basis.ambient_dim
 
     @property
     def rank(self) -> int:
@@ -180,36 +176,40 @@ class KConfiguration:
         return exactlin.member(self.basis, eq)
 
     @cached_property
-    def residues(self) -> tuple[tuple[int, ...], ...]:
-        """Row i - 1 is the residue of e_i modulo the span, on the free
-        (non-pivot) columns, over one denominator den = lcm of the pivot
-        entries: den*e_j at a free column j, and -(den / r_p)*r at the
-        pivot p of a basis row r.  Every residue is zero at a pivot."""
+    def _quotient(self) -> tuple[list[int], int, list[int]]:
+        """What ``residues`` and ``residue_keys`` read off the basis: the
+        free (non-pivot) columns, den = lcm of the pivot entries, and
+        den / r_p for each basis row r with pivot p."""
         basis = self.basis
         pivots = basis.pivots
         free = sorted(set(range(self.k)).difference(pivots))
         den = lcm(*(r[p] for r, p in zip(basis.rows, pivots)))
+        return free, den, [den // r[p] for r, p in zip(basis.rows, pivots)]
+
+    @cached_property
+    def residues(self) -> tuple[tuple[int, ...], ...]:
+        """Row i - 1 is the residue of e_i modulo the span, on the free
+        columns of ``_quotient``, over its denominator den: den*e_j at a
+        free column j, and -(den / r_p)*r at the pivot p of a basis row r.
+        Every residue is zero at a pivot."""
+        free, den, scales = self._quotient
         rows = [tuple([den * (j == i) for j in free]) for i in range(self.k)]
-        for r, p in zip(basis.rows, pivots):
-            scale = -(den // r[p])
-            rows[p] = tuple([scale * r[j] for j in free])
+        for r, p, scale in zip(self.basis.rows, self.basis.pivots, scales):
+            rows[p] = tuple([-scale * r[j] for j in free])
         return tuple(rows)
 
     @cached_property
     def residue_keys(self) -> tuple[int, ...]:
         """Key i - 1 is row i of ``residues`` read as base-B digits,
         sum_n row[n] * B**n with B = 4m + 1 and m the largest |entry| of
-        the table, read off the canonical basis by the same closed form:
+        the table, read off ``_quotient`` by the same closed form:
         den * B**n at the n-th free column, and -(den / r_p) * sum_n r[n]
         * B**n at the pivot p of a basis row r.  A signed sum of at most
         four rows has digits of size at most 4m < B, which no higher digit
         can cancel, so its key is 0 iff the sum is 0: keys add and compare
         as the rows do, for up to four rows."""
+        free, den, scales = self._quotient
         basis = self.basis
-        pivots = basis.pivots
-        free = sorted(set(range(self.k)).difference(pivots))
-        den = lcm(*(r[p] for r, p in zip(basis.rows, pivots)))
-        scales = [den // r[p] for r, p in zip(basis.rows, pivots)]
         # a basis row is 0 at the other pivots and scale * r[p] is den, so
         # the largest entry of the table is den or a scaled basis entry
         m = max([den] + [scale * max(map(abs, r)) for r, scale in zip(basis.rows, scales)])
@@ -218,7 +218,7 @@ class KConfiguration:
         keys = [0] * self.k
         for j, power in zip(free, powers):
             keys[j] = den * power
-        for r, p, scale in zip(basis.rows, pivots, scales):
+        for r, p, scale in zip(basis.rows, basis.pivots, scales):
             keys[p] = -scale * sum([r[j] * power for j, power in zip(free, powers)])
         return tuple(keys)
 
@@ -282,7 +282,7 @@ class KConfiguration:
             for i in range(k):
                 vec[sigma[i] - 1] = row[i]
             new_rows.append(vec)
-        return KConfiguration(k, exactlin.reduce(new_rows, k))
+        return KConfiguration(exactlin.reduce(new_rows, k))
 
 
 def from_equalities(k: int, equalities: Iterable[DifferenceEquality | Sequence[int]]) -> KConfiguration:
@@ -295,7 +295,7 @@ def from_equalities(k: int, equalities: Iterable[DifferenceEquality | Sequence[i
         if sum(vec) != 0:
             raise ValueError(f"not a zero-sum content: {vec}")
         contents.append(vec)
-    return KConfiguration(k, exactlin.reduce(contents, k))
+    return KConfiguration(exactlin.reduce(contents, k))
 
 
 def from_points(points: Sequence[int | Fraction]) -> KConfiguration:
@@ -319,7 +319,7 @@ def from_points(points: Sequence[int | Fraction]) -> KConfiguration:
         for q in range(p, k):
             groups.setdefault(pts[p] + pts[q], []).append((p, q))
     contents = [_sum_content(k, pairs[0], pair) for pairs in groups.values() for pair in pairs[1:]]
-    return KConfiguration(k, exactlin.reduce(contents, k))
+    return KConfiguration(exactlin.reduce(contents, k))
 
 
 def distinct_difference_count(points: Sequence[int | Fraction]) -> int:

@@ -55,7 +55,7 @@ from typing import Sequence
 
 from .configuration import difference_pattern, from_points
 from .goodness import is_c_good, parse_c, points_c_good
-from .verifier import BudgetExceededError, resolve_budget
+from .verifier import BudgetExceededError, check_budget
 
 MAX_ENUMERATION = 10**8
 EXACT_POWER_BITS = 1 << 20
@@ -235,7 +235,10 @@ def digit_ground_count(limit: int, kappa: int) -> int:
     too and ends the walk, and a walk that never leaves the bound counts
     limit - 1 itself.
     """
-    _check_ground_args(limit, kappa)
+    if limit < 1:
+        raise ConstructionError(f"limit must be positive, got {limit}")
+    if kappa < 1:
+        raise ConstructionError(f"kappa must be at least 1, got {kappa}")
     base = kappa + 1
     digits = []
     rest = limit - 1
@@ -250,13 +253,6 @@ def digit_ground_count(limit: int, kappa: int) -> int:
         elif digit >= 2:
             return count + (2 << position)
     return count + 1
-
-
-def _check_ground_args(limit: int, kappa: int) -> None:
-    if limit < 1:
-        raise ConstructionError(f"limit must be positive, got {limit}")
-    if kappa < 1:
-        raise ConstructionError(f"kappa must be at least 1, got {kappa}")
 
 
 def power_floor(n: int, c: Fraction) -> int:
@@ -330,15 +326,8 @@ def random_local_set(
         raise ConstructionError(
             f"ground set inside [1, {limit}] has only {ground_size} elements, need {n}"
         )
-    budget = resolve_budget()
-    if ground_size > budget:
-        raise BudgetExceededError(
-            f"ground set inside [1, {limit}] has {ground_size} elements, over budget {budget}"
-        )
-    if comb(n, k) > budget:
-        raise BudgetExceededError(
-            f"every alteration sweep would scan at least C({n},{k}) subsets, over budget {budget}"
-        )
+    budget = check_budget(ground_size, f"ground set inside [1, {limit}]")
+    check_budget(comb(n, k), f"C({n},{k})", budget)
     ground = digit_ground_set(limit, kappa)
     rho = Fraction(2 * n, ground_size)
     tries = 1 if rho >= 1 else max_retries + 1
@@ -358,10 +347,7 @@ def random_local_set(
         if len(sampled) < n:
             kept.append(len(sampled))
             continue
-        if comb(len(sampled), k) > budget:
-            raise BudgetExceededError(
-                f"alteration sweep would scan C({len(sampled)},{k}) subsets, over budget {budget}"
-            )
+        check_budget(comb(len(sampled), k), f"C({len(sampled)},{k})", budget)
         survivors, deletion_log = _alteration_sweep(sampled, k, c)
         if len(survivors) < n:
             kept.append(len(survivors))

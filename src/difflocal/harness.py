@@ -84,7 +84,7 @@ from .implications import (
     is_2_full,
     minimal_implications,
 )
-from .verifier import BudgetExceededError, resolve_budget
+from .verifier import check_budget
 
 TWO = Fraction(2)
 ODD_CASE_TRIES = 500
@@ -265,7 +265,8 @@ def _scan_chunk(payload: tuple) -> dict[tuple[int, ...], list]:
     leads in ``leads`` up to that bound; one that would count none
     (m > N + 1 - min(leads)) is not visited.  Subsets come in
     lexicographic order, so the first of a pattern, shifted to the least
-    lead, is its least subset.  Its rows are those of
+    lead, is its least subset, and the patterns enter the dict in the
+    lexicographic order of their least subsets.  Its rows are those of
     ``from_points(least subset).basis``, built from its prefix's rows."""
     # c is unread: perfbench/workloads.py builds this 4-tuple payload
     ground_n, k, _c, leads = payload
@@ -292,6 +293,10 @@ def scan_ground(
     classified again at c only when c lies below (2 - 1/floor(k/2), 2],
     since c in that range gives the verdict of 2; so ``c2_divergences`` is
     0 there.  See the module docstring.
+    Patterns come in the lexicographic order of their least subsets, so
+    the first to exceed every earlier certified count names
+    ``max_certified_witness``, and the first non-star attainer names
+    ``first_non_star_witness``: each is the least subset of its kind.
     The budget bounds C(N, k), the subsets counted, and k is at most
     ``MAX_VARIABLES``, as for any configuration; both are checked before
     the walk.  ``threads`` has no effect: the scan runs in one process."""
@@ -300,19 +305,12 @@ def scan_ground(
         raise ValueError(f"need 4 <= k <= N, got k={k}, N={ground_n}")
     if k > MAX_VARIABLES:
         raise ValueError(f"scan needs k <= {MAX_VARIABLES} variables, got k={k}")
-    limit = resolve_budget(budget)
-    total = comb(ground_n, k)
-    if total > limit:
-        raise BudgetExceededError(
-            f"scan infeasible: C({ground_n},{k}) = {total} exceeds budget {limit}"
-        )
+    check_budget(comb(ground_n, k), f"C({ground_n},{k})", budget)
     patterns = _scan_chunk((ground_n, k, c, tuple(range(1, ground_n - k + 2))))
     report = ScanReport(ground_n=ground_n, k=k, c=c)
     bound = certified_bound(k)
-    best: list[tuple[int, tuple[int, ...]]] = []
-    non_star: list[tuple[int, ...]] = []
     for pattern, (count, points, rows) in patterns.items():
-        config = KConfiguration(k, exactlin.ExactBasis(k, rows))
+        config = KConfiguration(exactlin.ExactBasis(k, rows))
         certified = config.certified_count()
         report.subsets_scanned += count
         report.cross_check_failures += 0 if certified == comb(k, 2) - len(set(pattern)) else count
@@ -328,16 +326,13 @@ def scan_ground(
             continue
         report.good_count += count
         report.histogram[certified] += count
-        best.append((-certified, points))
+        if certified > report.max_certified:
+            report.max_certified, report.max_certified_witness = certified, points
         if certified == bound:
             report.attainer_count += count
             if largest_star(config)[0] != k:
                 report.non_star_attainers += count
-                non_star.append(points)
-    if best:
-        negated, report.max_certified_witness = min(best)
-        report.max_certified = -negated
-    report.first_non_star_witness = min(non_star, default=None)
+                report.first_non_star_witness = report.first_non_star_witness or points
     return report
 
 

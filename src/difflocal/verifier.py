@@ -53,6 +53,15 @@ def resolve_budget(budget: int | None = None) -> int:
     return value
 
 
+def check_budget(count: int, what: str, budget: int | None = None) -> int:
+    """The limit ``resolve_budget(budget)``; BudgetExceededError naming
+    ``what``, ``count`` and the limit when ``count`` exceeds it."""
+    limit = resolve_budget(budget)
+    if count > limit:
+        raise BudgetExceededError(f"{what}: {count} exceeds the budget of {limit}")
+    return limit
+
+
 @dataclass(frozen=True)
 class LocalPropertyVerdict:
     holds: bool
@@ -86,12 +95,7 @@ def check_local_property(
         raise ValueError(f"k must be between 2 and {MAX_LOCAL_K}, got {k}")
     if n < k:
         raise ValueError(f"need at least k={k} elements, got {n}")
-    limit = resolve_budget(budget)
-    total = comb(n, k)
-    if total > limit:
-        raise BudgetExceededError(
-            f"exhaustive scan infeasible: C({n},{k}) = {total} exceeds budget {limit}"
-        )
+    check_budget(comb(n, k), f"C({n},{k})", budget)
 
     # a k-subset spans at most C(k, 2) differences, so the first one visited
     # sets the minimum

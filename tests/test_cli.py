@@ -135,9 +135,16 @@ class TestAnalyze:
         assert report["largest_star"]["size"] == 6
 
     def test_repeated_points_rejected(self, capsys):
+        # from_points refuses them; analyze has no check of its own
         code, _, err = run(capsys, "analyze", "--points", "1,1,2,3")
         assert code == 2
-        assert "repeated" in err
+        assert err == "error: points must be pairwise distinct\n"
+
+    def test_repeated_points_give_one_error_line(self, capsys):
+        code, out, err = run(capsys, "analyze", "--points", "1,2,2,5")
+        assert code == 2
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
     def test_parse_error_carries_position(self, tmp_path, capsys):
         bad = tmp_path / "bad.txt"

@@ -28,11 +28,24 @@ class TestDifferenceEquality:
             cfg.DifferenceEquality.from_indices(4, 1, 2, 1, 2)
 
     def test_content_roundtrip(self):
+        # every accepted shape is the content of some written equation
+        writings = {}
+        for indices in itertools.product(range(1, 5), repeat=4):
+            try:
+                eq = cfg.DifferenceEquality.from_indices(4, *indices)
+            except ValueError:
+                continue
+            writings.setdefault(eq.content, eq)
         for content in [(1, -1, -1, 1), (1, -2, 1, 0), (2, -1, -1, 0), (2, -2, 0, 0), (1, -1, 0, 0)]:
             eq = cfg.DifferenceEquality.from_content(4, content)
             assert eq.content == content
-            rebuilt = cfg.DifferenceEquality.from_indices(4, *eq.indices)
-            assert rebuilt.content == content
+            assert writings[content] == eq
+
+    def test_two_writings_are_one_equality(self):
+        a = cfg.DifferenceEquality.from_indices(4, 1, 2, 3, 4)
+        b = cfg.DifferenceEquality.from_indices(4, 1, 3, 2, 4)
+        assert a == b
+        assert a.content == (1, -1, -1, 1)
 
     @pytest.mark.parametrize(
         "plus,minus,content",
@@ -167,6 +180,14 @@ class TestCertifiedCount:
     def test_counts_match_bruteforce(self):
         for points in [(1, 2, 5, 6, 9), (0, 10, 1, 9, 2, 8), (7, 1, 4, 2)]:
             assert cfg.from_points(points).certified_count() == brute_certified_count(points)
+
+
+class TestKConfiguration:
+    def test_k_is_the_basis_dimension(self):
+        basis = cfg.exactlin.reduce([(1, -1, -1, 1, 0)], 5)
+        assert cfg.KConfiguration(basis).k == basis.ambient_dim == 5
+        empty = cfg.exactlin.reduce([], 7)
+        assert cfg.KConfiguration(empty).k == empty.ambient_dim == 7
 
 
 class TestPermute:

@@ -123,6 +123,24 @@ class TestScanGround:
         with pytest.raises(ValueError, match="budget must be positive"):
             h.scan_ground(8, 4, "2", budget=budget)
 
+    @pytest.mark.parametrize(
+        "ground_n,k,c,most,witness,non_star_witness,non_star",
+        [
+            (18, 7, "paper", 9, (1, 2, 4, 5, 10, 11, 13), (1, 2, 4, 5, 10, 11, 13), 404),
+            (20, 8, "paper", 12, (1, 2, 4, 8, 13, 17, 19, 20), None, 0),
+            (26, 7, "paper", 9, (1, 2, 4, 5, 10, 11, 13), (1, 2, 4, 5, 10, 11, 13), 5696),
+            (14, 8, "3/2", 15, (1, 2, 4, 5, 10, 11, 13, 14), None, 0),
+        ],
+    )
+    def test_witnesses_are_the_least_subsets(self, ground_n, k, c, most, witness, non_star_witness, non_star):
+        # each witness is the least subset of its kind, read off the order
+        # in which the walk first meets each pattern
+        report = h.scan_ground(ground_n, k, c)
+        assert report.max_certified == most
+        assert report.max_certified_witness == witness
+        assert report.first_non_star_witness == non_star_witness
+        assert report.non_star_attainers == non_star
+
 
 def reference_scan(ground_n, k, c, classify, distinct):
     """Tally every k-subset of [1..N] one by one, with no memo and no rank-0
@@ -235,9 +253,9 @@ class TestScanMemo:
         distinct = len({difference_pattern(points) for points in subsets})
         calls = []
 
-        def counting_configuration(k, basis):
+        def counting_configuration(basis):
             calls.append(basis.rows)
-            return KConfiguration(k, basis)
+            return KConfiguration(basis)
 
         monkeypatch.setattr(h, "KConfiguration", counting_configuration)
         h.scan_ground(15, 6, "paper")
@@ -323,6 +341,19 @@ class TestQuotientWalk:
         walk.descend(1)
         rests = itertools.combinations(range(2, 16), 5)
         assert keys == [difference_pattern((1,) + rest) for rest in rests]
+
+    @pytest.mark.parametrize("ground_n,k", [(15, 6), (16, 8)])
+    def test_patterns_come_in_order_of_least_subset(self, ground_n, k):
+        # scan_ground names its witnesses by this order
+        leads = tuple(range(1, ground_n - k + 2))
+        sizes = []
+        for chosen in [leads] + [(lead,) for lead in leads]:
+            got = h._scan_chunk((ground_n, k, h.PAPER_C, chosen))
+            least = [points for _, points, _ in got.values()]
+            assert all(a < b for a, b in zip(least, least[1:])), chosen
+            sizes.append(len(least))
+        # the last lead has one subset; the others have many patterns
+        assert sizes[-1] == 1 and min(sizes[:-1]) > 1
 
     @pytest.mark.parametrize("ground_n,k", [(15, 6), (14, 8), (16, 7)])
     def test_rows_match_from_points(self, ground_n, k):

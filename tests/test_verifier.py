@@ -100,8 +100,15 @@ class TestCheckLocalProperty:
             assert verdict3.holds
 
     def test_budget_error(self):
-        with pytest.raises(verifier.BudgetExceededError):
+        with pytest.raises(verifier.BudgetExceededError, match=r"^C\(100,8\): 186087894300 exceeds the budget of 1000$"):
             verifier.check_local_property(range(100), 8, 8, budget=1000)
+
+    def test_check_budget_returns_the_limit(self, monkeypatch):
+        assert verifier.check_budget(10, "ten", budget=10) == 10
+        monkeypatch.setenv(verifier.BUDGET_ENV_VAR, "7")
+        assert verifier.check_budget(7, "seven") == 7
+        with pytest.raises(verifier.BudgetExceededError, match="^eight: 8 exceeds the budget of 7$"):
+            verifier.check_budget(8, "eight")
 
     def test_budget_env_var(self, monkeypatch):
         monkeypatch.setenv(verifier.BUDGET_ENV_VAR, "10")
