@@ -3,9 +3,15 @@
 The difference set of A holds the positive values |a - b| over distinct
 a, b in A.  A satisfies the (k, l)-local property when every k-element subset
 spans at least l distinct differences; the verifier finds the exact minimum
-over all k-subsets by depth-first scan with pruning (the distinct-difference
-count of a partial subset never decreases when elements are added, so a
-branch that already matches the best known minimum is dead).
+over all k-subsets by a depth-first branch-and-bound search over the sorted
+values.  Its bound: let P be a nonempty chosen prefix and r the number of
+values still to add.  Each later value u exceeds every value of P, so
+u - min(P) is larger than every difference within P, and it differs for each
+u; every completion of P therefore spans at least distinct(P) + r
+differences, and a branch whose bound reaches the best count so far is dead.
+A dead branch holds only subsets whose count is at least that best, so the
+lexicographically least subset at the final minimum is still the first one
+the search records.
 
 ``cross_check`` ties the two counting routes together: for any tuple of
 distinct numbers, the configuration machinery's certified-pair count must
@@ -85,6 +91,10 @@ def check_local_property(
     """Exact minimum distinct-difference count over all k-subsets, with witness.
 
     Ties on the minimum resolve to the lexicographically smallest subset.
+    The search skips every branch whose prefix P, with r values still to
+    add, has distinct(P) + r at least the best count so far (the bound in
+    the module docstring); a skipped branch holds no subset below that best,
+    so the minimum and the least witness are those of the full enumeration.
     Raises BudgetExceededError when C(|A|, k) exceeds the subset budget, and
     ValueError when the budget is not positive or k lies outside
     2..MAX_LOCAL_K.
@@ -104,33 +114,39 @@ def check_local_property(
     chosen: list[int] = []
     diff_mult: dict[int, int] = {}
 
-    def visit(start: int, distinct: int) -> None:
+    def visit(start: int, least: int) -> None:
+        # least is distinct(chosen) + remaining, the fewest differences any
+        # completion of chosen spans; it counts each candidate's difference
+        # to chosen[0], always new, so only those to chosen[1:] are looked up
         nonlocal best_count, best_subset
         remaining = k - len(chosen)
+        later = chosen[1:]
         for value in pts[start : n - remaining + 1]:
             start += 1  # now the index after value
             # the candidate's differences to the chosen values are pairwise
-            # distinct, and new unless diff_mult counts them already
-            total = distinct
-            for c in chosen:
+            # distinct, and new unless diff_mult counts them already; bound
+            # is the least for chosen + [value]
+            bound = least
+            for c in later:
                 if not diff_mult.get(value - c):
-                    total += 1
-            if total >= best_count:
+                    bound += 1
+            if bound >= best_count:
                 continue
             if remaining == 1:
-                best_count, best_subset = total, (*chosen, value)
+                best_count, best_subset = bound, (*chosen, value)
             else:
                 for c in chosen:
                     diff_mult[value - c] = diff_mult.get(value - c, 0) + 1
                 chosen.append(value)
-                visit(start, total)
+                visit(start, bound)
                 chosen.pop()
                 for c in chosen:
                     diff_mult[value - c] -= 1
-            if distinct >= best_count:
+            if least >= best_count:
                 return
 
-    visit(0, 0)
+    # with nothing chosen the least is k - 1: any k values span that many
+    visit(0, k - 1)
     del visit  # it calls itself: free the cycle without the cyclic GC
     assert best_subset is not None
     return LocalPropertyVerdict(

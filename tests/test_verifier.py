@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from difflocal import verifier
-from difflocal.constructions import behrend_set
+from difflocal.constructions import behrend_set, random_local_set
 
 from oracles import brute_distinct_differences
 
@@ -91,6 +91,55 @@ class TestCheckLocalProperty:
         assert verdict.min_differences == least
         assert verdict.witness_subset == min(s for s, n in counts.items() if n == least)
         assert verdict.holds
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.integers(2, 7).flatmap(
+            lambda k: st.tuples(
+                st.just(k),
+                st.lists(st.integers(0, 10**5), min_size=max(4, k), max_size=14, unique=True),
+            )
+        )
+    )
+    def test_sparse_minimum_and_witness_against_every_subset(self, k_values):
+        # values far apart repeat few differences, so minima sit near
+        # C(k, 2), far above the completion bound of most prefixes; the
+        # dense test above has its minima near k - 1
+        k, values = k_values
+        counts = {s: brute_distinct_differences(s) for s in itertools.combinations(sorted(values), k)}
+        least = min(counts.values())
+        verdict = verifier.check_local_property(values, k, least + 1)
+        assert verdict.min_differences == least
+        assert verdict.witness_subset == min(s for s, n in counts.items() if n == least)
+        assert not verdict.holds
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.sets(st.integers(-1000, 1000), min_size=1, max_size=9))
+    def test_completion_bound(self, values):
+        # the bound the search prunes by: each value added above a nonempty
+        # prefix P brings a new difference to min(P)
+        s = sorted(values)
+        for length in range(1, len(s) + 1):
+            prefix = s[:length]
+            assert brute_distinct_differences(s) >= brute_distinct_differences(prefix) + len(s) - length
+
+    def test_long_progression_is_decided_by_its_first_subset(self):
+        # every 5-subset of range(100) spans at least 4 differences, which
+        # (0, 1, 2, 3, 4) attains, so the bound closes every other branch
+        verdict = verifier.check_local_property(range(100), 5, 5)
+        assert verdict.min_differences == 4
+        assert verdict.witness_subset == (0, 1, 2, 3, 4)
+        assert not verdict.holds
+
+    def test_built_set_against_every_subset(self):
+        elements = random_local_set(20, 4, "19/10", kappa=2, seed=0).elements
+        counts = {s: brute_distinct_differences(s) for s in itertools.combinations(sorted(elements), 4)}
+        assert len(counts) == 4845
+        least = min(counts.values())
+        verdict = verifier.check_local_property(elements, 4, 4)
+        assert verdict.min_differences == least
+        assert verdict.witness_subset == min(s for s, n in counts.items() if n == least)
+        assert verdict.holds == (least >= 4)
 
     def test_monotone_in_ell(self):
         points = (0, 1, 4, 9, 11, 16)
