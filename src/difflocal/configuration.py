@@ -290,8 +290,6 @@ def from_equalities(k: int, equalities: Iterable[DifferenceEquality | Sequence[i
     contents = []
     for eq in equalities:
         vec = tuple(eq.content if isinstance(eq, DifferenceEquality) else eq)
-        if len(vec) != k:
-            raise ValueError(f"dimension mismatch: expected {k}, got {len(vec)}")
         if sum(vec) != 0:
             raise ValueError(f"not a zero-sum content: {vec}")
         contents.append(vec)

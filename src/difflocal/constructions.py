@@ -87,9 +87,6 @@ class SetArtifact:
         if elems and elems[0] <= 0:
             raise ValueError("elements must be positive")
 
-    def __len__(self) -> int:
-        return len(self.elements)
-
 
 def _norm_histograms(d: int, m: int) -> list[list[int]]:
     """hist[j][s] = number of vectors in [1..m]^j with squared norm s."""
@@ -102,9 +99,8 @@ def _norm_histograms(d: int, m: int) -> list[list[int]]:
         nxt = [0] * (top + 1)
         for s, count in enumerate(prev):
             if count:
+                # prev counts at most d - 1 coordinates, so s <= top - m^2
                 for q in squares:
-                    if s + q > top:
-                        break
                     nxt[s + q] += count
         hists.append(nxt)
     return hists
@@ -316,8 +312,6 @@ def random_local_set(
         raise ConstructionError(f"k must be at least 4, got {k}")
     if n < k:
         raise ConstructionError(f"n must be at least k={k}, got {n}")
-    if kappa < 1:
-        raise ConstructionError(f"kappa must be at least 1, got {kappa}")
     if max_retries < 0:
         raise ConstructionError(f"max_retries must be nonnegative, got {max_retries}")
     limit = power_floor(n, c)
@@ -337,12 +331,10 @@ def random_local_set(
     kept = []
     for attempt in range(tries):
         seed_used = seed + attempt
-        if rho >= 1:
-            sampled = list(ground)
-        else:
-            rng = random.Random(seed_used)
-            threshold = float(rho)
-            sampled = [g for g in ground if rng.random() < threshold]
+        # at rho >= 1 every draw is below the threshold: the whole ground set
+        rng = random.Random(seed_used)
+        threshold = float(rho)
+        sampled = [g for g in ground if rng.random() < threshold]
         sizes.append(len(sampled))
         if len(sampled) < n:
             kept.append(len(sampled))

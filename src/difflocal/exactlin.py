@@ -13,13 +13,13 @@ rounding can occur anywhere.  ``_eliminate`` reduces one vector against
 echelon rows, and ``echelon`` holds the one insertion loop around it: it
 brings a matrix, with an optional augmented block, to reduced row echelon
 form.  ``reduce`` is ``echelon`` with no block, ``section_dim`` and the
-implication solver read relations off the block, and ``member`` and the
-residue-row searches of ``goodness`` call ``_eliminate`` as it is.  The
-matroid partition of ``goodness`` does both: it brings each independent
-set to echelon form with an augmented identity block, and reduces a row
-against it with ``_eliminate`` to read the row's circuit off the block.
-``residue`` and ``rank_of_columns`` have no caller in the package; they are
-kept for the benchmark, which traces them.
+implication solver read relations off the block, and ``residue`` (with
+``member``, its zero test) and the residue-row searches of ``goodness``
+call ``_eliminate`` as it is.  The matroid partition of ``goodness`` does
+both: it brings each independent set to echelon form with an augmented
+identity block, and reduces a row against it with ``_eliminate`` to read
+the row's circuit off the block.  ``rank_of_columns`` has no caller in the
+package; it is kept for the benchmark, which traces it.
 """
 
 from __future__ import annotations
@@ -105,12 +105,9 @@ def _eliminate(w: list[int], rows: Sequence[Sequence[int]], pivots: Sequence[int
 
 
 def member(basis: ExactBasis, v: Sequence[int]) -> bool:
-    """True iff ``v`` lies in the rational span of ``basis``."""
-    if len(v) != basis.ambient_dim:
-        raise ValueError(f"dimension mismatch: expected {basis.ambient_dim}, got {len(v)}")
-    w = list(v)
-    _eliminate(w, basis.rows, basis.pivots)
-    return not any(w)
+    """True iff ``v`` lies in the rational span of ``basis``: iff its
+    ``residue`` is zero."""
+    return not any(residue(basis, v)[0])
 
 
 def residue(basis: ExactBasis, v: Sequence[int]) -> tuple[tuple[int, ...], int]:

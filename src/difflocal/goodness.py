@@ -62,10 +62,6 @@ class StarWitness:
 
     pairs: tuple[tuple[int, int], ...]
 
-    @property
-    def size(self) -> int:
-        return 2 * len(self.pairs)
-
 
 @dataclass(frozen=True)
 class GoodnessReport:

@@ -487,18 +487,16 @@ def _random_hub_family(rng: random.Random) -> Optional[list[DifferenceEquality]]
     hub = k
     target = rng.randint(2, 5)
     eqs: list[DifferenceEquality] = []
-    contents: list[tuple[int, ...]] = []
     for _ in range(60):
         if len(eqs) == target:
             break
         others = rng.sample(range(1, k), 3)
         cand = _eq(k, _hub_content(k, hub, others, rng.randrange(3)))
-        trial = contents + [cand.content]
+        trial = eqs + [cand]
         config = from_equalities(k, trial)
         if config.rank != len(trial) or not is_c_good(config, PAPER_C).c_good:
             continue
         eqs.append(cand)
-        contents.append(cand.content)
     return eqs if len(eqs) >= 2 else None
 
 
@@ -637,15 +635,13 @@ def _harvest_hub_equalities(config: KConfiguration, hub: int) -> list[Difference
                     trio = sorted((u, v, w))
                     implied.append((trio, trio.index(u)))
     implied.sort()
-    found: list[DifferenceEquality] = []
     contents: list[tuple[int, ...]] = []
     for trio, plus in implied:
         vec = _hub_content(k, hub, trio, plus)
         trial = contents + [vec]
         if exactlin.reduce(trial, k).rank == len(trial):
             contents.append(vec)
-            found.append(_eq(k, vec))
-    return found
+    return [_eq(k, vec) for vec in contents]
 
 
 def _check_points_instance(rng: random.Random, outcomes: list) -> None:

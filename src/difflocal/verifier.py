@@ -36,7 +36,7 @@ MAX_LOCAL_K = 256
 
 
 class BudgetExceededError(Exception):
-    """The requested scan would enumerate more subsets than the budget allows."""
+    """The requested work would exceed the budget."""
 
 
 def resolve_budget(budget: int | None = None) -> int:
@@ -73,8 +73,6 @@ class LocalPropertyVerdict:
     holds: bool
     min_differences: int
     witness_subset: Optional[tuple[int, ...]]
-    ell: int
-    k: int
 
 
 def difference_set(points: Sequence[int]) -> list[int]:
@@ -95,7 +93,9 @@ def check_local_property(
     add, has distinct(P) + r at least the best count so far (the bound in
     the module docstring); a skipped branch holds no subset below that best,
     so the minimum and the least witness are those of the full enumeration.
-    Raises BudgetExceededError when C(|A|, k) exceeds the subset budget, and
+    Each search node charges the candidates its loop may examine before it
+    examines them; BudgetExceededError is raised once the charges exceed the
+    budget (``resolve_budget``), so the budget bounds the work done.  Raises
     ValueError when the budget is not positive or k lies outside
     2..MAX_LOCAL_K.
     """
@@ -105,7 +105,8 @@ def check_local_property(
         raise ValueError(f"k must be between 2 and {MAX_LOCAL_K}, got {k}")
     if n < k:
         raise ValueError(f"need at least k={k} elements, got {n}")
-    check_budget(comb(n, k), f"C({n},{k})", budget)
+    limit = resolve_budget(budget)
+    charged = 0
 
     # a k-subset spans at most C(k, 2) differences, so the first one visited
     # sets the minimum
@@ -118,10 +119,16 @@ def check_local_property(
         # least is distinct(chosen) + remaining, the fewest differences any
         # completion of chosen spans; it counts each candidate's difference
         # to chosen[0], always new, so only those to chosen[1:] are looked up
-        nonlocal best_count, best_subset
+        nonlocal best_count, best_subset, charged
         remaining = k - len(chosen)
+        stop = n - remaining + 1
+        charged += stop - start
+        if charged > limit:
+            raise BudgetExceededError(
+                f"local-property search: {charged} candidates exceed the budget of {limit}"
+            )
         later = chosen[1:]
-        for value in pts[start : n - remaining + 1]:
+        for value in pts[start:stop]:
             start += 1  # now the index after value
             # the candidate's differences to the chosen values are pairwise
             # distinct, and new unless diff_mult counts them already; bound
@@ -145,16 +152,16 @@ def check_local_property(
             if least >= best_count:
                 return
 
-    # with nothing chosen the least is k - 1: any k values span that many
-    visit(0, k - 1)
-    del visit  # it calls itself: free the cycle without the cyclic GC
+    try:
+        # with nothing chosen the least is k - 1: any k values span that many
+        visit(0, k - 1)
+    finally:
+        del visit  # it calls itself: free the cycle without the cyclic GC
     assert best_subset is not None
     return LocalPropertyVerdict(
         holds=best_count >= ell,
         min_differences=best_count,
         witness_subset=best_subset,
-        ell=ell,
-        k=k,
     )
 
 

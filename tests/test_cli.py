@@ -1,6 +1,7 @@
 import contextlib
 import hashlib
 import io
+import random
 import tempfile
 import time
 from fractions import Fraction
@@ -77,6 +78,13 @@ class TestBuildRandomLocal:
         assert code == 3
         assert err.startswith("error: ") and len(err.splitlines()) == 1
         assert "C(16,4)" in err
+        assert not out.exists()
+
+    def test_kappa_below_1_exits_2(self, tmp_path, capsys):
+        out = tmp_path / "r.txt"
+        code, _, err = run(capsys, "build", "random-local", "--n", "20", "--k", "4", "--c", "1.9", "--kappa", "0", "--out", str(out))
+        assert code == 2
+        assert err == "error: kappa must be at least 1, got 0\n"
         assert not out.exists()
 
     def test_huge_n_exits_3_before_building_anything(self, tmp_path, capsys):
@@ -231,10 +239,16 @@ class TestVerify:
         assert reportfmt.parse(text)["holds"] is True
 
     def test_budget_exit_code(self, tmp_path, capsys):
+        # a 79-term progression is decided within the budget; a sparse set is not
         f = tmp_path / "big.txt"
         f.write_text("".join(f"{i}\n" for i in range(1, 80)))
-        code, _, err = run(capsys, "verify", str(f), "--k", "8", "--l", "8", "--budget", "1000")
+        code, out, _ = run(capsys, "verify", str(f), "--k", "8", "--l", "8", "--budget", "1000")
+        assert code == 1
+        assert reportfmt.parse(out)["min_differences"] == 7
+        f.write_text("".join(f"{i}\n" for i in sorted(random.Random(2).sample(range(3000), 22))))
+        code, _, err = run(capsys, "verify", str(f), "--k", "8", "--l", "20", "--budget", "1000")
         assert code == 3
+        assert err == "error: local-property search: 1002 candidates exceed the budget of 1000\n"
 
     @pytest.mark.parametrize("budget", ["0", "-1"])
     def test_budget_must_be_positive(self, tmp_path, capsys, budget):

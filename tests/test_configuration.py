@@ -225,6 +225,11 @@ def test_from_equalities_rejects_non_zero_sum_content():
         cfg.from_equalities(4, [(1, -1, -1, 0)])
 
 
+def test_from_equalities_rejects_a_content_of_the_wrong_length():
+    with pytest.raises(ValueError, match=r"^dimension mismatch: expected 5, got 3$"):
+        cfg.from_equalities(5, [(1, -1, 0)])
+
+
 distinct_ints = st.lists(
     st.integers(min_value=-10**6, max_value=10**6), min_size=4, max_size=6, unique=True
 )

@@ -82,6 +82,14 @@ class TestBehrendSet:
         base = art.provenance["parameters"]["base"]
         assert all(1 <= e <= base**3 for e in art.elements)
 
+    def test_norm_histograms_are_zero_above_j_times_m_squared(self):
+        # so each step's sums s + q stay within the top index d * m^2
+        for d, m in itertools.product(range(1, 6), range(1, 7)):
+            hists = con._norm_histograms(d, m)
+            for j, hist in enumerate(hists):
+                assert not any(hist[j * m * m + 1 :]), (d, m, j)
+                assert sum(hist) == m**j
+
     def test_degenerate_parameters(self):
         with pytest.raises(con.ConstructionError):
             con.behrend_set(d=1, m=3, kappa=2)
@@ -232,6 +240,19 @@ class TestRandomLocalSet:
             con.random_local_set(10, 3, Fraction(19, 10), seed=0)  # k below 4
         with pytest.raises(con.ConstructionError):
             con.random_local_set(10, 4, Fraction(5, 2), seed=0)  # c out of range
+
+    def test_kappa_below_1(self):
+        with pytest.raises(con.ConstructionError, match=r"^kappa must be at least 1, got 0$"):
+            con.random_local_set(20, 4, "1.9", kappa=0)
+
+    def test_ground_set_within_2n_is_sampled_whole(self):
+        # 11 ground elements for n = 10: rho = 20/11 is reported as 1
+        art = con.random_local_set(10, 4, "1.5", kappa=2, seed=0)
+        prov = art.provenance
+        assert prov["sampled_size"] == prov["ground_size"] == 11
+        assert prov["attempt"] == 0 and prov["rho"] == "1"
+        assert art.elements == (1, 2, 4, 5, 10, 11, 13, 14, 28, 29)
+        assert prov["trimmed"] == [31] and prov["deletion_log"] == []
 
     def test_huge_n_is_over_budget_before_the_ground_set(self):
         # the ground set inside [1, 10^14] would hold about 10^9 integers

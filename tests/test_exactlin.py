@@ -110,6 +110,21 @@ def test_member_agrees_with_dense_rational_solver(vectors, probe):
     assert exactlin.member(basis, probe) == frac_solvable(vectors, probe)
 
 
+@settings(max_examples=150, deadline=None)
+@given(
+    st.lists(small_vec, min_size=0, max_size=4),
+    st.lists(st.integers(min_value=-3, max_value=3), min_size=4, max_size=4),
+    small_vec,
+)
+def test_member_is_the_zero_residue(vectors, coefficients, shift):
+    basis = exactlin.reduce(vectors, ambient_dim=5)
+    inside = tuple(sum(a * v[j] for a, v in zip(coefficients, vectors)) for j in range(5))
+    for probe in (inside, tuple(x + y for x, y in zip(inside, shift))):
+        zero = not any(exactlin.residue(basis, probe)[0])
+        assert exactlin.member(basis, probe) == zero == frac_solvable(vectors, probe)
+    assert exactlin.member(basis, inside)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.lists(small_vec, min_size=0, max_size=4))
 def test_reduce_is_a_closure_operator(vectors):

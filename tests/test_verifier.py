@@ -1,4 +1,5 @@
 import itertools
+import random
 from math import comb
 
 import pytest
@@ -149,8 +150,25 @@ class TestCheckLocalProperty:
             assert verdict3.holds
 
     def test_budget_error(self):
-        with pytest.raises(verifier.BudgetExceededError, match=r"^C\(100,8\): 186087894300 exceeds the budget of 1000$"):
-            verifier.check_local_property(range(100), 8, 8, budget=1000)
+        # the budget counts the candidates the search examines, not C(n, k):
+        # a 100-term progression at k = 8 is decided by its first subset
+        verdict = verifier.check_local_property(range(100), 8, 8, budget=1000)
+        assert verdict.min_differences == 7 and not verdict.holds
+        # on a sparse set the bound prunes little, so the search runs out
+        points = random.Random(2).sample(range(3000), 22)
+        message = r"^local-property search: 1002 candidates exceed the budget of 1000$"
+        with pytest.raises(verifier.BudgetExceededError, match=message):
+            verifier.check_local_property(points, 8, 20, budget=1000)
+
+    def test_leaves_no_reference_cycles_past_its_budget(self, unreachable_after):
+        def over_budget():
+            try:
+                verifier.check_local_property(range(12), 4, 4, budget=5)
+            except verifier.BudgetExceededError:
+                return
+            pytest.fail("the budget of 5 candidates was not exceeded")
+
+        assert unreachable_after(over_budget) == 0
 
     def test_check_budget_returns_the_limit(self, monkeypatch):
         assert verifier.check_budget(10, "ten", budget=10) == 10
