@@ -23,8 +23,13 @@ sum v_i * row_i == sum w_i * row_i.  ``KConfiguration.residue_keys`` packs
 each row into one exact int, its digits in base B = 4m + 1 for m the
 largest |entry| of the table: a signed sum of at most four rows has digits
 below B in size, so its key is 0 iff the sum is 0.  Certified pairs are read
-off the keys, and ``pair_sum_classes`` groups index pairs by key sum, for
-the stars of ``goodness`` and the candidate products of ``implications``.
+off the keys in one pass: (i, j) is certified iff |key_i - key_j| occurred
+in an earlier row, or key_i - key_j is the negative of key_i - key_{j'} for
+some j' < j in its own row.  That is the witness definition itself, so the
+pass is exact on invalid spans too, where equal keys make a bare set of
+|differences| certify pairs that have no witness.  ``pair_sum_classes``
+groups index pairs by key sum, for the stars of ``goodness`` and the
+candidate products of ``implications``.
 
 Every content built from index pairs, e_a + e_b - e_c - e_d with repeated
 indices added up, comes from one 0-based helper, ``_sum_content``: those of
@@ -182,9 +187,9 @@ class KConfiguration:
         den / r_p for each basis row r with pivot p."""
         basis = self.basis
         pivots = basis.pivots
-        free = sorted(set(range(self.k)).difference(pivots))
-        den = lcm(*(r[p] for r, p in zip(basis.rows, pivots)))
-        return free, den, [den // r[p] for r, p in zip(basis.rows, pivots)]
+        heads = [r[p] for r, p in zip(basis.rows, pivots)]
+        den = lcm(*heads)
+        return [j for j in range(self.k) if j not in pivots], den, [den // head for head in heads]
 
     @cached_property
     def residues(self) -> tuple[tuple[int, ...], ...]:
@@ -214,12 +219,16 @@ class KConfiguration:
         # the largest entry of the table is den or a scaled basis entry
         m = max([den] + [scale * max(map(abs, r)) for r, scale in zip(basis.rows, scales)])
         base = 4 * m + 1
-        powers = [base**n for n in range(len(free))]
         keys = [0] * self.k
-        for j, power in zip(free, powers):
-            keys[j] = den * power
+        power = den
+        for j in free:
+            keys[j] = power
+            power *= base
         for r, p, scale in zip(basis.rows, basis.pivots, scales):
-            keys[p] = -scale * sum([r[j] * power for j, power in zip(free, powers)])
+            key = 0
+            for j in reversed(free):  # Horner's rule, highest digit first
+                key = key * base + r[j]
+            keys[p] = -scale * key
         return tuple(keys)
 
     def pair_sum_classes(self, variables: Iterable[int] | None = None) -> list[list[tuple[int, int]]]:
@@ -250,22 +259,28 @@ class KConfiguration:
     def certified_pairs(self) -> list[CertifiedPair]:
         """All certified pairs (i, j), i > j, in scan order.
 
-        One pass over ``residue_keys`` keeps the keys of e_{i'} - e_{j'} for
-        the ordered pairs below i, and within row i those of e_{i'} - e_i for
-        i' < j: the witnesses of ``certifies``.
+        The witnesses of ``certifies``, read off ``residue_keys`` in one
+        pass: with d = key_i - key_j, the pair is certified iff |d| is
+        |key_a - key_b| for some pair b < a < i of an earlier row (both
+        orientations of (i', j') below i), or -d is key_i - key_{j'} for
+        some j' < j in row i (the witness (j', i): key_{j'} - key_i = d).
+        Within a row only the reversed orientation counts: an equal d
+        there means key_j = key_{j'}, no witness, which a bare set of
+        |differences| would take for one.  On a valid span the keys are
+        distinct and no d repeats within a row, so the two agree there.
         """
         keys = self.residue_keys
-        below: set[int] = set()
+        earlier: set[int] = set()
         out = []
         for i in range(1, self.k):
             key_i = keys[i]
-            diffs = [key_i - key_j for key_j in keys[:i]]
-            into_i: set[int] = set()
-            for j, diff in enumerate(diffs):
-                if diff in below or diff in into_i:
+            row: set[int] = set()
+            for j in range(i):
+                d = key_i - keys[j]
+                if abs(d) in earlier or -d in row:
                     out.append((i + 1, j + 1))
-                into_i.add(-diff)
-            below.update(diffs, into_i)
+                row.add(d)
+            earlier.update(map(abs, row))
         return out
 
     def certified_count(self) -> int:

@@ -12,14 +12,16 @@ renormalization), so no Fraction objects are created on the hot paths and no
 rounding can occur anywhere.  ``_eliminate`` reduces one vector against
 echelon rows, and ``echelon`` holds the one insertion loop around it: it
 brings a matrix, with an optional augmented block, to reduced row echelon
-form.  ``reduce`` is ``echelon`` with no block, ``section_dim`` and the
-implication solver read relations off the block, and ``residue`` (with
-``member``, its zero test) and the residue-row searches of ``goodness``
-call ``_eliminate`` as it is.  The matroid partition of ``goodness`` does
-both: it brings each independent set to echelon form with an augmented
-identity block, and reduces a row against it with ``_eliminate`` to read
-the row's circuit off the block.  ``rank_of_columns`` has no caller in the
-package; it is kept for the benchmark, which traces it.
+form.  ``reduce`` is ``echelon`` with no block; the scan's walk hands it
+a prefix's canonical rows and inserts only the new contents below them;
+``section_dim`` and the implication solver read relations off the block;
+and ``residue`` (with ``member``, its zero test) and the residue-row
+searches of ``goodness`` call ``_eliminate`` as it is.  The matroid
+partition of ``goodness`` does both: it brings each independent set to
+echelon form with an augmented identity block, and reduces a row against
+it with ``_eliminate`` to read the row's circuit off the block.
+``rank_of_columns`` has no caller in the package; it is kept for the
+benchmark, which traces it.
 """
 
 from __future__ import annotations
@@ -57,7 +59,7 @@ class ExactBasis:
 
     @cached_property
     def pivots(self) -> tuple[int, ...]:
-        return tuple(_leading(r) for r in self.rows)  # type: ignore[misc]
+        return tuple(map(_leading, self.rows))  # type: ignore[arg-type]
 
     @property
     def rank(self) -> int:
@@ -128,24 +130,27 @@ def residue(basis: ExactBasis, v: Sequence[int]) -> tuple[tuple[int, ...], int]:
     return tuple(w), den
 
 
-def echelon(mat: list[list[int]], width: int) -> int:
+def echelon(mat: list[list[int]], width: int, done: int = 0) -> int:
     """Fraction-free reduced row echelon form of ``mat`` in place; returns its rank.
 
     Pivots are searched on the first ``width`` columns only; any further
     columns are an augmented block carried through the same row operations.
-    Each row is reduced by ``_eliminate`` against the pivot rows kept so far;
-    a new pivot row is made primitive with a positive pivot, inserted in
-    pivot order, and cleared from the other pivot rows.  Afterwards the
-    first ``rank`` rows hold the pivots, in pivot order, and each pivot
-    column is zero in every other pivot row: without an augmented block they
-    are the canonical basis that ``reduce`` returns.  Every later row is zero
-    on the first ``width`` columns, so its augmented block records a linear
+    The first ``done`` rows must already be pivot rows as this function
+    leaves them, such as the rows of an ``ExactBasis``: they are kept as
+    they stand, and only the rows after them are inserted.  Each inserted
+    row is reduced by ``_eliminate`` against the pivot rows kept so far; a
+    new pivot row is made primitive with a positive pivot, inserted in pivot
+    order, and cleared from the other pivot rows.  Afterwards the first
+    ``rank`` rows hold the pivots, in pivot order, and each pivot column is
+    zero in every other pivot row: without an augmented block they are the
+    canonical basis that ``reduce`` returns.  Every later row is zero on the
+    first ``width`` columns, so its augmented block records a linear
     relation among the original rows.
     """
-    rows: list[list[int]] = []
-    pivots: list[int] = []
+    rows = mat[:done]
+    pivots = [_leading(r) for r in rows]
     dependent = []
-    for w in mat:
+    for w in mat[done:]:
         _eliminate(w, rows, pivots)
         j = _leading(w)
         if j is None or j >= width:

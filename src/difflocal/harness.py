@@ -237,7 +237,9 @@ class _PatternWalk:
         """The canonical rows of the prefix extended by a point p_j whose
         pairs (i, j) carry the labels ``new``: the prefix's rows and, for
         each pair that repeats an earlier first pair (a, b), the content
-        e_j + e_a - e_i - e_b from ``_sum_content``."""
+        e_j + e_a - e_i - e_b from ``_sum_content``.  The prefix's rows are
+        canonical already, so ``exactlin.echelon`` inserts only the new
+        contents below them."""
         j = len(new)
         base = j * (j - 1) // 2
         contents = []
@@ -249,7 +251,7 @@ class _PatternWalk:
         if not contents:
             return rows
         mat = [list(r) for r in rows] + contents
-        rank = exactlin.echelon(mat, self.k)
+        rank = exactlin.echelon(mat, self.k, len(rows))
         interned = self.interned
         return tuple([interned.setdefault(r, r) for r in map(tuple, mat[:rank])])
 

@@ -14,6 +14,7 @@ from oracles import (
     brute_collinearity_free,
     brute_distinct_differences,
     frac_solvable,
+    literal_certified_pairs,
     satisfied_contents,
 )
 
@@ -151,6 +152,21 @@ class TestCertifies:
         config = cfg.from_points((0, 1, 3, 7))
         with pytest.raises(ValueError):
             config.certifies((1, 1))
+
+    def test_an_equal_difference_within_a_row_is_no_witness(self):
+        # x1 = x2, an invalid span: keys 1 and 2 are equal, so row 3 has
+        # key_3 - key_1 == key_3 - key_2.  That is no witness for (3, 2);
+        # a bare set of |differences| would take it for one.
+        contents = [(1, -1, 0)]
+        config = cfg.from_equalities(3, contents)
+        assert config.certified_pairs() == [] == literal_certified_pairs(contents, 3)
+
+    def test_the_reversed_difference_within_a_row_is_a_witness(self):
+        # x3 - x2 = x1 - x3: (3, 2) has the witness (1, 3) of its own row,
+        # and no earlier row repeats |x3 - x2|, since x2 - x1 = 2(x3 - x1)
+        contents = [(-1, -1, 2)]
+        config = cfg.from_equalities(3, contents)
+        assert config.certified_pairs() == [(3, 2)] == literal_certified_pairs(contents, 3)
 
     def test_against_bruteforce_definition(self):
         for points in [(1, 2, 5, 6, 9), (0, 10, 1, 9, 2, 8), (2, 3, 5, 9), (1, 2, 3, 4, 5)]:

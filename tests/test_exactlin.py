@@ -203,6 +203,25 @@ def test_echelon_leaves_reduced_rows(data):
         assert all(mat[other][p] == 0 for other in range(rank) if other != i)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(small_vec, min_size=0, max_size=4), st.data())
+def test_echelon_inserts_only_rows_after_the_canonical_ones(vectors, data):
+    # canonical rows at the top, then new rows: some drawn afresh, some
+    # copies or sums of the spanning vectors (dependent), some repeated
+    canonical = exactlin.reduce(vectors, 5).rows
+    pool = list(vectors) + [tuple(a + b for a, b in zip(v, w)) for v, w in zip(vectors, vectors[1:])]
+    fresh = st.lists(small_vec, max_size=3)
+    new = data.draw(fresh) + data.draw(st.lists(st.sampled_from(pool), max_size=3) if pool else fresh)
+    new += data.draw(st.lists(st.sampled_from(new), max_size=2)) if new else []
+    new = data.draw(st.permutations(new))
+    mat = [list(r) for r in canonical] + [list(v) for v in new]
+    rank = exactlin.echelon(mat, 5, len(canonical))
+    expected = exactlin.reduce(list(vectors) + new, 5)
+    assert rank == expected.rank
+    assert tuple(map(tuple, mat[:rank])) == expected.rows
+    assert not any(x for row in mat[rank:] for x in row)
+
+
 @st.composite
 def zero_sum_spans(draw):
     k = draw(st.integers(2, 7))

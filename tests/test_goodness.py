@@ -773,6 +773,23 @@ class TestResidueTable:
     @given(
         st.one_of(
             equality_systems(max_k=8).map(lambda system: cfg.from_equalities(*system)),
+            scaled_systems().map(lambda system: cfg.from_equalities(*system)),
+            st.lists(st.integers(min_value=-30, max_value=30), min_size=2, max_size=12, unique=True).map(
+                cfg.from_points
+            ),
+        )
+    )
+    def test_keys_are_rows_read_as_digits(self, config):
+        # key i is row i of the table read as base-(4m + 1) digits, m the
+        # largest |entry| of the table, the lowest digit first
+        rows = config.residues
+        base = 4 * max(abs(x) for row in rows for x in row) + 1
+        assert config.residue_keys == tuple(sum(x * base**n for n, x in enumerate(row)) for row in rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(
+        st.one_of(
+            equality_systems(max_k=8).map(lambda system: cfg.from_equalities(*system)),
             st.lists(st.integers(min_value=-30, max_value=30), min_size=2, max_size=9, unique=True).map(
                 cfg.from_points
             ),
