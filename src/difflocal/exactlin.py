@@ -13,8 +13,11 @@ rounding can occur anywhere.  ``_eliminate`` reduces one vector against
 echelon rows, and ``echelon`` holds the one insertion loop around it: it
 brings a matrix, with an optional augmented block, to reduced row echelon
 form.  ``reduce`` is ``echelon`` with no block; the scan's walk hands it
-a prefix's canonical rows and inserts only the new contents below them;
-``section_dim`` and the implication solver read relations off the block;
+a prefix's canonical rows and inserts only the new contents below them,
+as the lemma suite's hub families do; ``section_dim`` reads relations off
+the block, and the implication solver brings one family's premises to
+echelon form once, each with an identity block, and reduces every
+candidate product against them to read its coefficients off the block;
 and ``residue`` (with ``member``, its zero test) and the residue-row
 searches of ``goodness`` call ``_eliminate`` as it is.  The matroid
 partition of ``goodness`` does both: it brings each independent set to

@@ -38,6 +38,7 @@ import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from math import gcd
 from typing import Optional, Sequence
 
 from . import exactlin
@@ -132,21 +133,28 @@ def _collinearity_witness(config: KConfiguration) -> Optional[tuple[int, ...]]:
 
     Validity makes every two rows independent (a dependent pair is a
     zero-sum span vector on two variables, an implied x_i = x_j).  So rows
-    a < b < c are dependent iff rows b and c, reduced against row a and
-    made primitive with a positive leading entry, are equal.
+    a < b < c are dependent iff rows b and c, with row a's leading column
+    cleared and made primitive with a positive leading entry, are equal.
     """
     rows = config.residues
     k = len(rows)
     for a in range(k - 2):
         row_a = rows[a]
-        pivot_a = exactlin._leading(row_a)
+        p = exactlin._leading(row_a)
+        ap = row_a[p]
         first: dict[tuple[int, ...], int] = {}
         found = None
         for b in range(a + 1, k):
-            w = list(rows[b])
-            exactlin._eliminate(w, (row_a,), (pivot_a,))
-            exactlin._normalize(w, exactlin._leading(w))
-            key = tuple(w)
+            row_b = rows[b]
+            bp = row_b[p]
+            w = [x * ap - y * bp for x, y in zip(row_b, row_a)] if bp else row_b
+            g = gcd(*w)
+            for lead in w:  # w is nonzero: rows a and b are independent
+                if lead:
+                    break
+            if lead < 0:
+                g = -g
+            key = tuple(w) if g == 1 else tuple([x // g for x in w])
             if key not in first:
                 first[key] = b
             elif found is None or first[key] < found[0]:

@@ -484,21 +484,33 @@ def _hub_content(k: int, hub: int, others: Sequence[int], plus: int) -> tuple[in
 
 
 def _random_hub_family(rng: random.Random) -> Optional[list[DifferenceEquality]]:
-    """Independent difference equalities through x_k, jointly c-good at PAPER_C."""
+    """Independent difference equalities through x_k, jointly c-good at PAPER_C.
+
+    The accepted family's canonical rows are carried along, and each draw
+    is inserted below them by ``exactlin.echelon``, as
+    ``_PatternWalk.extend_rows`` does.  The rows are copied for each draw:
+    ``echelon`` back-substitutes into them in place, and a rejected draw
+    must leave them as they were.
+    """
     k = rng.randint(7, 10)
     hub = k
     target = rng.randint(2, 5)
     eqs: list[DifferenceEquality] = []
+    rows: tuple[tuple[int, ...], ...] = ()
     for _ in range(60):
         if len(eqs) == target:
             break
         others = rng.sample(range(1, k), 3)
         cand = _eq(k, _hub_content(k, hub, others, rng.randrange(3)))
-        trial = eqs + [cand]
-        config = from_equalities(k, trial)
-        if config.rank != len(trial) or not is_c_good(config, PAPER_C).c_good:
+        mat = [list(r) for r in rows] + [list(cand.content)]
+        rank = exactlin.echelon(mat, k, len(rows))
+        if rank == len(rows):
+            continue
+        trial = tuple(map(tuple, mat[:rank]))
+        if not is_c_good(KConfiguration(exactlin.ExactBasis(k, trial)), PAPER_C).c_good:
             continue
         eqs.append(cand)
+        rows = trial
     return eqs if len(eqs) >= 2 else None
 
 

@@ -15,6 +15,13 @@ Residue modulo the premises' span is linear, so it lies in the span iff the
 residue rows satisfy r_a + r_b = r_c + r_d: the candidates are read off the
 pair-sum classes of the premises' configuration, with no membership test.
 
+The premises of ``minimal_implications`` are independent, so a span member
+is a combination of them in exactly one way.  A subset S minimally implies
+a product iff the product lies in S's span with every coefficient over S
+nonzero, that is iff the product's coefficients over the whole family are
+nonzero exactly on S.  So one solve over the whole family, one echelon of
+the premises and one reduction per candidate, finds every subset at once.
+
 Produced equalities are stored in one orientation; a content and its negation
 are treated as the same equality throughout.
 """
@@ -25,7 +32,7 @@ import itertools
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
-from typing import Iterator, Optional, Sequence
+from typing import Optional, Sequence
 
 from . import exactlin
 from .configuration import (
@@ -89,44 +96,29 @@ def _candidate_products(config: KConfiguration, variables: Sequence[int]) -> lis
 
 
 def _solve_coefficients(
-    premises: Sequence[DifferenceEquality], target: Sequence[int]
-) -> tuple[Fraction, ...]:
-    """Solve target = sum c_i * premise_i exactly, for a target in the
-    premises' span.
+    config: KConfiguration, premises: Sequence[DifferenceEquality]
+) -> list[tuple[tuple[int, ...], tuple[Fraction, ...]]]:
+    """Each ``_candidate_products`` candidate of the premises' span, in that
+    order, with its coefficients: candidate = sum c_i * premise_i exactly.
 
-    The premises must be linearly independent, as they are for both callers
-    of ``_implied_products``: ``minimal_implications`` skips dependent
-    subsets, and ``check_structure`` receives the premises it produced.
-    Every target is a ``_candidate_products`` candidate of their span.  Rows
-    ``[premise_i | e_i]`` and ``[target | e_{t+1}]`` are eliminated on the
-    content columns; the rank stays t, and the one kernel row
-    ``(y_1..y_t, y)`` gives ``c_i = -y_i / y``.
+    ``config`` is the configuration spanned by the premises, which must be
+    linearly independent, so the coefficients are unique.  Rows
+    ``[premise_i | e_i]`` are brought to echelon form once on the content
+    columns; a candidate ``[target | 0]`` reduced against them by
+    ``exactlin._eliminate`` vanishes on the content columns and leaves
+    ``-den * c`` in the block.
     """
-    k = premises[0].k
+    k = config.k
     t = len(premises)
-    contents = [p.content for p in premises] + [target]
-    mat = [list(vec) + [int(j == i) for j in range(t + 1)] for i, vec in enumerate(contents)]
+    mat = [list(p.content) + [int(j == i) for j in range(t)] for i, p in enumerate(premises)]
     exactlin.echelon(mat, k)
-    *ys, y = mat[t][k:]
-    return tuple(Fraction(-yi, y) for yi in ys)
-
-
-def _implied_products(
-    config: KConfiguration, premises: Sequence[DifferenceEquality], exclude: set
-) -> Iterator[tuple[tuple[int, ...], tuple[Fraction, ...]]]:
-    """``(product, coefficients)`` for each product the premises minimally imply.
-
-    ``config`` is spanned by the premises.  Candidates come in
-    ``_candidate_products`` order; those whose canonical content is in
-    ``exclude`` are skipped.
-    """
-    variables = sorted({v for p in premises for v in p.support})
-    for cand in _candidate_products(config, variables):
-        if canonical_sign(cand) in exclude:
-            continue
-        coeffs = _solve_coefficients(premises, cand)
-        if all(c != 0 for c in coeffs):
-            yield cand, coeffs
+    pivots = [exactlin._leading(r) for r in mat]
+    solved = []
+    for cand in _candidate_products(config, sorted({v for p in premises for v in p.support})):
+        w = list(cand) + [0] * t
+        den = exactlin._eliminate(w, mat, pivots)
+        solved.append((cand, tuple(Fraction(-y, den) for y in w[k:])))
+    return solved
 
 
 def minimal_implications(
@@ -136,7 +128,13 @@ def minimal_implications(
 
     One implication per qualifying subset: the first produced equality in a
     deterministic candidate order (support-lexicographic, then sign pattern).
-    Results are ordered lexicographically by premise index set.
+    Results are ordered lexicographically by premise index set.  The
+    equalities must be linearly independent: ValueError otherwise.
+
+    A product's nonzero coefficients over the family name the one subset
+    that minimally implies it (see the module docstring).  The candidate
+    order does not depend on the variables it ranges over, so the first
+    candidate with a given coefficient support is that subset's first.
     """
     eqs = list(equalities)
     if len(eqs) > MAX_PREMISES:
@@ -148,19 +146,17 @@ def minimal_implications(
     k = eqs[0].k
     if any(e.k != k for e in eqs):
         raise ValueError("mixed ambient dimensions")
-    results: list[tuple[tuple[int, ...], MinimalImplication]] = []
-    for size in range(1, max_t + 1):
-        for idx_subset in itertools.combinations(range(len(eqs)), size):
-            subset = [eqs[i] for i in idx_subset]
-            config = from_equalities(k, subset)
-            if config.rank != size:
-                continue  # dependent premises cannot minimally imply
-            premise_keys = {e.canonical_content for e in subset}
-            found = next(_implied_products(config, subset, premise_keys), None)
-            if found is not None:
-                results.append((idx_subset, MinimalImplication(tuple(subset), *found)))
-    results.sort(key=lambda pair: pair[0])
-    return [impl for _, impl in results]
+    config = from_equalities(k, eqs)
+    if config.rank != len(eqs):
+        raise ValueError("equalities are linearly dependent")
+    first: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[Fraction, ...]]] = {}
+    for cand, coeffs in _solve_coefficients(config, eqs):
+        subset = tuple(i for i, c in enumerate(coeffs) if c)
+        if 2 <= len(subset) <= max_t and subset not in first:
+            first[subset] = cand, tuple(coeffs[i] for i in subset)
+    return [
+        MinimalImplication(tuple(eqs[i] for i in subset), *first[subset]) for subset in sorted(first)
+    ]
 
 
 @dataclass(frozen=True)
@@ -209,9 +205,9 @@ def check_structure(impl: MinimalImplication) -> StructureReport:
 
     signs_ok = all(abs(c) == 1 for c in impl.coefficients)
 
-    exclude = {canonical_sign(impl.product)} | {p.canonical_content for p in impl.premises}
-    implied = _implied_products(config, impl.premises, exclude)
-    second = next((cand for cand, _ in implied), None)
+    product = canonical_sign(impl.product)
+    implied = _solve_coefficients(config, impl.premises)
+    second = next((cand for cand, coeffs in implied if cand != product and all(coeffs)), None)
     return StructureReport(
         precondition_2good=precondition,
         variable_counts_ok=case_two or case_four,

@@ -226,6 +226,44 @@ def literal_candidate_products(contents, k, variables):
     return out
 
 
+def literal_minimal_implications(contents, k, max_t):
+    """``(subset, products, coefficients)`` for every subset of at most
+    ``max_t`` of the independent ``contents``, by index tuple in
+    lexicographic order, that minimally implies some span member with
+    four +-1 entries: ``products`` lists every such member, in
+    support-lexicographic and then sign-pattern order, and
+    ``coefficients`` writes the first over the subset.  Every +-1 vector
+    of support 4 is tested against the whole span, every subset for
+    independence, and minimality by the membership of a span member in
+    the span of the subset and of each of its subsets one smaller."""
+    members = literal_candidate_products(contents, k, range(1, k + 1))
+    out = []
+    for size in range(1, max_t + 1):
+        for subset in itertools.combinations(range(len(contents)), size):
+            rows = [list(contents[i]) for i in subset]
+            if frac_rank(rows) != size:
+                continue
+            premises = {tuple(row) for row in rows} | {tuple(-x for x in row) for row in rows}
+            products = [
+                vec
+                for vec in members
+                if vec not in premises
+                and frac_rank(rows + [list(vec)]) == size
+                and not any(frac_solvable(rows[:i] + rows[i + 1 :], vec) for i in range(size))
+            ]
+            if products:
+                out.append((subset, products, _coefficients(rows, products[0])))
+    return sorted(out)
+
+
+def _coefficients(rows, target):
+    """The unique c with sum c_i * rows[i] = target, for independent rows
+    and a target in their span: row i of the reduced system
+    [rows^T | target] is a multiple of (e_i | c_i)."""
+    system = [[row[j] for row in rows] + [target[j]] for j in range(len(target))]
+    return tuple(Fraction(r[-1], r[i]) for i, r in enumerate(frac_rref(system)))
+
+
 def section_dim(contents, k, support):
     """dim {v in span(contents) : supp(v) subseteq support}, via rank difference."""
     if not contents:

@@ -224,6 +224,22 @@ def test_criterion_8_lemma_property_suite():
     report = h.lemma_property_suite(seed=20250808, instance_count=1000)
     assert report["instances"] == 1000
     assert report["failures"] == 0, report["counterexamples"]
+    # every check the suite runs is pinned, so a rewrite that finds fewer
+    # implications, alignments or structure reports fails here
+    assert report["checks_run"] == 1911
+    assert report["checks_by_name"] == {
+        "2-full-intersection": 223,
+        "2-implication-aligned": 337,
+        "3-implication-certifies<=5": 52,
+        "box-subbox-partial-sum": 4,
+        "cross-check": 249,
+        "hub-implication-size<=4": 397,
+        "intersection-figure": 1,
+        "pair-six-variables": 249,
+        "sec5-figure-produces": 1,
+        "sec5-figure-structure": 1,
+        "structure-clauses": 397,
+    }
     report_line(
         8,
         f"lemma property suite: {report['checks_run']} checks over 1000 instances, zero counterexamples",

@@ -1,6 +1,6 @@
 import itertools
 from fractions import Fraction
-from math import comb, lcm
+from math import comb, gcd, lcm
 from typing import Optional, Sequence
 
 import pytest
@@ -21,6 +21,7 @@ from oracles import (
     literal_collinearity_free,
     literal_equality,
     literal_largest_star,
+    satisfied_contents,
     section_dim,
 )
 
@@ -116,6 +117,19 @@ class TestValidity:
         assert gd.is_valid(cfg.from_points((0, 1, 3, 7)))[0]
 
 
+@st.composite
+def progression_points(draw):
+    """Distinct points, in a drawn order, that hold the 3-term progressions
+    x, x + d, x + 2d and x, x + e, x + 2e, so several triples are
+    dependent and, in some orders, two dependent pairs of one point nest;
+    up to three more points may add further ones."""
+    x = draw(st.integers(min_value=0, max_value=8))
+    d, e = draw(st.lists(st.integers(min_value=-8, max_value=8).filter(bool), min_size=2, max_size=2, unique=True))
+    extra = draw(st.lists(st.integers(min_value=0, max_value=24), max_size=3))
+    points = {x, x + d, x + 2 * d, x + e, x + 2 * e, *extra}
+    return draw(st.permutations(sorted(points)))
+
+
 class TestCollinearity:
     def test_example_b_witness(self):
         ok, witness = gd.is_collinearity_free(example_b())
@@ -137,6 +151,27 @@ class TestCollinearity:
         for k in (4, 6, 8, 10):
             ok, witness = gd.is_collinearity_free(star_of(k))
             assert ok and witness is None
+
+    @settings(max_examples=100, deadline=None)
+    @given(progression_points())
+    def test_witness_is_the_first_dependent_triple(self, points):
+        # the witness is the first dependent triple: the lexicographically
+        # first S whose section is nonzero, the whole span's rank exceeding
+        # its rank on the other columns
+        k = len(points)
+        contents = satisfied_contents(points)
+        full = frac_rank(contents)
+        dependent = [
+            s
+            for s in itertools.combinations(range(1, k + 1), 3)
+            if frac_rank([[row[j] for j in range(k) if j + 1 not in s] for row in contents]) < full
+        ]
+        assume(len(dependent) >= 2)
+        ok, witness = gd.is_collinearity_free(cfg.from_points(points))
+        assert not ok
+        assert tuple(j + 1 for j, x in enumerate(witness) if x) == dependent[0]
+        assert frac_solvable(contents, witness)
+        assert gcd(*witness) == 1 and next(x for x in witness if x) > 0
 
     def test_witness_reverifies_as_span_member_with_support_three(self):
         for config in (example_b(), cfg.from_points((1, 2, 5, 6, 9)), cfg.from_points((3, 6, 9, 20))):

@@ -455,6 +455,49 @@ class TestLemmaSuite:
             assert frac_rank(contents) == len(contents)
             assert is_2_full(family)
 
+    def test_hub_family_matches_a_loop_that_reduces_every_draw(self, monkeypatch):
+        # the generator carries its family's canonical rows and inserts each
+        # draw below them; the reference reduces the family and the draw
+        # afresh.  The same draws give the same families, and every
+        # configuration classified is the reference's
+        def reference(rng):
+            k = rng.randint(7, 10)
+            target = rng.randint(2, 5)
+            eqs, bases = [], []
+            for _ in range(60):
+                if len(eqs) == target:
+                    break
+                others = rng.sample(range(1, k), 3)
+                cand = h._eq(k, h._hub_content(k, k, others, rng.randrange(3)))
+                config = from_equalities(k, eqs + [cand])
+                if config.rank != len(eqs) + 1:
+                    continue
+                bases.append(config.basis)
+                if is_c_good(config, h.PAPER_C).c_good:
+                    eqs.append(cand)
+            return (eqs if len(eqs) >= 2 else None), bases
+
+        classified, accepted = [], []
+
+        def recording_is_c_good(config, c):
+            report = is_c_good(config, c)
+            classified.append(config.basis)
+            if report.c_good:
+                accepted.append(config.basis)
+            return report
+
+        monkeypatch.setattr(h, "is_c_good", recording_is_c_good)
+        families = 0
+        for seed in range(500):
+            classified.clear()
+            want, bases = reference(random.Random(seed))
+            assert h._random_hub_family(random.Random(seed)) == want
+            assert classified == bases
+            if want is not None:
+                families += 1
+                assert accepted[-1].rows == from_equalities(want[0].k, want).basis.rows
+        assert families > 400
+
     def test_pair_claim_draws_have_rank_2(self, monkeypatch):
         # two primitive contents that differ up to sign are independent
         ranks = []

@@ -8,7 +8,7 @@ from difflocal import exactlin
 from difflocal import implications as imp
 from difflocal.harness import sec5_figure_premises, subbox_figure_premises, three_implication_figure
 
-from oracles import frac_solvable, literal_candidate_products
+from oracles import frac_rank, frac_solvable, literal_candidate_products, literal_minimal_implications
 
 
 def eq(k, content):
@@ -45,6 +45,23 @@ def premise_systems(draw):
     return k, contents
 
 
+@st.composite
+def independent_families(draw):
+    """(k, contents): up to five independent contents x_a + x_b - x_c - x_d
+    on four distinct variables of k <= 9, each draw kept when it is
+    independent of those kept before."""
+    k = draw(st.integers(min_value=4, max_value=9))
+    quads = st.lists(st.integers(min_value=0, max_value=k - 1), min_size=4, max_size=4, unique=True)
+    contents = []
+    for a, b, c, d in draw(st.lists(quads, max_size=8)):
+        vec = [0] * k
+        vec[a] = vec[b] = 1
+        vec[c] = vec[d] = -1
+        if len(contents) < 5 and frac_rank(contents + [vec]) == len(contents) + 1:
+            contents.append(vec)
+    return k, [tuple(vec) for vec in contents]
+
+
 class TestCandidateProducts:
     """``_candidate_products`` against solving a linear system for every one
     of the 3*C(|V|,4) sign patterns."""
@@ -60,18 +77,24 @@ class TestCandidateProducts:
     @settings(max_examples=200, deadline=None)
     @given(premise_systems())
     def test_every_candidate_is_solved(self, system):
-        # candidates lie in the premises' span, so ``_solve_coefficients``
-        # needs no unsolvable case
+        # one echelon of independent premises writes every candidate of
+        # their span, in ``_candidate_products`` order, as a combination of
+        # them; candidates lie in the span, so none is unsolvable
         k, contents = system
         premises = []
         for vec in contents:
             if exactlin.reduce([p.content for p in premises] + [vec], k).rank > len(premises):
                 premises.append(eq(k, vec))
-        config = cfg.from_equalities(k, contents)
-        for cand in imp._candidate_products(config, range(1, k + 1)):
+        config = cfg.from_equalities(k, [p.content for p in premises])
+        variables = sorted({v for p in premises for v in p.support})
+        solved = imp._solve_coefficients(config, premises)
+        assert [cand for cand, _ in solved] == imp._candidate_products(config, variables)
+        for cand, coeffs in solved:
             assert frac_solvable(contents, cand)
-            coeffs = imp._solve_coefficients(premises, cand)
             assert [sum(c * p.content[j] for c, p in zip(coeffs, premises)) for j in range(k)] == list(cand)
+
+    def test_empty_family_has_nothing_to_solve(self):
+        assert imp._solve_coefficients(cfg.from_equalities(5, []), []) == []
 
     def test_invalid_premises_overlapping_pairs(self):
         # x1 = x2 and x3 = x4: {1,3} ~ {2,3} ~ {1,4} ~ {2,4} in one class
@@ -138,6 +161,33 @@ class TestMinimalImplications:
                 for j in range(9)
             ]
             assert tuple(combo) == m.product
+
+    @settings(max_examples=100, deadline=None)
+    @given(independent_families(), st.data())
+    def test_matches_literal_subset_walk(self, family, data):
+        k, contents = family
+        max_t = data.draw(st.integers(min_value=0, max_value=len(contents)))
+        eqs = [eq(k, vec) for vec in contents]
+        impls = imp.minimal_implications(eqs, max_t)
+        want = literal_minimal_implications(contents, k, max_t)
+        assert [(m.premises, m.product, m.coefficients) for m in impls] == [
+            (tuple(eqs[i] for i in subset), products[0], coeffs) for subset, products, coeffs in want
+        ]
+        for m, (_, products, _) in zip(impls, want):
+            second = products[1] if len(products) > 1 else None
+            assert imp.check_structure(m).second_product == second
+
+    def test_dependent_family_rejected(self):
+        # the third is the second less the first; its independent subsets
+        # are not read instead
+        a = eq(6, (1, 1, -1, -1, 0, 0))
+        b = eq(6, (1, 1, 0, 0, -1, -1))
+        c = eq(6, (0, 0, 1, 1, -1, -1))
+        assert imp.minimal_implications([a, b], 2)
+        with pytest.raises(ValueError, match="equalities are linearly dependent"):
+            imp.minimal_implications([a, b, c], 2)
+        with pytest.raises(ValueError, match="equalities are linearly dependent"):
+            imp.minimal_implications([a, a], 1)
 
     def test_size_limits(self):
         premises = sec5_figure_premises()
