@@ -37,7 +37,7 @@ from .constructions import (
     random_local_set,
 )
 from .goodness import is_c_good, largest_star, parse_c
-from .harness import scan_ground
+from .scan import scan_ground
 from .verifier import BudgetExceededError, check_local_property, resolve_budget
 
 EXIT_OK = 0

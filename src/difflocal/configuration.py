@@ -34,8 +34,8 @@ candidate products of ``implications``.
 Every content built from index pairs, e_a + e_b - e_c - e_d with repeated
 indices added up, comes from one 0-based helper, ``_sum_content``: those of
 ``DifferenceEquality.from_indices`` and ``from_points`` here, of the stars
-of ``goodness``, of the scan's rows and the lemma suite's equalities in
-``harness``, and of the implied products of ``implications``.
+of ``goodness``, of the scan's rows in ``scan``, of the lemma suite's
+equalities in ``lemmas``, and of the implied products of ``implications``.
 
 All variable indices in this module's public API are 1-based (x_1..x_k).
 """

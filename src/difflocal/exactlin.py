@@ -12,17 +12,19 @@ renormalization), so no Fraction objects are created on the hot paths and no
 rounding can occur anywhere.  ``_eliminate`` reduces one vector against
 echelon rows, and ``echelon`` holds the one insertion loop around it: it
 brings a matrix, with an optional augmented block, to reduced row echelon
-form.  ``reduce`` is ``echelon`` with no block; the scan's walk hands it
-a prefix's canonical rows and inserts only the new contents below them,
-as the lemma suite's hub families do; ``section_dim`` reads relations off
-the block, and the implication solver brings one family's premises to
-echelon form once, each with an identity block, and reduces every
-candidate product against them to read its coefficients off the block;
-and ``residue`` (with ``member``, its zero test) and the residue-row
-searches of ``goodness`` call ``_eliminate`` as it is.  The matroid
-partition of ``goodness`` does both: it brings each independent set to
-echelon form with an augmented identity block, and reduces a row against
-it with ``_eliminate`` to read the row's circuit off the block.
+form.  ``reduce`` is ``echelon`` with no block, and ``extend`` grows a span
+that is canonical already: it inserts only the new contents below a copy of
+its rows, so no caller copies rows to grow a span.  The scan's walk extends
+a prefix's rows by a point's contents with it, and the lemma suite its hub
+families by one draw and its harvest by one candidate at a time.
+``section_dim`` reads relations off the block, and the implication solver
+brings one family's premises to echelon form once, each with an identity
+block, and reduces every candidate product against them to read its
+coefficients off the block; and ``residue`` (with ``member``, its zero test)
+and the residue-row searches of ``goodness`` call ``_eliminate`` as it is.
+The matroid partition of ``goodness`` does both: it brings each independent
+set to echelon form with an augmented identity block, and reduces a row
+against it with ``_eliminate`` to read the row's circuit off the block.
 ``rank_of_columns`` has no caller in the package; it is kept for the
 benchmark, which traces it.
 """
@@ -169,6 +171,16 @@ def echelon(mat: list[list[int]], width: int, done: int = 0) -> int:
                 _normalize(r, pivots[idx])
     mat[:] = rows + dependent
     return len(rows)
+
+
+def extend(rows: tuple[tuple[int, ...], ...], contents: Iterable[Sequence[int]], width: int) -> tuple:
+    """Canonical rows of span(rows, contents), where ``rows`` are canonical
+    rows of width ``width``: the same ``rows`` object when no content is
+    new.  Neither argument is mutated, though ``echelon`` back-substitutes
+    into the rows it keeps: it works on a copy."""
+    mat = [*map(list, rows), *map(list, contents)]
+    rank = echelon(mat, width, len(rows))
+    return rows if rank == len(rows) else tuple(map(tuple, mat[:rank]))
 
 
 def rank_of_columns(basis: ExactBasis, columns: Sequence[int]) -> int:

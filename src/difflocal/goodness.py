@@ -274,14 +274,14 @@ def _light_by_partition(config: KConfiguration, budget: Optional[int]) -> tuple[
             raise BudgetExceededError(f"matroid partition exceeds its budget of {budget} steps")
         if held not in echelons:
             # a set that gained its last row only is its predecessor's
-            # echelon with that row inserted
+            # echelon, kept as it stands, with that row inserted below it
             n = len(held)
             base = echelons.get(held[:-1])
             if base is None:
                 mat = [list(rows[h]) + [0] * m + [1] + [0] * (n - m - 1) for m, h in enumerate(held)]
             else:
                 mat = [w + [0] for w in base[0]] + [list(rows[held[-1]]) + [0] * (n - 1) + [1]]
-            exactlin.echelon(mat, width)
+            exactlin.echelon(mat, width, 0 if base is None else n - 1)
             echelons[held] = mat, [exactlin._leading(w) for w in mat]
         w = list(rows[i]) + [0] * len(held)
         exactlin._eliminate(w, *echelons[held])

@@ -10,8 +10,8 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from difflocal import __version__, cli, constructions, harness, reportfmt
-from difflocal.harness import realize_star
+from difflocal import __version__, cli, constructions, reportfmt, scan
+from difflocal.scan import realize_star
 
 
 def run(capsys, *argv):
@@ -310,7 +310,7 @@ class TestScan:
         def refuse(payload):
             raise AssertionError("the scan walked")
 
-        monkeypatch.setattr(harness, "_scan_chunk", refuse)
+        monkeypatch.setattr(scan, "_scan_chunk", refuse)
         code, text, err = run(capsys, "scan", "--N", "66", "--k", "65")
         assert code == 2
         assert text == ""

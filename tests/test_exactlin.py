@@ -222,6 +222,25 @@ def test_echelon_inserts_only_rows_after_the_canonical_ones(vectors, data):
     assert not any(x for row in mat[rank:] for x in row)
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.lists(small_vec, min_size=0, max_size=4), st.data())
+def test_extend_is_reduce_of_rows_and_contents(vectors, data):
+    # contents: multiples and sums of the rows, which add nothing, then in
+    # half the cases fresh draws; lists, so that a mutation would show
+    rows = exactlin.reduce(vectors, 5).rows
+    pool = [[2 * x for x in r] for r in rows] + [[a + b for a, b in zip(v, w)] for v, w in zip(rows, rows[1:])]
+    contents = data.draw(st.lists(st.sampled_from(pool), max_size=3)) if pool else []
+    contents += data.draw(st.one_of(st.just([]), st.lists(small_vec.map(list), max_size=3)))
+    contents = data.draw(st.permutations(contents))
+    before = [list(v) for v in contents]
+    got = exactlin.extend(rows, contents, 5)
+    expected = exactlin.reduce(list(rows) + contents, 5).rows
+    assert got == expected
+    assert contents == before
+    assert rows == exactlin.reduce(vectors, 5).rows
+    assert (got is rows) == (len(expected) == len(rows))
+
+
 @st.composite
 def zero_sum_spans(draw):
     k = draw(st.integers(2, 7))

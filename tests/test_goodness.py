@@ -9,7 +9,9 @@ from hypothesis import assume, example, given, settings, strategies as st
 from difflocal import configuration as cfg
 from difflocal import exactlin
 from difflocal import goodness as gd
-from difflocal.harness import PAPER_C, lemma_property_suite, odd_equality_case, realize_star, scan_ground
+from difflocal.goodness import PAPER_C
+from difflocal.lemmas import lemma_property_suite
+from difflocal.scan import odd_equality_case, realize_star, scan_ground
 from difflocal.verifier import BudgetExceededError
 
 from oracles import (

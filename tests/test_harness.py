@@ -1,15 +1,17 @@
 import itertools
 import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from math import comb
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from difflocal import exactlin
-from difflocal import harness as h
+from difflocal import exactlin, lemmas, scan
 from difflocal.configuration import (
     KConfiguration,
     difference_pattern,
@@ -18,7 +20,7 @@ from difflocal.configuration import (
     from_equalities,
     from_points,
 )
-from difflocal.goodness import is_c_good, largest_star
+from difflocal.goodness import PAPER_C, is_c_good, largest_star, parse_c
 from difflocal.implications import is_2_full
 from oracles import (
     all_leads_pattern_counts,
@@ -34,53 +36,53 @@ from oracles import (
 
 class TestParseC:
     def test_decimal(self):
-        assert h.parse_c("1.9") == Fraction(19, 10)
+        assert parse_c("1.9") == Fraction(19, 10)
 
     def test_fraction_string(self):
-        assert h.parse_c("19/10") == Fraction(19, 10)
+        assert parse_c("19/10") == Fraction(19, 10)
 
     def test_paper_keyword(self):
-        assert h.parse_c("paper") == Fraction(2) - Fraction(1, 2**29)
+        assert parse_c("paper") == Fraction(2) - Fraction(1, 2**29)
 
     def test_float_reads_as_decimal_everywhere(self):
         config = from_points((1, 2, 4, 8))
-        assert h.parse_c(1.9) == is_c_good(config, 1.9).c == Fraction(19, 10)
+        assert parse_c(1.9) == is_c_good(config, 1.9).c == Fraction(19, 10)
 
     def test_out_of_range(self):
         with pytest.raises(ValueError):
-            h.parse_c("1")
+            parse_c("1")
         with pytest.raises(ValueError):
-            h.parse_c("2.1")
+            parse_c("2.1")
 
     def test_zero_denominator_is_a_value_error(self):
         with pytest.raises(ValueError, match="'1/0'"):
-            h.parse_c("1/0")
+            parse_c("1/0")
 
     @pytest.mark.parametrize("text", ["1e200000000", "1e-200000000", "1e1000000"])
     def test_huge_exponent_rejected_without_building_the_power(self, text):
         start = time.perf_counter()
         with pytest.raises(ValueError, match=f"'{text}'"):
-            h.parse_c(text)
+            parse_c(text)
         assert time.perf_counter() - start < 1
 
     def test_long_decimal_parses_exactly(self):
-        assert h.parse_c("1.00000000000000000001") == 1 + Fraction(1, 10**20)
+        assert parse_c("1.00000000000000000001") == 1 + Fraction(1, 10**20)
 
 
 class TestCertifiedBound:
     def test_even(self):
-        assert h.certified_bound(4) == 2
-        assert h.certified_bound(6) == 6
-        assert h.certified_bound(8) == 12
+        assert scan.certified_bound(4) == 2
+        assert scan.certified_bound(6) == 6
+        assert scan.certified_bound(8) == 12
 
     def test_odd(self):
-        assert h.certified_bound(7) == 9
-        assert h.certified_bound(9) == 15
+        assert scan.certified_bound(7) == 9
+        assert scan.certified_bound(9) == 15
 
 
 class TestScanGround:
     def test_small_scan_counts(self):
-        report = h.scan_ground(10, 4, "2")
+        report = scan.scan_ground(10, 4, "2")
         assert report.subsets_scanned == 210
         assert report.good_count + report.bad_count == 210
         assert report.max_certified == 2
@@ -89,19 +91,19 @@ class TestScanGround:
         assert sum(report.histogram.values()) == report.good_count
 
     def test_max_witness_reverifies_end_to_end(self):
-        report = h.scan_ground(16, 4, "paper")
+        report = scan.scan_ground(16, 4, "paper")
         points = report.max_certified_witness
         config = from_points(points)
         assert config.certified_count() == report.max_certified == 2
-        assert is_c_good(config, h.PAPER_C).c_good
+        assert is_c_good(config, PAPER_C).c_good
         assert largest_star(config)[0] == 4
 
     def test_no_divergence_between_c_values(self):
-        report = h.scan_ground(14, 4, "paper")
+        report = scan.scan_ground(14, 4, "paper")
         assert report.c2_divergences == 0
 
     def test_odd_k_bound(self):
-        report = h.scan_ground(12, 5, "2")
+        report = scan.scan_ground(12, 5, "2")
         assert report.bound == 5
         assert report.bound_respected
 
@@ -110,18 +112,18 @@ class TestScanGround:
         # the parity bounds are the paper's from k = 4 on; at k = 2 a rank-0
         # subset would meet the bound 0 without counting as an attainer
         with pytest.raises(ValueError, match="4 <= k"):
-            h.scan_ground(5, k, "2")
+            scan.scan_ground(5, k, "2")
 
     def test_budget(self):
         from difflocal.verifier import BudgetExceededError
 
         with pytest.raises(BudgetExceededError):
-            h.scan_ground(1000, 6, "2", budget=10**6)
+            scan.scan_ground(1000, 6, "2", budget=10**6)
 
     @pytest.mark.parametrize("budget", [0, -1])
     def test_budget_must_be_positive(self, budget):
         with pytest.raises(ValueError, match="budget must be positive"):
-            h.scan_ground(8, 4, "2", budget=budget)
+            scan.scan_ground(8, 4, "2", budget=budget)
 
     @pytest.mark.parametrize(
         "ground_n,k,c,most,witness,non_star_witness,non_star",
@@ -135,18 +137,23 @@ class TestScanGround:
     def test_witnesses_are_the_least_subsets(self, ground_n, k, c, most, witness, non_star_witness, non_star):
         # each witness is the least subset of its kind, read off the order
         # in which the walk first meets each pattern
-        report = h.scan_ground(ground_n, k, c)
+        report = scan.scan_ground(ground_n, k, c)
         assert report.max_certified == most
         assert report.max_certified_witness == witness
-        assert report.first_non_star_witness == non_star_witness
         assert report.non_star_attainers == non_star
+        # the report names no non-star attainer; the one given here is one
+        assert (non_star_witness is None) == (non_star == 0)
+        if non_star_witness is not None:
+            config = from_points(non_star_witness)
+            assert config.certified_count() == report.bound
+            assert is_c_good(config, c).c_good and largest_star(config)[0] != k
 
 
 def reference_scan(ground_n, k, c, classify, distinct):
     """Tally every k-subset of [1..N] one by one, with no memo and no rank-0
     shortcut.  ``classify(points)`` gives (certified, good at c, good at 2,
     star size), the star size only where it is needed."""
-    report = h.ScanReport(ground_n=ground_n, k=k, c=h.parse_c(c))
+    report = scan.ScanReport(ground_n=ground_n, k=k, c=parse_c(c))
     for points in itertools.combinations(range(1, ground_n + 1), k):
         certified, good_c, good_2, star_size = classify(points)
         report.subsets_scanned += 1
@@ -165,8 +172,6 @@ def reference_scan(ground_n, k, c, classify, distinct):
             report.attainer_count += 1
             if star_size != k:
                 report.non_star_attainers += 1
-                if report.first_non_star_witness is None:
-                    report.first_non_star_witness = points
     return report
 
 
@@ -184,8 +189,6 @@ def uncached_classify(c):
 
 def assert_same_scan(got, want):
     assert got.to_report() == want.to_report()
-    # to_report() leaves out the first non-star witness
-    assert got.first_non_star_witness == want.first_non_star_witness
     assert got.max_certified_witness == want.max_certified_witness
 
 
@@ -194,7 +197,7 @@ class TestScanMemo:
     classify every subset afresh."""
 
     def test_tally_matches_oracles(self):
-        bound = h.certified_bound(4)
+        bound = scan.certified_bound(4)
 
         def classify(points):
             certified = brute_certified_count(points)
@@ -204,7 +207,7 @@ class TestScanMemo:
 
         want = reference_scan(10, 4, "2", classify, brute_distinct_differences)
         assert want.attainer_count > 0
-        assert_same_scan(h.scan_ground(10, 4, "2"), want)
+        assert_same_scan(scan.scan_ground(10, 4, "2"), want)
 
     @settings(max_examples=25, deadline=None)
     @given(
@@ -216,7 +219,7 @@ class TestScanMemo:
     def test_matches_uncached_loop(self, ground, c):
         ground_n, k = ground
         want = reference_scan(ground_n, k, c, uncached_classify(c), distinct_difference_count)
-        assert_same_scan(h.scan_ground(ground_n, k, c), want)
+        assert_same_scan(scan.scan_ground(ground_n, k, c), want)
 
     @pytest.mark.parametrize("c,divergences", [("3/2", 1), ("paper", 0)])
     def test_heavy_at_2(self, monkeypatch, c, divergences):
@@ -236,16 +239,16 @@ class TestScanMemo:
             calls.append((points_of[config.basis.rows], at))
             return is_c_good(config, at, budget)
 
-        monkeypatch.setattr(h, "is_c_good", recording_is_c_good)
-        assert_same_scan(h.scan_ground(14, 8, c), want)
-        assert sorted(points for points, at in calls if at == h.TWO) == classified
-        assert [points for points, at in calls if at != h.TWO] == [(1, 2, 4, 5, 10, 11, 13, 14)] * divergences
+        monkeypatch.setattr(scan, "is_c_good", recording_is_c_good)
+        assert_same_scan(scan.scan_ground(14, 8, c), want)
+        assert sorted(points for points, at in calls if at == scan.TWO) == classified
+        assert [points for points, at in calls if at != scan.TWO] == [(1, 2, 4, 5, 10, 11, 13, 14)] * divergences
 
     def test_odd_k_witnesses_match_across_threads(self):
         # every attainer is a non-star at odd k
-        single = h.scan_ground(14, 7, "2")
+        single = scan.scan_ground(14, 7, "2")
         assert single.non_star_attainers == single.attainer_count > 0
-        assert_same_scan(h.scan_ground(14, 7, "2", threads=2), single)
+        assert_same_scan(scan.scan_ground(14, 7, "2", threads=2), single)
 
     def test_each_pattern_classified_once(self, monkeypatch):
         # one classification per distinct pattern, however many subsets have it
@@ -257,8 +260,8 @@ class TestScanMemo:
             calls.append(basis.rows)
             return KConfiguration(basis)
 
-        monkeypatch.setattr(h, "KConfiguration", counting_configuration)
-        h.scan_ground(15, 6, "paper")
+        monkeypatch.setattr(scan, "KConfiguration", counting_configuration)
+        scan.scan_ground(15, 6, "paper")
         assert len(set(calls)) == len(calls) == distinct == 777
 
     def test_progressions_are_not_classified(self, monkeypatch):
@@ -272,32 +275,32 @@ class TestScanMemo:
             classified.append(points_of[config.basis.rows])
             return is_c_good(config, c, budget)
 
-        monkeypatch.setattr(h, "is_c_good", recording_is_c_good)
-        h.scan_ground(36, 4, "paper")
-        h.scan_ground(15, 6, "paper")
+        monkeypatch.setattr(scan, "is_c_good", recording_is_c_good)
+        scan.scan_ground(36, 4, "paper")
+        scan.scan_ground(15, 6, "paper")
         assert len(classified) == 25
         assert all(first_progression(points) is None for points in classified)
 
     def test_scan_never_calls_from_points(self, monkeypatch):
         # the walk builds each pattern's rows from its prefix's
         grounds = [(36, 4, "paper"), (15, 6, "paper"), (14, 8, "3/2")]
-        want = {ground: h.scan_ground(*ground) for ground in grounds}
+        want = {ground: scan.scan_ground(*ground) for ground in grounds}
 
         def refuse(points):
             raise AssertionError("the scan called from_points")
 
-        monkeypatch.setattr(h, "from_points", refuse)
+        monkeypatch.setattr(scan, "from_points", refuse)
         for ground, report in want.items():
-            assert_same_scan(h.scan_ground(*ground), report)
+            assert_same_scan(scan.scan_ground(*ground), report)
 
     def test_leaves_no_more_reference_cycles(self, unreachable_after):
         # neither the walk nor the heaviness search at 3/2, which runs on
         # the cube at (14, 8), makes any
         for ground_n, k in [(15, 6), (14, 8)]:
-            payload = (ground_n, k, h.PAPER_C, tuple(range(1, ground_n - k + 2)))
-            assert unreachable_after(h._scan_chunk, payload) == 0
-        assert unreachable_after(h.scan_ground, 15, 6, "paper") == 0
-        assert unreachable_after(h.scan_ground, 14, 8, "3/2") == 0
+            payload = (ground_n, k, PAPER_C, tuple(range(1, ground_n - k + 2)))
+            assert unreachable_after(scan._scan_chunk, payload) == 0
+        assert unreachable_after(scan.scan_ground, 15, 6, "paper") == 0
+        assert unreachable_after(scan.scan_ground, 14, 8, "3/2") == 0
 
 
 def least_subsets(grounds):
@@ -321,7 +324,7 @@ class TestQuotientWalk:
         lead_sets = [leads] + [(lead,) for lead in leads]
         lead_sets += [leads[start::step] for step in (2, 3) for start in range(step)]
         for chosen in lead_sets:
-            got = h._scan_chunk((ground_n, k, h.PAPER_C, chosen))
+            got = scan._scan_chunk((ground_n, k, PAPER_C, chosen))
             # the oracle labels pairs in combinations order, the walk in
             # colex order: the classes agree, so compare them by least subset
             want = all_leads_pattern_counts(ground_n, k, chosen)
@@ -336,7 +339,7 @@ class TestQuotientWalk:
                 keys.append(key)
                 return super().get(key, default)
 
-        walk = h._PatternWalk(15, 6, [1])
+        walk = scan._PatternWalk(15, 6, [1])
         walk.counts = Recording()
         walk.descend(1)
         rests = itertools.combinations(range(2, 16), 5)
@@ -348,7 +351,7 @@ class TestQuotientWalk:
         leads = tuple(range(1, ground_n - k + 2))
         sizes = []
         for chosen in [leads] + [(lead,) for lead in leads]:
-            got = h._scan_chunk((ground_n, k, h.PAPER_C, chosen))
+            got = scan._scan_chunk((ground_n, k, PAPER_C, chosen))
             least = [points for _, points, _ in got.values()]
             assert all(a < b for a, b in zip(least, least[1:])), chosen
             sizes.append(len(least))
@@ -357,61 +360,61 @@ class TestQuotientWalk:
 
     @pytest.mark.parametrize("ground_n,k", [(15, 6), (14, 8), (16, 7)])
     def test_rows_match_from_points(self, ground_n, k):
-        got = h._scan_chunk((ground_n, k, h.PAPER_C, tuple(range(1, ground_n - k + 2))))
+        got = scan._scan_chunk((ground_n, k, PAPER_C, tuple(range(1, ground_n - k + 2))))
         assert len(got) > 700
         for count, points, rows in got.values():
             assert rows == from_points(points).basis.rows, points
 
     def test_benchmark_call_starts_no_process(self, monkeypatch):
         # perfbench/workloads.py still passes threads=2, which has no effect
-        want = {ground: h.scan_ground(*ground, "paper") for ground in [(36, 4), (15, 6)]}
+        want = {ground: scan.scan_ground(*ground, "paper") for ground in [(36, 4), (15, 6)]}
 
         def no_fork():
             raise AssertionError("the scan started a process")
 
         monkeypatch.setattr(os, "fork", no_fork)
         for (ground_n, k), report in want.items():
-            assert_same_scan(h.scan_ground(ground_n, k, "paper", threads=2), report)
+            assert_same_scan(scan.scan_ground(ground_n, k, "paper", threads=2), report)
 
 
 class TestStarBoundCheck:
     def test_p_2_through_6(self):
-        rows = h.star_bound_check(range(2, 7))
+        rows = scan.star_bound_check(range(2, 7))
         assert [r["certified"] for r in rows] == [2, 6, 12, 20, 30]
         assert all(r["two_good"] for r in rows)
 
     def test_p_out_of_range(self):
         with pytest.raises(ValueError):
-            h.star_bound_check([13])
+            scan.star_bound_check([13])
 
     def test_p_9_and_10(self):
-        rows = h.star_bound_check([9, 10])
+        rows = scan.star_bound_check([9, 10])
         assert [r["certified"] for r in rows] == [72, 90]
         assert all(r["two_good"] and r["largest_star"] == 2 * r["p"] for r in rows)
 
 
 class TestOddEqualityCase:
     def test_k7(self):
-        row = h.odd_equality_case(7)
+        row = scan.odd_equality_case(7)
         assert row["certified"] == 9
         assert row["includes_k_1_3_6"]
         assert row["rank"] == 3
 
     def test_full_k_range(self):
         for k in (11, 13):
-            row = h.odd_equality_case(k)
+            row = scan.odd_equality_case(k)
             assert row["certified"] == (k - 1) * (k - 3) // 4 + 3
 
     def test_k_validation(self):
         with pytest.raises(ValueError):
-            h.odd_equality_case(8)
+            scan.odd_equality_case(8)
         with pytest.raises(ValueError):
-            h.odd_equality_case(5)
+            scan.odd_equality_case(5)
 
 
 class TestLemmaSuite:
     def test_small_run_has_no_counterexamples(self):
-        report = h.lemma_property_suite(seed=3, instance_count=40)
+        report = lemmas.lemma_property_suite(seed=3, instance_count=40)
         assert report["failures"] == 0
         assert report["instances"] == 40
         # every category produced checks
@@ -422,7 +425,7 @@ class TestLemmaSuite:
         "points",
         [
             (0, 1, 10, 11, 100, 101, 110, 111),
-            h.realize_star(4),
+            scan.realize_star(4),
             (1, 2, 4, 8, 9, 11, 15),
             (3, 7, 12, 18, 19, 25, 31, 40, 44),
         ],
@@ -442,14 +445,14 @@ class TestLemmaSuite:
                 if frac_solvable(contents, vec) and frac_rank(want + [vec]) == len(want) + 1:
                     want.append(vec)
         monkeypatch.setattr(exactlin, "member", None)  # read off the pair-sum classes
-        got = h._harvest_hub_equalities(from_points(points), k)
+        got = lemmas._harvest_hub_equalities(from_points(points), k)
         assert [list(eq.content) for eq in got] == want
 
     def test_2full_family_needs_no_retry(self):
         # each extension is nonzero on two fresh variables, where every
         # earlier content is zero, so the first draw is always independent
         for seed in range(500):
-            family = h._random_2full_family(random.Random(seed))
+            family = lemmas._random_2full_family(random.Random(seed))
             assert family is not None
             contents = [eq.content for eq in family]
             assert frac_rank(contents) == len(contents)
@@ -468,12 +471,12 @@ class TestLemmaSuite:
                 if len(eqs) == target:
                     break
                 others = rng.sample(range(1, k), 3)
-                cand = h._eq(k, h._hub_content(k, k, others, rng.randrange(3)))
+                cand = lemmas._eq(k, lemmas._hub_content(k, k, others, rng.randrange(3)))
                 config = from_equalities(k, eqs + [cand])
                 if config.rank != len(eqs) + 1:
                     continue
                 bases.append(config.basis)
-                if is_c_good(config, h.PAPER_C).c_good:
+                if is_c_good(config, PAPER_C).c_good:
                     eqs.append(cand)
             return (eqs if len(eqs) >= 2 else None), bases
 
@@ -486,12 +489,12 @@ class TestLemmaSuite:
                 accepted.append(config.basis)
             return report
 
-        monkeypatch.setattr(h, "is_c_good", recording_is_c_good)
+        monkeypatch.setattr(lemmas, "is_c_good", recording_is_c_good)
         families = 0
         for seed in range(500):
             classified.clear()
             want, bases = reference(random.Random(seed))
-            assert h._random_hub_family(random.Random(seed)) == want
+            assert lemmas._random_hub_family(random.Random(seed)) == want
             assert classified == bases
             if want is not None:
                 families += 1
@@ -507,19 +510,32 @@ class TestLemmaSuite:
             ranks.append(config.rank)
             return config
 
-        monkeypatch.setattr(h, "from_equalities", recording_from_equalities)
+        monkeypatch.setattr(lemmas, "from_equalities", recording_from_equalities)
         for seed in range(500):
-            h._check_pair_claim(random.Random(seed), [])
+            lemmas._check_pair_claim(random.Random(seed), [])
         assert set(ranks) == {2}
 
     def test_deterministic_given_seed(self):
-        a = h.lemma_property_suite(seed=9, instance_count=20)
-        b = h.lemma_property_suite(seed=9, instance_count=20)
+        a = lemmas.lemma_property_suite(seed=9, instance_count=20)
+        b = lemmas.lemma_property_suite(seed=9, instance_count=20)
         assert a == b
 
 
 def test_realize_star_has_only_star_coincidences():
     for p in range(2, 7):
-        points = h.realize_star(p)
+        points = scan.realize_star(p)
         config = from_points(points)
         assert config.rank == p - 1
+
+
+def test_harness_keeps_the_names_the_benchmark_reads():
+    # the benchmark calls and traces harness._scan_chunk and reads
+    # harness.parse_c; its tracer patches only loaded modules, so importing
+    # the package must load harness
+    from difflocal import goodness, harness
+
+    assert harness._scan_chunk is scan._scan_chunk
+    assert harness.parse_c is goodness.parse_c
+    code = "import sys, difflocal; assert 'difflocal.harness' in sys.modules"
+    env = {**os.environ, "PYTHONPATH": str(Path(scan.__file__).parents[1])}
+    subprocess.run([sys.executable, "-c", code], check=True, env=env)

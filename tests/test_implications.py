@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from difflocal import configuration as cfg
 from difflocal import exactlin
 from difflocal import implications as imp
-from difflocal.harness import sec5_figure_premises, subbox_figure_premises, three_implication_figure
+from difflocal.lemmas import sec5_figure_premises, subbox_figure_premises, three_implication_figure
 
 from oracles import frac_rank, frac_solvable, literal_candidate_products, literal_minimal_implications
 
