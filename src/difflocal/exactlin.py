@@ -22,9 +22,10 @@ brings one family's premises to echelon form once, each with an identity
 block, and reduces every candidate product against them to read its
 coefficients off the block; and ``residue`` (with ``member``, its zero test)
 and the residue-row searches of ``goodness`` call ``_eliminate`` as it is.
-The matroid partition of ``goodness`` does both: it brings each independent
-set to echelon form with an augmented identity block, and reduces a row
-against it with ``_eliminate`` to read the row's circuit off the block.
+The matroid partition of ``goodness``, its one verdict route at every c,
+does both: it brings each independent set to echelon form with an
+augmented identity block, once per set of rows, and reduces a row against
+it with ``_eliminate`` to read the row's circuit off the block.
 ``rank_of_columns`` has no caller in the package; it is kept for the
 benchmark, which traces it.
 """

@@ -18,12 +18,12 @@ Oxley, *Matroid Theory*, ch. 2).  Hence:
 - heavy at c = p/q iff some S has p*(|S| - rank) > q*(|S| - 1), that is
   |S| < c*t + 1, a sparsity condition in the sense of Lee and Streinu.
 
-At c = 2, and at every c that decides as 2 (c = paper included), the
-verdict is decided by matroid partition over the rows; at smaller c, by a
-pruned depth-first search over them (see ``is_c_good``).  The witness of a
-heavy verdict is named only when it is read, by that search at sizes 6,
-7, ... in turn, where only sets of exactly that size are hits: the first
-witness by size and then lexicographically.  A ``GoodnessReport``
+At every c the verdict is decided by one matroid partition over the rows,
+at c snapped up to the least ratio (|S| - 1)/t a heavy set can have
+(``snap_c``; see ``is_c_good``).  The witness of a heavy verdict is named
+only when it is read, by a pruned depth-first search over the rows at
+sizes 6, 7, ... in turn, where only sets of exactly that size are hits:
+the first witness by size and then lexicographically.  A ``GoodnessReport``
 compares, hashes and prints by its fields (a heavy one holds its
 configuration, not its witness), so printing or comparing one never
 searches.
@@ -37,7 +37,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from math import gcd
 from typing import Optional, Sequence
 
@@ -71,7 +71,7 @@ class GoodnessReport:
     A heavy verdict names its witness when ``heaviness_witness`` is first
     read: ``_heaviness_sweep`` runs the search by size then, on ``heavy``
     (the heavy configuration) within ``witness_budget`` (the budget less
-    the verdict's independence tests or search nodes, see ``is_c_good``).
+    the verdict's independence tests, see ``is_c_good``).
     Reports compare, hash and print by their fields, so none of that runs
     the witness search; equal heavy configurations at one c have equal
     witnesses, and the budget is not compared.
@@ -135,6 +135,11 @@ def _collinearity_witness(config: KConfiguration) -> Optional[tuple[int, ...]]:
     zero-sum span vector on two variables, an implied x_i = x_j).  So rows
     a < b < c are dependent iff rows b and c, with row a's leading column
     cleared and made primitive with a positive leading entry, are equal.
+    The generator is read off those two keys: row b cleared is
+    w_b = (a_p if b_p else 1)*row b - b_p*row a = g_b*key, at a's pivot p,
+    so g_c*w_b - g_b*w_c = 0 is the relation among rows a, b and c, and its
+    coefficients, made primitive with a positive entry on a, are the
+    generator (row i of ``config.residues`` is e_(i+1) modulo the span).
     """
     rows = config.residues
     k = len(rows)
@@ -142,7 +147,9 @@ def _collinearity_witness(config: KConfiguration) -> Optional[tuple[int, ...]]:
         row_a = rows[a]
         p = exactlin._leading(row_a)
         ap = row_a[p]
-        first: dict[tuple[int, ...], int] = {}
+        # each key's first row b, with the signed gcd g and the entry b_p
+        # that give g*key = w_b = (a_p if b_p else 1)*row b - b_p*row a
+        first: dict[tuple[int, ...], tuple[int, int, int]] = {}
         found = None
         for b in range(a + 1, k):
             row_b = rows[b]
@@ -156,22 +163,31 @@ def _collinearity_witness(config: KConfiguration) -> Optional[tuple[int, ...]]:
                 g = -g
             key = tuple(w) if g == 1 else tuple([x // g for x in w])
             if key not in first:
-                first[key] = b
-            elif found is None or first[key] < found[0]:
-                found = (first[key], b)
+                first[key] = b, g, bp
+            elif found is None or first[key][0] < found[0][0]:
+                found = first[key], (b, g, bp)
         if found is not None:
-            return exactlin.section_dim(config.basis, (a + 1, found[0] + 1, found[1] + 1))[1].rows[0]
+            # g_c*w_b = g_b*w_c is a relation among rows a, b and c
+            (b, gb, bp), (c, gc, cp) = found
+            rel = [gb * cp - gc * bp, gc * (ap if bp else 1), -gb * (ap if cp else 1)]
+            g = gcd(*rel)  # rel[0] is nonzero: rows b and c are independent
+            if rel[0] < 0:
+                g = -g
+            witness = [0] * k
+            for j, x in zip((a, b, c), rel):
+                witness[j] = x // g
+            return tuple(witness)
     return None
 
 
 def _heavy_by_dfs(
-    config: KConfiguration, c: Fraction, budget: Optional[int], size: Optional[int] = None
+    config: KConfiguration, c: Fraction, budget: Optional[int], size: int
 ) -> tuple[Optional[tuple[int, ...]], int]:
-    """The first heavy variable set at c (1-based), or None, by the pruned
-    search of ``is_c_good``, and the number of nodes visited.  With ``size``
-    only sets of exactly that size are hits, and branches that cannot reach
-    it are cut.  Raises BudgetExceededError on visiting more than ``budget``
-    nodes (None: no bound).
+    """The first variable set of exactly ``size`` variables (1-based) that
+    is heavy at c, or None, by the pruned search of ``is_c_good``, and the
+    number of nodes visited.  Branches that cannot reach the size are cut.
+    Raises BudgetExceededError on visiting more than ``budget`` nodes
+    (None: no bound).
 
     The echelon is a stack: a row is pushed already reduced against the
     rows below it, so it is zero at their pivots, which is all
@@ -187,7 +203,6 @@ def _heavy_by_dfs(
     k, r = config.k, config.rank
     p, q = c.numerator, c.denominator
     gain = p - q
-    most = k if size is None else size
     echelon: list[Sequence[int]] = []
     pivots: list[int] = []
     nodes = 0
@@ -198,8 +213,8 @@ def _heavy_by_dfs(
         # S + {i..k-1} can still reach the size
         nonlocal nodes
         # min() would cost a call per node and per child
-        top = rho + r if rho + r < most else most
-        for i in range(start, k if size is None else k + s + 1 - size):
+        top = rho + r if rho + r < size else size
+        for i in range(start, k + s + 1 - size):
             if gain * (s + k - i if s + k - i < top else top) - p * rho <= -q:
                 return None  # no set S + T, T in {i..k-1}, can be heavy
             nodes += 1
@@ -211,17 +226,13 @@ def _heavy_by_dfs(
                 pivot = exactlin._leading(w)
             else:
                 w, pivot = rows[i], leads[i]
-            if pivot is None:
-                # t rises: S + {i} may be a hit
-                if p * (s + 1 - rho) > q * s and size in (None, s + 1):
-                    return (i + 1,)
-                found = s + 1 < most and heavy_from(i + 1, s + 1, rho, held)
-            elif s + 1 == size:
-                # t stays, so S + {i} is a hit only if S is heavy too; the
-                # search without a size would have stopped at S
-                if p * (s - rho) > q * s:
+            if s + 1 == size:
+                # a hit iff S + {i}, of rank rho or rho + 1, is heavy
+                if p * (s + 1 - rho - (pivot is not None)) > q * s:
                     return (i + 1,)
                 continue
+            if pivot is None:
+                found = heavy_from(i + 1, s + 1, rho, held)
             else:
                 echelon.append(w)
                 pivots.append(pivot)
@@ -238,102 +249,99 @@ def _heavy_by_dfs(
         del heavy_from  # it calls itself: free the cycle without the cyclic GC
 
 
-def _light_by_partition(config: KConfiguration, budget: Optional[int]) -> tuple[bool, int]:
-    """Whether the configuration is light at c = 2, by matroid partition
+def _light_by_partition(config: KConfiguration, c: Fraction, budget: Optional[int] = None) -> tuple[bool, int]:
+    """Whether the configuration is light at c = p/q, by matroid partition
     over its residue rows (see ``is_c_good``), and the number of
     independence tests made, each one row reduced against one set's
     echelon.  Raises BudgetExceededError on making more than ``budget``
-    tests (None: no bound).
+    tests (None: no bound).  It keeps p sets, so ``is_c_good`` hands it
+    c snapped to a small numerator (``snap_c``).
 
-    ``side[i]`` names the one of two independent sets that holds row i.
-    Rows join one at a time, each along a shortest path of the exchange
-    graph, found breadth first: a row is a sink for the set that does not
-    hold it when that set stays independent with it added, and otherwise
-    has an edge to each row of its fundamental circuit in that set (a new
-    row looks into both sets).  Along the path each row takes the place of
-    the next, and the last joins the set it fits.  A set's echelon carries
-    its own rows' unit vectors as an augmented block, so a row that
-    reduces to zero on the residue columns names its circuit in the block.
+    ``holds[j]`` is the bit mask of the rows that set j holds.  Copies of
+    rows join one at a time, each along a shortest path of the exchange
+    graph, found breadth first.  Its nodes are a row and the set it
+    leaves (None for the new copy); a row is a sink for a set that does
+    not hold it when that set stays independent with it added, and
+    otherwise has an edge to each row of its fundamental circuit in that
+    set.  Along the path each row takes the place of the next, and the
+    last joins the set it fits.  A set's echelon carries its own rows'
+    unit vectors as an augmented block, so a row that reduces to zero on
+    the residue columns names its circuit in the block.  Each test is
+    made once per call: the sets of one cover often hold the same rows.
     """
     rows = config.residues
     k, width = config.k, config.k - config.rank
-    if k >= 2 * width:
-        return False, 0  # all k rows: |S| >= 2*rank(S)
-    side: list[Optional[int]] = [None] * k
+    p, q = c.numerator, c.denominator
+    a = p - q
+    if a * k + q > p * width:
+        return False, 0  # all k rows: a*|S| + q > p*rank(S)
     steps = 0
-    # each set's rows in echelon form, each carrying its unit vector as an
-    # augmented block, and their pivots, by the rows the set holds
-    echelons: dict[tuple[int, ...], tuple[list[list[int]], list[Optional[int]]]] = {}
+    # each set's rows, its echelon with their unit vectors as an augmented
+    # block, and its pivots, by the mask of the rows it holds
+    echelons: dict[int, tuple[list[int], list[list[int]], list[Optional[int]]]] = {}
+    circuits: dict[tuple[int, int], Optional[list[int]]] = {}
 
-    def circuit(i: int, held: tuple[int, ...]) -> Optional[list[int]]:
+    def circuit(i: int, held: int) -> Optional[list[int]]:
         # None when the set ``held`` stays independent with row i, else
         # the rows of the set in row i's fundamental circuit
         nonlocal steps
+        if (i, held) in circuits:
+            return circuits[i, held]
         steps += 1
         if budget is not None and steps > budget:
             raise BudgetExceededError(f"matroid partition exceeds its budget of {budget} steps")
         if held not in echelons:
             # a set that gained its last row only is its predecessor's
             # echelon, kept as it stands, with that row inserted below it
-            n = len(held)
-            base = echelons.get(held[:-1])
+            members = [h for h in range(k) if held >> h & 1]
+            n = len(members)
+            base = echelons.get(held ^ 1 << members[-1]) if members else None
             if base is None:
-                mat = [list(rows[h]) + [0] * m + [1] + [0] * (n - m - 1) for m, h in enumerate(held)]
+                mat = [list(rows[h]) + [0] * m + [1] + [0] * (n - m - 1) for m, h in enumerate(members)]
             else:
-                mat = [w + [0] for w in base[0]] + [list(rows[held[-1]]) + [0] * (n - 1) + [1]]
+                mat = [w + [0] for w in base[1]] + [list(rows[members[-1]]) + [0] * (n - 1) + [1]]
             exactlin.echelon(mat, width, 0 if base is None else n - 1)
-            echelons[held] = mat, [exactlin._leading(w) for w in mat]
-        w = list(rows[i]) + [0] * len(held)
-        exactlin._eliminate(w, *echelons[held])
-        if any(w[:width]):
-            return None
-        return [h for h, x in zip(held, w[width:]) if x]
+            echelons[held] = members, mat, [exactlin._leading(w) for w in mat]
+        members, mat, pivots = echelons[held]
+        w = list(rows[i]) + [0] * len(members)
+        exactlin._eliminate(w, mat, pivots)
+        found = None if any(w[:width]) else [h for h, x in zip(members, w[width:]) if x]
+        circuits[i, held] = found
+        return found
 
-    def cover() -> list[tuple[int, ...]]:
-        return [tuple(i for i in range(k) if side[i] == j) for j in (0, 1)]
-
-    for new in range(k):
-        sets = cover()
-        parent: dict[int, Optional[int]] = {new: None}
-        queue = [new]
-        sink = None
-        for i in queue:
-            for j in (0, 1) if side[i] is None else (1 - side[i],):
-                found = circuit(i, sets[j])
+    def join(holds: list[int], new: int) -> bool:
+        # add a copy of row ``new`` to the cover ``holds``: False when no
+        # path reaches a sink
+        parent: dict[tuple[int, Optional[int]], Optional[tuple[int, Optional[int]]]] = {(new, None): None}
+        queue: list[tuple[int, Optional[int]]] = [(new, None)]
+        for node in queue:
+            bit = 1 << node[0]
+            for j, held in enumerate(holds):
+                if held & bit:
+                    continue
+                found = circuit(node[0], held)
                 if found is None:
-                    sink = i, j
-                    break
+                    # along the path each row enters set j and leaves set s
+                    while node is not None:
+                        i, s = node
+                        holds[j] |= 1 << i
+                        if s is not None:
+                            holds[s] ^= 1 << i
+                        j, node = s, parent[node]  # type: ignore[assignment]
+                    return True
                 for h in found:
-                    if h not in parent:
-                        parent[h] = i
-                        queue.append(h)
-            if sink is not None:
-                break
-        if sink is None:
-            return False, steps  # the rows reached, with the new one, have |S| > 2*rank(S)
-        i, j = sink
-        while i is not None:
-            side[i], j = j, side[i]
-            i = parent[i]
-    # light iff each row e can be doubled: its extra copy reaches a sink
-    # exactly when e does, so search back from the sinks
-    sets = cover()
-    into: list[list[int]] = [[] for _ in range(k)]
-    reached = []
-    for i in range(k):
-        found = circuit(i, sets[1 - side[i]])
-        if found is None:
-            reached.append(i)
-        else:
-            for h in found:
-                into[h].append(i)
-    seen = set(reached)
-    for h in reached:
-        for i in into[h]:
-            if i not in seen:
-                seen.add(i)
-                reached.append(i)
-    return len(seen) == k, steps
+                    if (h, j) not in parent:
+                        parent[h, j] = node
+                        queue.append((h, j))
+        return False
+
+    holds = [0] * p
+    if not all(join(holds, i) for i in range(k) for _ in range(a)):
+        return False, steps  # the rows reached hold more than p*rank(S) copies
+    # light iff each row e can join every set: q more copies of e join a
+    # copy of the cover
+    trials = ((e, holds.copy()) for e in range(k))
+    return all(join(trial, e) for e, trial in trials for _ in range(q)), steps
 
 
 # the benchmark traces this name as goodness.heaviness_sweep
@@ -363,10 +371,14 @@ def is_collinearity_free(config: KConfiguration) -> tuple[bool, Optional[tuple[i
     return witness is None, witness
 
 
-def decides_as_two(c: Fraction, k: int) -> bool:
-    """Whether c lies in (2 - 1/floor(k/2), 2], where every configuration on
-    k >= 2 variables has the verdict it has at c = 2 (see ``is_c_good``)."""
-    return c > 2 - Fraction(1, k // 2)
+@lru_cache(maxsize=None)
+def snap_c(c: Fraction, k: int) -> Fraction:
+    """The least element of R_k and 2 at or above c, where
+    R_k = {(s - 1)/t < 2 : 6 <= s <= k, 3 <= t <= s - 3}: on a valid,
+    collinearity-free configuration on k variables the verdict at c is the
+    verdict there (see ``is_c_good``).  It is 2 iff c > 2 - 1/floor(k/2)."""
+    ratios = (Fraction(s - 1, t) for s in range(6, k + 1) for t in range(3, s - 2))
+    return min((x for x in ratios if c <= x < 2), default=Fraction(2))
 
 
 def is_c_good(
@@ -395,64 +407,67 @@ def is_c_good(
     configuration on fewer than 6 variables: the whole span is the section
     of S = [k], so its rank is t([k]) <= k - 3.
 
-    The verdict is read off without a search at these early exits, in
-    order: invalid (the first equal pair of rows), collinear (the first
-    dependent 3-set), rank below 3 (light), and, in the range below, k rows
-    of rank at most k/2 (heavy, see ``_light_by_partition``).
+    The verdict is read off without a test at these early exits, in order:
+    invalid (the first equal pair of rows), collinear (the first dependent
+    3-set), rank below 3 (light), and k rows with a*k + q > p*(k - r)
+    (heavy, see below).
 
-    From 6 variables, every c in (2 - 1/floor(k/2), 2] decides as c = 2
-    (``decides_as_two``):
-    c = 2 and c = ``PAPER_C`` at every k below 2^30, and 19/10 below k = 20.
-    A set light at 2 is light at every c <= 2, since |S| >= 2t + 1 >=
-    c*t + 1.  If S is heavy at 2 then
-    |S| <= 2t; with d = 2t - |S|, (|S| - 1)/t = 2 - (d + 1)/t, where
-    t = |S|/2 <= floor(k/2) when d = 0 and t <= |S| - 1 <= 2*floor(k/2)
-    when d >= 1, so (|S| - 1)/t <= 2 - 1/floor(k/2) < c and S is heavy at
-    c too.  The cube {1, 2, 4, 5, 10, 11, 13, 14} (k = 8) is heavy at 2 and
-    light at 7/4 = 2 - 1/4, so the lower end is exact.
+    *The snap.*  So a heavy set S of a valid, collinearity-free
+    configuration has 6 <= |S| <= k and 3 <= t <= |S| - 3, and at c <= 2
+    its ratio (|S| - 1)/t is below c <= 2: it lies in R_k of ``snap_c``.
+    Lightness is decided at c' = ``snap_c(c, k)``, the least element of
+    R_k and 2 at or above c.  S is heavy at c iff its ratio is below c, iff
+    it is below c', since no element of R_k lies in [c, c'); so the
+    verdict at c is the verdict at c'.  With d = 2t - s >= 0, an element
+    of R_k is (s - 1)/t = 2 - (d + 1)/t, where t = s/2 <= floor(k/2) when
+    d = 0 and t < s <= 2*floor(k/2) + 1 when d >= 1, so each is at most
+    2 - 1/floor(k/2), which s = 2*floor(k/2) attains (R_k is empty below
+    k = 6).  So c' = 2 exactly when c > 2 - 1/floor(k/2): c = 2 and
+    c = ``PAPER_C`` at every k below 2^30, and 19/10 below k = 20.  The
+    cube {1, 2, 4, 5, 10, 11, 13, 14} (k = 8) is heavy at 2 and light at
+    7/4 = 2 - 1/4, so that range is exact.
 
-    In that range lightness is decided by matroid partition
-    (``_light_by_partition``).  At 2, a nonempty S is heavy iff
-    |S| >= 2*rank(S), the rank of its rows.  By Nash-Williams' covering theorem (1964)
-    the rows, with row e doubled, split into two independent sets iff
-    |S| + [e in S] <= 2*rank(S) for every S; so the configuration is light
-    iff that holds for every row e.  Edmonds' matroid partition algorithm
-    (1965) decides it: cover the k rows with two independent sets, one row
-    at a time along shortest augmenting paths (a row that cannot join
-    leaves some S with |S| > 2*rank(S), so the configuration is heavy);
-    then the extra copy of e can join iff e reaches a sink of the exchange
-    graph of that cover, which one search back from the sinks decides for
-    every e at once.  The k rows have rank k - r, r = ``config.rank``, so
-    when k >= 2*(k - r) the configuration is heavy with no test at all.
+    *The partition.*  Write c' = p/q and a = p - q >= 1.  A nonempty S is
+    heavy iff p*t > q*(|S| - 1), iff a*|S| + q > p*rank(S), the rank of its
+    rows, since t = |S| - rank(S).  By Nash-Williams' covering theorem
+    (1964) a multiset of rows splits into p independent sets iff no S
+    holds more than p*rank(S) of its copies.  With a copies of every row
+    and q more of row e, S holds a*|S| + q*[e in S] of them; so the
+    configuration is light iff that multiset splits for every row e.
+    Edmonds' matroid partition algorithm (1965) decides it
+    (``_light_by_partition``): cover a copies of every row with p
+    independent sets, one copy at a time along shortest augmenting paths
+    (a copy that cannot join leaves some S with more than p*rank(S)
+    copies, so the configuration is heavy); then, for each e, add q copies
+    of e to a copy of that cover in the same way.  The k rows have rank
+    k - r, r = ``config.rank``, so when a*k + q > p*(k - r) the
+    configuration is heavy with no test at all.  At c' = 2 there are two
+    sets and a = q = 1.
 
-    Below that range, heaviness at c = p/q is decided by a depth-first
-    search over the residue rows in lexicographic order.  It keeps a
-    fraction-free echelon of the rows of the current set S, at most one
-    ``exactlin._eliminate`` reduction per node (none for a row that is zero
-    at every pivot of the echelon), so each node knows s = |S| and its rank
-    rho, and t(S) = s - rho.  A node is a hit when
-    p*(s - rho) > q*(s - 1).  Write f(S') = (p - q)*|S'| - p*rank(S'), so
-    that S' is a hit iff f(S') > -q.  A branch that can still add m indices
-    reaches only sets S' with s <= |S'| <= s + m and
-    rank(S') >= max(rho, |S'| - r), r = ``config.rank``, since rank never
-    drops as rows are added and t(S') <= r.  So
-    f(S') <= (p - q)*n - p*max(rho, n - r) at n = |S'|, which rises up to
-    n = rho + r (slope p - q > 0) and falls after it (slope -q); its
-    maximum over the branch is (p - q)*top - p*rho with
-    top = min(s + m, rho + r), and the branch is pruned when that is at
-    most -q.
-
-    After a heavy verdict, by either route, the witness is named only when
-    the report's ``heaviness_witness`` is read: ``_heaviness_sweep`` runs
-    the search at each size from 6 in turn, where only sets of exactly that
-    size are hits, top is at most that size, and branches that cannot reach
-    it are cut.  The search visits the sets of one size in lexicographic
-    order and a cut branch holds no hit, so its first hit is the first
-    witness by size and then lexicographically.
-    ``budget`` bounds the verdict's independence tests (partition) or nodes
-    (search), and the witness search gets what the verdict left (None: no
-    bound): BudgetExceededError past it, from the verdict here or from the
-    witness search when the witness is read.
+    After a heavy verdict the witness is named only when the report's
+    ``heaviness_witness`` is read: ``_heaviness_sweep`` runs a depth-first
+    search over the residue rows in lexicographic order, at c = p/q itself,
+    at each size from 6 in turn, where only sets of exactly that size are
+    hits.  It keeps a fraction-free echelon of the rows of the current set
+    S, at most one ``exactlin._eliminate`` reduction per node (none for a
+    row that is zero at every pivot of the echelon), so each node knows
+    s = |S| and its rank rho, and t(S) = s - rho.  A set of the size is a
+    hit when p*(s - rho) > q*(s - 1).  Write f(S') = (p - q)*|S'| -
+    p*rank(S'), so that S' is heavy iff f(S') > -q.  A branch that can
+    still add m indices reaches only sets S' with s <= |S'| <= s + m and
+    rank(S') >= max(rho, |S'| - r), since rank never drops as rows are
+    added and t(S') <= r.  So f(S') <= (p - q)*n - p*max(rho, n - r) at
+    n = |S'|, which rises up to n = rho + r (slope p - q > 0) and falls
+    after it (slope -q); its maximum over the branch is (p - q)*top -
+    p*rho with top = min(s + m, rho + r, size), and the branch is pruned
+    when that is at most -q.  Branches that cannot reach the size are cut
+    too.  The search visits the sets of one size in lexicographic order
+    and a cut branch holds no hit, so its first hit is the first witness
+    by size and then lexicographically.
+    ``budget`` bounds the verdict's independence tests, and the witness
+    search gets what the verdict left (None: no bound):
+    BudgetExceededError past it, from the verdict here or from the witness
+    search when the witness is read.
     """
     c = parse_c(c)
     valid, eq_witness = is_valid(config)
@@ -463,11 +478,7 @@ def is_c_good(
         return GoodnessReport(c, True, False, None, collinearity_witness=collinear)
     if config.rank < 3:
         return GoodnessReport(c, True, True, True)
-    if decides_as_two(c, config.k):
-        light, steps = _light_by_partition(config, budget)
-    else:
-        heavy, steps = _heavy_by_dfs(config, c, budget)
-        light = heavy is None
+    light, steps = _light_by_partition(config, snap_c(c, config.k), budget)
     if light:
         return GoodnessReport(c, True, True, True)
     return GoodnessReport(

@@ -7,9 +7,10 @@ difference counting.  The report records the maximum certified count among
 c-good configurations against the parity bound (k^2 - 2k)/4 for even k and
 (k-1)(k-3)/4 + 3 for odd k, whether every maximal attainer is a size-k
 star, and how many subsets are classified differently at c and at c = 2.
-Every c in (2 - 1/floor(k/2), 2], ``c = paper`` included, gives every
-configuration the verdict of c = 2 (``goodness.decides_as_two``), so a
-divergence can arise only below that range.  Those verdicts and the
+Every c in (2 - 1/floor(k/2), 2], ``c = paper`` included, snaps to 2
+(``goodness.snap_c``), so it gives every valid, collinearity-free
+configuration the verdict of c = 2, and a divergence can arise only below
+that range.  Those verdicts and the
 cross-check depend on the subset's difference pattern alone
 (``configuration.difference_pattern``), so the scan, in one process,
 counts and then classifies.  It counts: a pattern does not change under
@@ -31,7 +32,7 @@ c.  Its certified count is still computed, so the cross-check covers
 every subset.  Any other configuration is classified by ``is_c_good`` at 2;
 goodness at c is read off it, because light at 2 implies light at every
 c <= 2, and ``is_c_good`` at c runs only for one that is valid,
-collinearity-free and heavy at 2, with c below that range.
+collinearity-free and heavy at 2, with c snapping below 2.
 
 ``star_bound_check`` and ``odd_equality_case`` reproduce the equality cases
 exactly: stars realized with power-of-four offsets have no stray
@@ -52,7 +53,7 @@ from typing import Iterable, Optional, Sequence
 
 from . import exactlin
 from .configuration import MAX_VARIABLES, KConfiguration, _sum_content, colex_pairs, first_progression, from_points
-from .goodness import decides_as_two, is_c_good, largest_star, parse_c
+from .goodness import is_c_good, largest_star, parse_c, snap_c
 from .verifier import check_budget
 
 TWO = Fraction(2)
@@ -256,9 +257,10 @@ def scan_ground(
     a_j - a_i = a_l - a_j, is bad at c and at 2 without ``is_c_good``: it
     implies x_i - 2x_j + x_l = 0, a support-3 equation, so the configuration
     is collinear.  Its cross-check still runs.  A pattern heavy at 2 is
-    classified again at c only when c lies below (2 - 1/floor(k/2), 2],
-    since c in that range gives the verdict of 2; so ``c2_divergences`` is
-    0 there.  See the module docstring.
+    classified again at c only when ``snap_c(c, k)`` is below 2, that is
+    when c lies below (2 - 1/floor(k/2), 2], since c in that range gives
+    the verdict of 2; so ``c2_divergences`` is 0 there.  See the module
+    docstring.
     Patterns come in the lexicographic order of their least subsets, so
     the first to exceed every earlier certified count names
     ``max_certified_witness``, the least subset of its kind.
@@ -284,7 +286,7 @@ def scan_ground(
             report.bad_count += count
             continue
         at_2 = is_c_good(config, TWO)
-        good_c = at_2.c_good or (at_2.c_light is False and not decides_as_two(c, k) and is_c_good(config, c).c_good)
+        good_c = at_2.c_good or (at_2.c_light is False and snap_c(c, k) < 2 and is_c_good(config, c).c_good)
         report.c2_divergences += count if good_c != at_2.c_good else 0
         if not good_c:
             report.bad_count += count

@@ -205,12 +205,12 @@ class TestAnalyze:
         assert run(capsys, "analyze", str(points))[0] == 0
 
     def test_search_over_budget_exits_3(self, capsys, monkeypatch):
-        # a 16-point star is light: at 2 the partition makes 39 independence
-        # tests, and at 3/2 the search visits 1442 nodes; one short exits 3
+        # a 16-point star is light: the partition makes 38 independence
+        # tests at 2 and 52 at 3/2; one short exits 3
         points = ",".join(map(str, realize_star(8)))
         for c, budget, error in [
-            ("2", "38", "matroid partition exceeds its budget of 38 steps"),
-            ("3/2", "1441", "heaviness search exceeds its budget of 1441 nodes"),
+            ("2", "37", "matroid partition exceeds its budget of 37 steps"),
+            ("3/2", "51", "matroid partition exceeds its budget of 51 steps"),
         ]:
             monkeypatch.setenv("DIFFLOCAL_BUDGET", str(int(budget) + 1))
             assert run(capsys, "analyze", "--points", points, "--c", c)[0] == 0

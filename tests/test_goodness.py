@@ -379,21 +379,57 @@ def sweep_heavy(config, c):
     return reference_sweep(config, heavy_needs(c, range(2, config.k + 1))) is not None
 
 
+def search_heavy(config, c):
+    """Heaviness by the witness search at every size from 1."""
+    return any(gd._heavy_by_dfs(config, c, None, size)[0] is not None for size in range(1, config.k + 1))
+
+
+def ratios(k):
+    """R_k of ``snap_c``: the ratios (s - 1)/t < 2 with 6 <= s <= k and 3 <= t <= s - 3."""
+    return sorted({Fraction(s - 1, t) for s in range(6, k + 1) for t in range(3, s - 2) if s - 1 < 2 * t})
+
+
+def simplest_between(lo, hi):
+    """The fraction of least denominator in the open interval (lo, hi)."""
+    q = 1
+    while Fraction(lo.numerator * q // lo.denominator + 1, q) >= hi:
+        q += 1
+    return Fraction(lo.numerator * q // lo.denominator + 1, q)
+
+
+def thresholds(k):
+    """c in R_k, just above each element of R_k (the simplest fraction
+    before the next element or 2), and in (1, 2] with denominator <= 6."""
+    rk = ratios(k)
+    above = [simplest_between(x, y) for x, y in zip(rk, rk[1:] + [TWO])]
+    small = [Fraction(p, q) for q in range(1, 7) for p in range(q + 1, 2 * q + 1)]
+    return sorted(set(rk + above + small))
+
+
+# the partition's independence tests at 2 on the light 2p-point star and
+# on the odd-k equality case
+STAR_STEPS = {5: 23, 6: 28, 7: 33, 8: 38, 9: 43, 10: 48}
+ODD_CASE_STEPS = {9: 20, 11: 25, 13: 30}
+
+
 class TestHeavinessDFS:
-    """The pruned search over residue rows against the section sweep from
-    size 2, on any configuration, valid or not."""
+    """The verdict by partition and the witness search at every size
+    against the section sweep from size 2, on any configuration, valid or
+    not."""
 
     @pytest.mark.parametrize("p", range(5, 11))
     def test_realized_stars(self, p):
         # the sweep from 2 visits about a million subsets at p = 10
         config = cfg.from_points(realize_star(p))
-        assert gd._heavy_by_dfs(config, TWO, None)[0] is None and sweep_heavy(config, TWO) is False
+        assert gd._light_by_partition(config, TWO) == (True, STAR_STEPS[p])
+        assert sweep_heavy(config, TWO) is False
 
     @pytest.mark.parametrize("k", [9, 11, 13])
     def test_odd_equality_case(self, k):
         config = cfg.from_points(odd_equality_case(k)["points"])
         for c in (TWO, PAPER_C):
-            assert gd._heavy_by_dfs(config, c, None)[0] is None and sweep_heavy(config, c) is False
+            assert gd._light_by_partition(config, gd.snap_c(c, k)) == (True, ODD_CASE_STEPS[k])
+            assert sweep_heavy(config, c) is False
 
     @settings(max_examples=150, deadline=None)
     @given(
@@ -407,18 +443,18 @@ class TestHeavinessDFS:
     )
     def test_systems(self, system, c):
         config = cfg.from_equalities(*system)
-        assert (gd._heavy_by_dfs(config, c, None)[0] is not None) == sweep_heavy(config, c)
+        assert search_heavy(config, c) == sweep_heavy(config, c)
         assert gd._heaviness_sweep(config, c) == reference_sweep(config, heavy_needs(c, range(6, config.k + 1)))
 
     def test_leaves_no_reference_cycles(self, unreachable_after):
         # the search calls itself, and drops that reference when it ends
         assert unreachable_after(gd.is_c_good, example_c_cube(), Fraction(3, 2)) == 0
-        assert unreachable_after(gd._heavy_by_dfs, example_c_cube(), TWO, None) == 0
+        assert unreachable_after(gd._heavy_by_dfs, example_c_cube(), TWO, None, 8) == 0
 
     def test_leaves_no_reference_cycles_past_its_budget(self, unreachable_after):
         def over_budget():
             try:
-                gd._heavy_by_dfs(example_c_cube(), Fraction(3, 2), 5)
+                gd._heavy_by_dfs(example_c_cube(), TWO, 5, 8)
             except BudgetExceededError:
                 return
             pytest.fail("the budget of 5 nodes was not exceeded")
@@ -451,41 +487,22 @@ class TestHeavinessDFS:
         assert witness == expected
         assert (witness.variables, witness.t) == (tuple(range(1, 9)), 4)
 
-    @pytest.mark.parametrize("p, nodes", zip(range(5, 11), [261, 755, 2205, 6515, 19493, 58939]))
-    def test_star_node_counts(self, p, nodes):
-        # rows that skip elimination are still nodes: the count is the
-        # search's, node for node
-        assert gd._heavy_by_dfs(cfg.from_points(realize_star(p)), TWO, None) == (None, nodes)
-
-    @pytest.mark.parametrize("k, nodes", [(9, 157), (11, 447), (13, 1289)])
-    def test_odd_equality_case_node_counts(self, k, nodes):
-        config = cfg.from_points(odd_equality_case(k)["points"])
-        for c in (TWO, PAPER_C):
-            assert gd._heavy_by_dfs(config, c, None) == (None, nodes)
-
-    def test_budget_counts_search_nodes(self):
-        # at 3/2 the search decides the verdict
-        config = cfg.from_points(realize_star(8))
-        nodes = gd._heavy_by_dfs(config, Fraction(3, 2), None)[1]
-        assert nodes == 1442
-        assert gd.is_c_good(config, Fraction(3, 2), budget=nodes).c_good
-        with pytest.raises(BudgetExceededError, match="budget of 1441 nodes"):
-            gd.is_c_good(config, Fraction(3, 2), budget=nodes - 1)
-
-    @pytest.mark.parametrize("c", [TWO, PAPER_C])
+    @pytest.mark.parametrize("c", [TWO, PAPER_C, Fraction(3, 2)])
     def test_budget_counts_partition_steps(self, c):
-        # at 2 and at the paper's c the partition decides the verdict: 16
-        # rows to cover, 39 independence tests in all
+        # the partition decides the verdict at every c: 16 rows to cover,
+        # and 38 independence tests in all at 2 and at the paper's c, which
+        # snaps to 2; at 3/2 each row must join 3 sets, in 52 tests
         config = cfg.from_points(realize_star(8))
-        assert gd._light_by_partition(config, None) == (True, 39)
-        assert gd.is_c_good(config, c, budget=39).c_good
-        with pytest.raises(BudgetExceededError, match="^matroid partition exceeds its budget of 38 steps$"):
-            gd.is_c_good(config, c, budget=38)
+        steps = 52 if c == Fraction(3, 2) else 38
+        assert gd._light_by_partition(config, gd.snap_c(c, 16)) == (True, steps)
+        assert gd.is_c_good(config, c, budget=steps).c_good
+        with pytest.raises(BudgetExceededError, match=f"^matroid partition exceeds its budget of {steps - 1} steps$"):
+            gd.is_c_good(config, c, budget=steps - 1)
 
     def test_budget_counts_witness_sweep_subsets(self):
         config = example_c_cube()
         # 8 rows of rank 4 are heavy with no independence test
-        assert gd._light_by_partition(config, None) == (False, 0)
+        assert gd._light_by_partition(config, TWO) == (False, 0)
         # the witness search takes 39 nodes at size 6 and 16 at size 7,
         # then 8 to the witness at size 8
         budget = 39 + 16 + 8
@@ -501,7 +518,7 @@ class TestHeavinessDFS:
 
 
 class TestPartition:
-    """The verdict at 2 by matroid partition against the search and the
+    """The verdict by matroid partition against the search and the
     literal definition, on any configuration, valid or not."""
 
     # the literal oracle tries every one of the 2^k sets of a light span
@@ -515,30 +532,48 @@ class TestPartition:
     )
     # x1 = x2 = x3: the third row cannot join the cover
     @example((9, [(1, -1, 0, 0, 0, 0, 0, 0, 0), (0, 1, -1, 0, 0, 0, 0, 0, 0)]))
-    # the cube on 9 variables: covered, but no row of the cube reaches a sink
+    # the cube on 9 variables: covered, but no row of the cube joins twice
     @example((9, [row + (0,) for row in CUBE[1]]))
     def test_matches_search_and_literal_oracle(self, system):
         k, contents = system
         config = cfg.from_equalities(k, contents)
-        light = gd._light_by_partition(config, None)[0]
-        assert light == (gd._heavy_by_dfs(config, TWO, None)[0] is None)
+        light = gd._light_by_partition(config, TWO)[0]
+        assert light == (not search_heavy(config, TWO))
         assert light == literal_c_light(contents, k, TWO)
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        st.one_of(
+            equality_systems(max_k=7),
+            equality_systems(min_k=6, max_k=10, distinct=True, min_count=1, max_count=6),
+            relabelled_heavy_systems(max_k=10, extras=2),
+        ).flatmap(lambda system: st.tuples(st.just(system), st.sampled_from(thresholds(system[0]))))
+    )
+    # the cube is light at 7/4 and heavy at 9/5, the simplest c above 7/4
+    # and below 2, the next element of R_8 and 2
+    @example(((8, CUBE[1]), Fraction(7, 4)))
+    @example(((8, CUBE[1]), Fraction(9, 5)))
+    def test_matches_literal_oracle_at_every_c(self, drawn):
+        (k, contents), c = drawn
+        light = gd._light_by_partition(cfg.from_equalities(k, contents), c)[0]
+        assert light == literal_c_light(contents, k, c)
 
     @pytest.mark.parametrize("p", range(3, 13))
     def test_realized_stars(self, p):
         config = cfg.from_points(realize_star(p))
-        assert gd._light_by_partition(config, None)[0] is True
-        assert gd._heavy_by_dfs(config, TWO, None)[0] is None
+        for c in (TWO, Fraction(19, 10), Fraction(7, 4), Fraction(3, 2)):
+            assert gd._light_by_partition(config, gd.snap_c(c, 2 * p))[0] is True
 
     def test_cubes(self):
         for config in (example_c_cube(), cfg.from_points((1, 2, 4, 5, 10, 11, 13, 14))):
-            assert gd._light_by_partition(config, None)[0] is False
-            assert gd._heavy_by_dfs(config, TWO, None)[0] is not None
+            assert gd._light_by_partition(config, TWO)[0] is False
+            assert search_heavy(config, TWO)
             assert literal_c_light([list(row) for row in config.basis.rows], 8, TWO) is False
 
 
 class TestTwoRange:
-    """Every c in (2 - 1/floor(k/2), 2] decides as c = 2 (``is_c_good``)."""
+    """Every c in (2 - 1/floor(k/2), 2] decides as c = 2: there ``snap_c``
+    is 2."""
 
     @settings(max_examples=60, deadline=None)
     @given(
@@ -557,17 +592,19 @@ class TestTwoRange:
 
     @staticmethod
     def assert_decides_as_2(config):
+        # by the search at every size, on any configuration, valid or not
         k = config.k
         cs = [PAPER_C, 2 - Fraction(1, k // 2) + Fraction(1, 1000)]
         if k < 20:
             cs.append(Fraction(19, 10))
-        at_2 = gd._heavy_by_dfs(config, TWO, None)[0] is None
+        at_2 = search_heavy(config, TWO)
         for c in cs:
-            assert (gd._heavy_by_dfs(config, c, None)[0] is None) == at_2, c
+            assert gd.snap_c(c, k) == TWO
+            assert search_heavy(config, c) == at_2, c
 
     def test_cube_bounds_the_range(self, monkeypatch):
-        # the cube is light at 7/4 = 2 - 1/floor(8/2), which the search
-        # decides, and heavy just above it, which the partition decides
+        # the cube is light at 7/4 = 2 - 1/floor(8/2) and heavy just above
+        # it, and the partition decides all three
         config = cfg.from_points((1, 2, 4, 5, 10, 11, 13, 14))
         routes = []
         for name in ("_light_by_partition", "_heavy_by_dfs"):
@@ -575,7 +612,45 @@ class TestTwoRange:
             monkeypatch.setattr(gd, name, lambda *args, route=route, name=name: routes.append(name) or route(*args))
         verdicts = [gd.is_c_good(config, c).c_light for c in (Fraction(7, 4), Fraction(176, 100), TWO)]
         assert verdicts == [True, False, False]
-        assert routes == ["_heavy_by_dfs", "_light_by_partition", "_light_by_partition"]
+        assert routes == ["_light_by_partition"] * 3
+
+
+class TestSnap:
+    """``snap_c`` moves c to the least ratio (|S| - 1)/t of R_k, or 2, at
+    or above it, which leaves every verdict of a valid, collinearity-free
+    configuration as it was."""
+
+    @pytest.mark.parametrize("k", [4, 5, 6, 7, 8, 9, 12, 24, 64])
+    def test_two_exactly_above_the_range(self, k):
+        edge = 2 - Fraction(1, k // 2)
+        rk = ratios(k)
+        for c in (PAPER_C, TWO, Fraction(19, 10), Fraction(3, 2), Fraction(11, 10), edge, edge + Fraction(1, 10**6)):
+            snapped = gd.snap_c(c, k)
+            assert c <= snapped <= 2 and (snapped == 2) == (c > edge or k < 6)
+            assert snapped == 2 or snapped in rk
+            assert not any(c <= x < snapped for x in rk)
+
+    def test_values(self):
+        assert gd.snap_c(Fraction(19, 10), 24) == Fraction(19, 10)
+        assert gd.snap_c(Fraction(3, 2), 8) == Fraction(3, 2)
+        # 7/5 < 71/50 < 10/7 = (11 - 1)/7, the least element of R_11 above it
+        assert gd.snap_c(Fraction(71, 50), 11) == Fraction(10, 7)
+        assert gd.snap_c(PAPER_C, 64) == 2
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        st.one_of(
+            equality_systems(min_k=6, max_k=9, distinct=True, min_count=2, max_count=6),
+            relabelled_heavy_systems(max_k=9, extras=2),
+        ),
+        st.data(),
+    )
+    def test_literal_verdict_at_snapped_c(self, system, data):
+        k, contents = system
+        assume(literal_equality(contents, k) is None)
+        assume(literal_collinearity_free(contents, k))
+        c = data.draw(st.sampled_from(thresholds(k) + [PAPER_C, Fraction(9, 5) + Fraction(1, 10**6)]), label="c")
+        assert literal_c_light(contents, k, c) == literal_c_light(contents, k, gd.snap_c(c, k))
 
 
 class TestWitnessOnDemand:
