@@ -384,6 +384,48 @@ def search_heavy(config, c):
     return any(gd._heavy_by_dfs(config, c, None, size)[0] is not None for size in range(1, config.k + 1))
 
 
+def reference_search(config: cfg.KConfiguration, c: Fraction) -> tuple[Optional[tuple[int, ...]], int]:
+    """The first heavy variable set at c (1-based), or None, by the pruned
+    search over every size at once, and the number of nodes it visits.
+
+    S grows by one residue row at a time, and a branch stops at the first
+    heavy S: t = |S| - rank(S) rises only with a row that reduces to zero,
+    and a branch is cut when no S + T, T in {i..k-1}, can be heavy, as in
+    the witness search of ``goodness._heavy_by_dfs``, which fixes the size.
+    """
+    rows = config.residues
+    k, r = config.k, config.rank
+    p, q = c.numerator, c.denominator
+    echelon: list[list[int]] = []
+    pivots: list[int] = []
+    nodes = 0
+
+    def heavy_from(start: int, s: int, rho: int) -> Optional[tuple[int, ...]]:
+        nonlocal nodes
+        for i in range(start, k):
+            if (p - q) * min(s + k - i, rho + r, k) - p * rho <= -q:
+                return None
+            nodes += 1
+            w = list(rows[i])
+            exactlin._eliminate(w, echelon, pivots)
+            pivot = exactlin._leading(w)
+            if pivot is None:
+                if p * (s + 1 - rho) > q * s:
+                    return (i + 1,)
+                found = s + 1 < k and heavy_from(i + 1, s + 1, rho)
+            else:
+                echelon.append(w)
+                pivots.append(pivot)
+                found = heavy_from(i + 1, s + 1, rho + 1)
+                echelon.pop()
+                pivots.pop()
+            if found:
+                return (i + 1,) + found
+        return None
+
+    return heavy_from(0, 0, 0), nodes
+
+
 def ratios(k):
     """R_k of ``snap_c``: the ratios (s - 1)/t < 2 with 6 <= s <= k and 3 <= t <= s - 3."""
     return sorted({Fraction(s - 1, t) for s in range(6, k + 1) for t in range(3, s - 2) if s - 1 < 2 * t})
@@ -486,6 +528,21 @@ class TestHeavinessDFS:
         witness = gd.is_c_good(example_c_cube(), TWO).heaviness_witness
         assert witness == expected
         assert (witness.variables, witness.t) == (tuple(range(1, 9)), 4)
+
+    @pytest.mark.parametrize("p, nodes", zip(range(5, 11), [261, 755, 2205, 6515, 19493, 58939]))
+    def test_star_node_counts(self, p, nodes):
+        # the search over every size finds no heavy set, in the pinned
+        # number of nodes, and the partition agrees
+        config = cfg.from_points(realize_star(p))
+        assert reference_search(config, TWO) == (None, nodes)
+        assert gd._light_by_partition(config, TWO)[0] is True
+
+    @pytest.mark.parametrize("k, nodes", [(9, 157), (11, 447), (13, 1289)])
+    def test_odd_equality_case_node_counts(self, k, nodes):
+        config = cfg.from_points(odd_equality_case(k)["points"])
+        for c in (TWO, PAPER_C):
+            assert reference_search(config, c) == (None, nodes)
+            assert gd._light_by_partition(config, gd.snap_c(c, k))[0] is True
 
     @pytest.mark.parametrize("c", [TWO, PAPER_C, Fraction(3, 2)])
     def test_budget_counts_partition_steps(self, c):
