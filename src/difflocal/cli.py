@@ -180,8 +180,8 @@ def cmd_build(args) -> int:
 
 def cmd_analyze(args) -> int:
     points = _parse_points(args)
-    if len(points) > 24:
-        raise CliError(f"analyze supports at most 24 points, got {len(points)}")
+    if not 2 <= len(points) <= 24:
+        raise CliError(f"analyze needs between 2 and 24 points, got {len(points)}")
     c = parse_c(args.c)
     config = from_points(points)
     goodness = is_c_good(config, c, budget=resolve_budget())

@@ -168,7 +168,6 @@ def behrend_set(*, d: int, m: int, kappa: int) -> SetArtifact:
             "base": base,
             "r": r,
             "slice_size": hists[d][r],
-            "mode": "exhaustive",
         },
     }
     return SetArtifact(tuple(elements), provenance)

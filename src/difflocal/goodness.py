@@ -181,36 +181,28 @@ def _collinearity_witness(config: KConfiguration) -> Optional[tuple[int, ...]]:
 
 
 def _heavy_by_dfs(
-    config: KConfiguration, c: Fraction, budget: Optional[int], size: int
+    config: KConfiguration, c: Fraction, budget: Optional[int], size: int, nodes: int = 0
 ) -> tuple[Optional[tuple[int, ...]], int]:
     """The first variable set of exactly ``size`` variables (1-based) that
     is heavy at c, or None, by the pruned search of ``is_c_good``, and the
-    number of nodes visited.  Branches that cannot reach the size are cut.
-    Raises BudgetExceededError on visiting more than ``budget`` nodes
-    (None: no bound).
+    number of nodes visited, counted on from ``nodes`` already spent.
+    Branches that cannot reach the size are cut.  Raises
+    BudgetExceededError once that count passes ``budget`` (None: no bound).
 
     The echelon is a stack: a row is pushed already reduced against the
     rows below it, so it is zero at their pivots, which is all
     ``exactlin._eliminate`` needs, and popping it restores the parent's.
-    ``held`` is the bit mask of the echelon's pivots: a row whose nonzero
-    columns miss it is left as it is by ``_eliminate``, so it is pushed
-    as it is, with its own leading column as pivot, and the node does no
-    elimination.
     """
     rows = config.residues
-    masks = [sum(1 << j for j, x in enumerate(row) if x) for row in rows]
-    leads = [exactlin._leading(row) for row in rows]
     k, r = config.k, config.rank
     p, q = c.numerator, c.denominator
     gain = p - q
     echelon: list[Sequence[int]] = []
     pivots: list[int] = []
-    nodes = 0
 
-    def heavy_from(start: int, s: int, rho: int, held: int) -> Optional[tuple[int, ...]]:
-        # S has size s and rank rho, and ``held`` masks its echelon's
-        # pivots; try S + {i} for each i >= start in turn, while
-        # S + {i..k-1} can still reach the size
+    def heavy_from(start: int, s: int, rho: int) -> Optional[tuple[int, ...]]:
+        # S has size s and rank rho; try S + {i} for each i >= start in
+        # turn, while S + {i..k-1} can still reach the size
         nonlocal nodes
         # min() would cost a call per node and per child
         top = rho + r if rho + r < size else size
@@ -220,23 +212,20 @@ def _heavy_by_dfs(
             nodes += 1
             if budget is not None and nodes > budget:
                 raise BudgetExceededError(f"heaviness search exceeds its budget of {budget} nodes")
-            if masks[i] & held:
-                w = list(rows[i])
-                exactlin._eliminate(w, echelon, pivots)
-                pivot = exactlin._leading(w)
-            else:
-                w, pivot = rows[i], leads[i]
+            w = list(rows[i])
+            exactlin._eliminate(w, echelon, pivots)
+            pivot = exactlin._leading(w)
             if s + 1 == size:
                 # a hit iff S + {i}, of rank rho or rho + 1, is heavy
                 if p * (s + 1 - rho - (pivot is not None)) > q * s:
                     return (i + 1,)
                 continue
             if pivot is None:
-                found = heavy_from(i + 1, s + 1, rho, held)
+                found = heavy_from(i + 1, s + 1, rho)
             else:
                 echelon.append(w)
                 pivots.append(pivot)
-                found = heavy_from(i + 1, s + 1, rho + 1, held | 1 << pivot)
+                found = heavy_from(i + 1, s + 1, rho + 1)
                 echelon.pop()
                 pivots.pop()
             if found:
@@ -244,7 +233,7 @@ def _heavy_by_dfs(
         return None
 
     try:
-        return heavy_from(0, 0, 0, 0), nodes
+        return heavy_from(0, 0, 0), nodes
     finally:
         del heavy_from  # it calls itself: free the cycle without the cyclic GC
 
@@ -350,13 +339,12 @@ def _heaviness_sweep(
 ) -> Optional[HeavinessWitness]:
     """The first heavy variable set at c by size, from 6, and then
     lexicographically, with its section: ``_heavy_by_dfs`` at each size in
-    turn, all within one ``budget`` of nodes."""
+    turn, the nodes of every size counted against the one ``budget``."""
+    nodes = 0
     for size in range(6, config.k + 1):
-        hit, nodes = _heavy_by_dfs(config, c, budget, size)
+        hit, nodes = _heavy_by_dfs(config, c, budget, size, nodes)
         if hit is not None:
             return HeavinessWitness(hit, *exactlin.section_dim(config.basis, hit))
-        if budget is not None:
-            budget -= nodes
     return None
 
 
@@ -449,8 +437,7 @@ def is_c_good(
     search over the residue rows in lexicographic order, at c = p/q itself,
     at each size from 6 in turn, where only sets of exactly that size are
     hits.  It keeps a fraction-free echelon of the rows of the current set
-    S, at most one ``exactlin._eliminate`` reduction per node (none for a
-    row that is zero at every pivot of the echelon), so each node knows
+    S, one ``exactlin._eliminate`` reduction per node, so each node knows
     s = |S| and its rank rho, and t(S) = s - rho.  A set of the size is a
     hit when p*(s - rho) > q*(s - 1).  Write f(S') = (p - q)*|S'| -
     p*rank(S'), so that S' is heavy iff f(S') > -q.  A branch that can

@@ -121,26 +121,25 @@ def _solve_coefficients(
     return solved
 
 
-def minimal_implications(
-    equalities: Sequence[DifferenceEquality], max_t: int
-) -> list[MinimalImplication]:
-    """All subsets of size <= max_t that minimally imply a new difference equality.
+def minimal_implications(equalities: Sequence[DifferenceEquality]) -> list[MinimalImplication]:
+    """All subsets of the family that minimally imply a new difference equality.
 
     One implication per qualifying subset: the first produced equality in a
     deterministic candidate order (support-lexicographic, then sign pattern).
     Results are ordered lexicographically by premise index set.  The
-    equalities must be linearly independent: ValueError otherwise.
+    equalities must be linearly independent, and at most ``MAX_PREMISES``:
+    ValueError otherwise.
 
     A product's nonzero coefficients over the family name the one subset
     that minimally implies it (see the module docstring).  The candidate
     order does not depend on the variables it ranges over, so the first
     candidate with a given coefficient support is that subset's first.
+    A subset of one equality implies only that equality, which is no new
+    one, so every subset found has at least two.
     """
     eqs = list(equalities)
     if len(eqs) > MAX_PREMISES:
         raise ValueError(f"at most {MAX_PREMISES} equalities supported, got {len(eqs)}")
-    if max_t > len(eqs):
-        raise ValueError(f"max_t={max_t} exceeds the number of equalities {len(eqs)}")
     if not eqs:
         return []
     k = eqs[0].k
@@ -152,7 +151,7 @@ def minimal_implications(
     first: dict[tuple[int, ...], tuple[tuple[int, ...], tuple[Fraction, ...]]] = {}
     for cand, coeffs in _solve_coefficients(config, eqs):
         subset = tuple(i for i, c in enumerate(coeffs) if c)
-        if 2 <= len(subset) <= max_t and subset not in first:
+        if len(subset) >= 2 and subset not in first:
             first[subset] = cand, tuple(coeffs[i] for i in subset)
     return [
         MinimalImplication(tuple(eqs[i] for i in subset), *first[subset]) for subset in sorted(first)

@@ -163,7 +163,7 @@ def _random_2full_family(rng: random.Random) -> list[DifferenceEquality]:
 
 def _check_hub_family(eqs: Sequence[DifferenceEquality], hub: int, outcomes: list) -> None:
     k = eqs[0].k
-    impls = minimal_implications(list(eqs), max_t=len(eqs))
+    impls = minimal_implications(eqs)
     for impl in impls:
         outcomes.append(("hub-implication-size<=4", impl.size <= 4, impl))
         report = check_structure(impl)
@@ -289,14 +289,14 @@ def lemma_property_suite(seed: int = 0, instance_count: int = 1000) -> dict:
     _check_hub_family(three_implication_figure(), 7, outcomes)
     instances += 1
     sec5 = sec5_figure_premises()
-    impls = minimal_implications(sec5, 4)
+    impls = minimal_implications(sec5)
     four = [im for im in impls if im.size == 4]
     outcomes.append(("sec5-figure-produces", bool(four), sec5))
     if four:
         report = check_structure(four[0])
         outcomes.append(("sec5-figure-structure", report.all_clauses_pass, four[0]))
     instances += 1
-    sub = minimal_implications(subbox_figure_premises(), 4)
+    sub = minimal_implications(subbox_figure_premises())
     _check_subbox_prefixes([im for im in sub if im.size == 4], outcomes)
     instances += 1
     t1, t2 = intersection_figure()

@@ -151,7 +151,7 @@ def test_criterion_5_paper_example_goldens():
     assert reportfmt.emit(goodness_report_dict(gd.is_c_good(example_b, TWO))) == GOLDEN_B
     assert reportfmt.emit(goodness_report_dict(gd.is_c_good(cube, TWO))) == GOLDEN_CUBE
     assert reportfmt.emit(goodness_report_dict(gd.is_c_good(star8, TWO))) == GOLDEN_STAR8
-    impl = next(m for m in imp.minimal_implications(lemmas.sec5_figure_premises(), 4) if m.size == 4)
+    impl = next(m for m in imp.minimal_implications(lemmas.sec5_figure_premises()) if m.size == 4)
     rendered = reportfmt.emit(
         {
             "premises": [str(p) for p in impl.premises],

@@ -180,6 +180,7 @@ class TestAnalyze:
         # the cube is heavy at 2 on all 8 variables: its 8 rows of rank 4
         # decide the verdict with no independence test, and the witness
         # search, run when the report reads the witness, takes 63 nodes
+        # over sizes 6, 7 and 8, all counted against the one budget
         cube = "0,1,10,11,100,101,110,111"
         code, out, _ = run(capsys, "analyze", "--points", cube, "--c", "2")
         assert code == 0
@@ -192,7 +193,15 @@ class TestAnalyze:
             code, out, err = run(capsys, "analyze", "--points", cube, "--c", "2")
             assert code == 3
             assert out == ""
-        assert err == "error: heaviness search exceeds its budget of 20 nodes\n"
+            assert err == f"error: heaviness search exceeds its budget of {budget} nodes\n"
+
+    @pytest.mark.parametrize("count", [1, 25])
+    def test_point_count_outside_its_range_exits_2(self, capsys, count):
+        points = ",".join(str(2**i) for i in range(count))
+        code, out, err = run(capsys, "analyze", "--points", points)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: analyze needs between 2 and 24 points, got {count}\n"
 
     def test_file_and_points_together_exit_2(self, tmp_path, capsys):
         points = tmp_path / "points.txt"

@@ -567,10 +567,28 @@ class TestHeavinessDFS:
         assert unbounded is not None
         assert gd.is_c_good(config, TWO, budget=budget).heaviness_witness == unbounded
         assert gd.is_c_good(config, TWO, budget=budget) == gd.is_c_good(config, TWO)
-        # the search itself fits; the sweep runs out when the witness is read
+        # the search itself fits; the sweep runs out when the witness is
+        # read, and names the budget it was given, not what size 8 had left
         report = gd.is_c_good(config, TWO, budget=budget - 1)
         assert report.c_light is False
-        with pytest.raises(BudgetExceededError):
+        with pytest.raises(BudgetExceededError, match="^heaviness search exceeds its budget of 62 nodes$"):
+            report.heaviness_witness
+
+    @pytest.mark.parametrize(
+        "c, size, t, nodes",
+        [(TWO, 8, 4, 2725), (Fraction(7, 4), 11, 6, 7688), (Fraction(3, 2), 14, 9, 4209)],
+    )
+    def test_budget_counts_witness_nodes_above_8_variables(self, c, size, t, nodes):
+        # the 16-point cube: its 16 rows of rank 5 are heavy at each c with
+        # no independence test, and the witness search takes ``nodes`` nodes
+        # over every size up to the witness's
+        config = cfg.from_points([int(f"{i:b}") for i in range(16)])
+        assert gd._light_by_partition(config, gd.snap_c(c, 16)) == (False, 0)
+        witness = gd.is_c_good(config, c, budget=nodes).heaviness_witness
+        assert witness == gd.is_c_good(config, c).heaviness_witness
+        assert (witness.variables, witness.t) == (tuple(range(1, size + 1)), t)
+        report = gd.is_c_good(config, c, budget=nodes - 1)
+        with pytest.raises(BudgetExceededError, match=f"^heaviness search exceeds its budget of {nodes - 1} nodes$"):
             report.heaviness_witness
 
 

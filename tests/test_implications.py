@@ -122,7 +122,7 @@ class TestCandidateProducts:
             raise AssertionError("exactlin.member called")
 
         monkeypatch.setattr(exactlin, "member", no_member)
-        impls = imp.minimal_implications(sec5_figure_premises(), 4)
+        impls = imp.minimal_implications(sec5_figure_premises())
         four = [m for m in impls if m.size == 4]
         assert len(four) == 1
         assert imp.check_structure(four[0]).all_clauses_pass
@@ -130,7 +130,7 @@ class TestCandidateProducts:
 
 class TestMinimalImplications:
     def test_sec5_figure_four_premise_product(self):
-        impls = imp.minimal_implications(sec5_figure_premises(), 4)
+        impls = imp.minimal_implications(sec5_figure_premises())
         four = [m for m in impls if m.size == 4]
         assert len(four) == 1
         m = four[0]
@@ -139,13 +139,13 @@ class TestMinimalImplications:
 
     def test_single_equality_produces_nothing(self):
         only = [eq(4, (1, -1, -1, 1))]
-        assert imp.minimal_implications(only, 1) == []
+        assert imp.minimal_implications(only) == []
 
     def test_sum_aligned_pair_produces_sum_product(self):
         a = eq(6, (1, 1, -1, -1, 0, 0))
         b = eq(6, (1, 1, 0, 0, -1, -1))
         # x_1 plays the hub role: x1 + x2 - x3 - x4 and x1 + x2 - x5 - x6
-        impls = imp.minimal_implications([a, b], 2)
+        impls = imp.minimal_implications([a, b])
         two = [m for m in impls if m.size == 2]
         assert len(two) == 1
         assert two[0].product == (0, 0, 1, 1, -1, -1)
@@ -153,7 +153,7 @@ class TestMinimalImplications:
 
     def test_products_reverify_against_oracle_solver(self):
         premises = sec5_figure_premises()
-        for m in imp.minimal_implications(premises, 4):
+        for m in imp.minimal_implications(premises):
             rows = [list(p.content) for p in m.premises]
             assert frac_solvable(rows, list(m.product))
             combo = [
@@ -163,13 +163,12 @@ class TestMinimalImplications:
             assert tuple(combo) == m.product
 
     @settings(max_examples=100, deadline=None)
-    @given(independent_families(), st.data())
-    def test_matches_literal_subset_walk(self, family, data):
+    @given(independent_families())
+    def test_matches_literal_subset_walk(self, family):
         k, contents = family
-        max_t = data.draw(st.integers(min_value=0, max_value=len(contents)))
         eqs = [eq(k, vec) for vec in contents]
-        impls = imp.minimal_implications(eqs, max_t)
-        want = literal_minimal_implications(contents, k, max_t)
+        impls = imp.minimal_implications(eqs)
+        want = literal_minimal_implications(contents, k, len(contents))
         assert [(m.premises, m.product, m.coefficients) for m in impls] == [
             (tuple(eqs[i] for i in subset), products[0], coeffs) for subset, products, coeffs in want
         ]
@@ -183,23 +182,20 @@ class TestMinimalImplications:
         a = eq(6, (1, 1, -1, -1, 0, 0))
         b = eq(6, (1, 1, 0, 0, -1, -1))
         c = eq(6, (0, 0, 1, 1, -1, -1))
-        assert imp.minimal_implications([a, b], 2)
+        assert imp.minimal_implications([a, b])
         with pytest.raises(ValueError, match="equalities are linearly dependent"):
-            imp.minimal_implications([a, b, c], 2)
+            imp.minimal_implications([a, b, c])
         with pytest.raises(ValueError, match="equalities are linearly dependent"):
-            imp.minimal_implications([a, a], 1)
+            imp.minimal_implications([a, a])
 
     def test_size_limits(self):
-        premises = sec5_figure_premises()
-        with pytest.raises(ValueError):
-            imp.minimal_implications(premises, 5)
-        with pytest.raises(ValueError):
-            imp.minimal_implications([eq(4, (1, -1, -1, 1))] * 17, 2)
+        with pytest.raises(ValueError, match="at most 16 equalities supported, got 17"):
+            imp.minimal_implications([eq(4, (1, -1, -1, 1))] * 17)
 
 
 class TestCheckStructure:
     def test_sec5_figure_passes_all_clauses(self):
-        impls = imp.minimal_implications(sec5_figure_premises(), 4)
+        impls = imp.minimal_implications(sec5_figure_premises())
         m = next(m for m in impls if m.size == 4)
         report = imp.check_structure(m)
         assert report.precondition_2good
@@ -212,7 +208,7 @@ class TestCheckStructure:
     def test_sum_aligned_two_implication_counts(self):
         a = eq(6, (1, 1, -1, -1, 0, 0))
         b = eq(6, (1, 1, 0, 0, -1, -1))
-        m = imp.minimal_implications([a, b], 2)[0]
+        m = imp.minimal_implications([a, b])[0]
         report = imp.check_structure(m)
         assert report.precondition_2good
         assert report.variable_counts_ok
@@ -224,7 +220,7 @@ class TestCheckStructure:
         # implies x1 - x2 = x3 - x4 with coefficients (1, -2)
         a = eq(4, (1, 1, -1, -1))
         b = eq(4, (0, 1, 0, -1))
-        impls = imp.minimal_implications([a, b], 2)
+        impls = imp.minimal_implications([a, b])
         two = [m for m in impls if m.size == 2]
         assert len(two) == 1
         assert sorted(abs(c) for c in two[0].coefficients) == [1, 2]
@@ -237,7 +233,7 @@ class TestCheckStructure:
         # and x1 + x4 = x2 + x3: uniqueness fails along with validity
         a = eq(4, (1, -1, 0, 0))
         b = eq(4, (0, 0, 1, -1))
-        impls = imp.minimal_implications([a, b], 2)
+        impls = imp.minimal_implications([a, b])
         two = [m for m in impls if m.size == 2]
         assert two
         report = imp.check_structure(two[0])
