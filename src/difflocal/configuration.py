@@ -198,7 +198,12 @@ class KConfiguration:
         free column j, and -(den / r_p)*r at the pivot p of a basis row r.
         Every residue is zero at a pivot."""
         free, den, scales = self._quotient
-        rows = [tuple([den * (j == i) for j in free]) for i in range(self.k)]
+        width = len(free)
+        rows: list[tuple[int, ...]] = [()] * self.k
+        for n, j in enumerate(free):
+            row = [0] * width
+            row[n] = den
+            rows[j] = tuple(row)
         for r, p, scale in zip(self.basis.rows, self.basis.pivots, scales):
             rows[p] = tuple([-scale * r[j] for j in free])
         return tuple(rows)

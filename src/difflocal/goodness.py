@@ -70,11 +70,12 @@ class GoodnessReport:
 
     A heavy verdict names its witness when ``heaviness_witness`` is first
     read: ``_heaviness_sweep`` runs the search by size then, on ``heavy``
-    (the heavy configuration) within ``witness_budget`` (the budget less
-    the verdict's independence tests, see ``is_c_good``).
+    (the heavy configuration) within the whole ``budget``, its node count
+    starting at ``steps``, the verdict's independence tests (see
+    ``is_c_good``).
     Reports compare, hash and print by their fields, so none of that runs
     the witness search; equal heavy configurations at one c have equal
-    witnesses, and the budget is not compared.
+    witnesses, and the budget and steps are not compared.
     """
 
     c: Fraction
@@ -84,13 +85,14 @@ class GoodnessReport:
     equality_witness: Optional[tuple[int, int]] = None
     collinearity_witness: Optional[tuple[int, ...]] = None
     heavy: Optional[KConfiguration] = field(default=None, repr=False)
-    witness_budget: Optional[int] = field(default=None, compare=False, repr=False)
+    budget: Optional[int] = field(default=None, compare=False, repr=False)
+    steps: int = field(default=0, compare=False, repr=False)
 
     @cached_property
     def heaviness_witness(self) -> Optional[HeavinessWitness]:
         if self.heavy is None:
             return None
-        return _heaviness_sweep(self.heavy, self.c, self.witness_budget)
+        return _heaviness_sweep(self.heavy, self.c, self.budget, self.steps)
 
     @property
     def c_good(self) -> bool:
@@ -335,12 +337,12 @@ def _light_by_partition(config: KConfiguration, c: Fraction, budget: Optional[in
 
 # the benchmark traces this name as goodness.heaviness_sweep
 def _heaviness_sweep(
-    config: KConfiguration, c: Fraction, budget: Optional[int] = None
+    config: KConfiguration, c: Fraction, budget: Optional[int] = None, nodes: int = 0
 ) -> Optional[HeavinessWitness]:
     """The first heavy variable set at c by size, from 6, and then
     lexicographically, with its section: ``_heavy_by_dfs`` at each size in
-    turn, the nodes of every size counted against the one ``budget``."""
-    nodes = 0
+    turn, the nodes of every size counted on from ``nodes`` already spent
+    against the one ``budget``."""
     for size in range(6, config.k + 1):
         hit, nodes = _heavy_by_dfs(config, c, budget, size, nodes)
         if hit is not None:
@@ -451,10 +453,11 @@ def is_c_good(
     too.  The search visits the sets of one size in lexicographic order
     and a cut branch holds no hit, so its first hit is the first witness
     by size and then lexicographically.
-    ``budget`` bounds the verdict's independence tests, and the witness
-    search gets what the verdict left (None: no bound):
-    BudgetExceededError past it, from the verdict here or from the witness
-    search when the witness is read.
+    ``budget`` bounds the verdict's independence tests and the witness
+    search's nodes together (None: no bound): the search counts its nodes
+    on from the verdict's tests, and BudgetExceededError past it, from the
+    verdict here or from the witness search when the witness is read,
+    names the whole budget.
     """
     c = parse_c(c)
     valid, eq_witness = is_valid(config)
@@ -468,9 +471,7 @@ def is_c_good(
     light, steps = _light_by_partition(config, snap_c(c, config.k), budget)
     if light:
         return GoodnessReport(c, True, True, True)
-    return GoodnessReport(
-        c, True, True, False, heavy=config, witness_budget=None if budget is None else budget - steps
-    )
+    return GoodnessReport(c, True, True, False, heavy=config, budget=budget, steps=steps)
 
 
 def points_c_good(points: Sequence, c: Fraction | int | str | float) -> bool:

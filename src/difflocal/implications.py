@@ -218,17 +218,25 @@ def check_structure(impl: MinimalImplication) -> StructureReport:
     )
 
 
+def _has_2t_plus_1_variables(equalities: Sequence[DifferenceEquality]) -> bool:
+    """The count of ``is_2_full`` without its independence proof: whether
+    t equalities span exactly 2t + 1 variables.  For a family already known
+    independent, such as any subfamily of an independent family."""
+    return len({v for e in equalities for v in e.support}) == 2 * len(equalities) + 1
+
+
 def is_2_full(equalities: Sequence[DifferenceEquality]) -> bool:
-    """True iff t independent equalities span exactly 2t + 1 variables."""
+    """True iff t independent equalities span exactly 2t + 1 variables.
+
+    Independence is proved by ``exactlin.reduce`` (ValueError on an empty
+    or dependent family), then ``_has_2t_plus_1_variables`` counts.
+    """
     eqs = list(equalities)
     if not eqs:
         raise ValueError("empty collection")
-    k = eqs[0].k
-    basis = exactlin.reduce([e.content for e in eqs], k)
-    if basis.rank != len(eqs):
+    if exactlin.reduce([e.content for e in eqs], eqs[0].k).rank != len(eqs):
         raise ValueError("equalities are linearly dependent")
-    variables = {v for e in eqs for v in e.support}
-    return len(variables) == 2 * len(eqs) + 1
+    return _has_2t_plus_1_variables(eqs)
 
 
 def classify_alignment(a: DifferenceEquality, b: DifferenceEquality, i: int) -> Alignment:

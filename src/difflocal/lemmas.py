@@ -4,8 +4,14 @@
 ``implications`` on seeded random instances (hub families, pairs of
 equalities, intersections of 2-full families, and the implied equalities
 through one variable of a random point set) plus fixed hand-built systems,
-the figures.  Every random family grows its span one content at a time by
-``exactlin.extend``.
+the figures.  The hub families and the harvest grow their spans one
+content at a time by ``exactlin.extend``.
+
+A subfamily of an independent family is independent, so independence is
+proved once per family: ``is_2_full`` on a 2-full family before its
+subfamilies are drawn, ``minimal_implications`` on the premises of the
+implications it returns.  A subfamily's 2-fullness is then the variable
+count alone, ``implications._has_2t_plus_1_variables``.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .goodness import PAPER_C, is_c_good, is_collinearity_free, is_valid
 from .implications import (
     Alignment,
     MinimalImplication,
+    _has_2t_plus_1_variables,
     check_structure,
     classify_alignment,
     is_2_full,
@@ -180,15 +187,18 @@ def _check_hub_family(eqs: Sequence[DifferenceEquality], hub: int, outcomes: lis
 
 
 def _check_subbox_prefixes(impls: Sequence[MinimalImplication], outcomes: list) -> None:
+    # ``minimal_implications`` raises on a dependent family, so the premises
+    # of an implication and every prefix of them are independent: 2-fullness
+    # is the variable count alone
     for impl in impls:
         if any(abs(c) != 1 for c in impl.coefficients):
             continue
-        if not is_2_full(impl.premises):
+        if not _has_2t_plus_1_variables(impl.premises):
             continue
         k = impl.premises[0].k
         for cut in range(1, impl.size):
             prefix = impl.premises[:cut]
-            if not is_2_full(prefix):
+            if not _has_2t_plus_1_variables(prefix):
                 continue
             partial = [0] * k
             for coeff, premise in zip(impl.coefficients[:cut], prefix):
@@ -217,6 +227,10 @@ def _check_pair_claim(rng: random.Random, outcomes: list) -> None:
 
 def _check_intersection(rng: random.Random, outcomes: list) -> None:
     family = _random_2full_family(rng)
+    # the one independence proof (ValueError if dependent; the family is
+    # built 2-full): a subfamily of an independent family is independent,
+    # so t1, t2 and common need only the variable count
+    is_2_full(family)
     n = len(family)
     for _ in range(40):
         mask1 = [rng.random() < 0.7 for _ in range(n)]
@@ -227,12 +241,12 @@ def _check_intersection(rng: random.Random, outcomes: list) -> None:
         union = [eq for eq, k1, k2 in zip(family, mask1, mask2) if k1 or k2]
         if not common or t1 == t2:
             continue
-        if not (is_2_full(t1) and is_2_full(t2)):
+        if not (_has_2t_plus_1_variables(t1) and _has_2t_plus_1_variables(t2)):
             continue
         k = family[0].k
         if not is_c_good(from_equalities(k, union), 2).c_good:
             continue
-        outcomes.append(("2-full-intersection", is_2_full(common), (t1, t2)))
+        outcomes.append(("2-full-intersection", _has_2t_plus_1_variables(common), (t1, t2)))
         return
 
 

@@ -591,6 +591,18 @@ class TestHeavinessDFS:
         with pytest.raises(BudgetExceededError, match=f"^heaviness search exceeds its budget of {nodes - 1} nodes$"):
             report.heaviness_witness
 
+    def test_witness_refusal_names_the_whole_budget(self):
+        # the 8-point cube and three generic points: the verdict at 2 makes
+        # 23 tests and the search 400 nodes, counted against one budget
+        config = cfg.from_points((0, 1, 10, 11, 100, 101, 110, 111, 5003, 70019, 900037))
+        assert gd._light_by_partition(config, TWO) == (False, 23)
+        witness = gd.is_c_good(config, TWO, budget=423).heaviness_witness
+        assert witness.variables == tuple(range(1, 9))
+        for budget in (422, 100):
+            report = gd.is_c_good(config, TWO, budget=budget)
+            with pytest.raises(BudgetExceededError, match=f"^heaviness search exceeds its budget of {budget} nodes$"):
+                report.heaviness_witness
+
 
 class TestPartition:
     """The verdict by matroid partition against the search and the

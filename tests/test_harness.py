@@ -21,7 +21,7 @@ from difflocal.configuration import (
     from_points,
 )
 from difflocal.goodness import PAPER_C, is_c_good, largest_star, parse_c
-from difflocal.implications import is_2_full
+from difflocal.implications import _has_2t_plus_1_variables, is_2_full, minimal_implications
 from oracles import (
     all_leads_pattern_counts,
     brute_c_good,
@@ -457,6 +457,72 @@ class TestLemmaSuite:
             contents = [eq.content for eq in family]
             assert frac_rank(contents) == len(contents)
             assert is_2_full(family)
+
+    def test_intersection_matches_a_check_that_proves_every_subfamily(self, monkeypatch):
+        # the reference runs is_2_full, with its independence proof, on
+        # every subfamily of every draw; the suite proves the family once
+        def reference(rng, outcomes):
+            family = lemmas._random_2full_family(rng)
+            n = len(family)
+            for _ in range(40):
+                mask1 = [rng.random() < 0.7 for _ in range(n)]
+                mask2 = [rng.random() < 0.7 for _ in range(n)]
+                t1 = [eq for eq, keep in zip(family, mask1) if keep]
+                t2 = [eq for eq, keep in zip(family, mask2) if keep]
+                common = [eq for eq, k1, k2 in zip(family, mask1, mask2) if k1 and k2]
+                union = [eq for eq, k1, k2 in zip(family, mask1, mask2) if k1 or k2]
+                if not common or t1 == t2:
+                    continue
+                if not (is_2_full(t1) and is_2_full(t2)):
+                    continue
+                if not is_c_good(from_equalities(family[0].k, union), 2).c_good:
+                    continue
+                outcomes.append(("2-full-intersection", is_2_full(common), (t1, t2)))
+                return
+
+        proved = []
+
+        def recording_is_2_full(eqs):
+            proved.append(list(eqs))
+            return is_2_full(eqs)
+
+        monkeypatch.setattr(lemmas, "is_2_full", recording_is_2_full)
+        checked = 0
+        for seed in range(500):
+            want, got = [], []
+            rng_want, rng_got = random.Random(seed), random.Random(seed)
+            reference(rng_want, want)
+            proved.clear()
+            lemmas._check_intersection(rng_got, got)
+            assert got == want
+            assert rng_got.getstate() == rng_want.getstate()
+            assert proved == [lemmas._random_2full_family(random.Random(seed))]
+            checked += len(got)
+        assert checked > 400
+
+    def test_variable_count_is_2_full_on_independent_prefixes(self):
+        # every prefix of an independent family is independent, so the
+        # count alone is is_2_full there
+        families = [lemmas._random_2full_family(random.Random(seed)) for seed in range(500)]
+        figures = [
+            lemmas.three_implication_figure(),
+            lemmas.sec5_figure_premises(),
+            lemmas.subbox_figure_premises(),
+            *lemmas.intersection_figure(),
+        ]
+        families += [list(im.premises) for fig in figures for im in minimal_implications(fig)]
+        for family in families:
+            for cut in range(1, len(family) + 1):
+                prefix = family[:cut]
+                assert _has_2t_plus_1_variables(prefix) == is_2_full(prefix)
+
+    def test_is_2_full_still_proves_independence(self):
+        # the count alone would answer False on x1-x2-x3+x4 and its negation
+        a = lemmas._eq(4, (1, -1, -1, 1))
+        b = lemmas._eq(4, (-1, 1, 1, -1))
+        assert not _has_2t_plus_1_variables([a, b])
+        with pytest.raises(ValueError, match="^equalities are linearly dependent$"):
+            is_2_full([a, b])
 
     def test_hub_family_matches_a_loop_that_reduces_every_draw(self, monkeypatch):
         # the generator carries its family's canonical rows and inserts each
