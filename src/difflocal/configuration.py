@@ -181,30 +181,22 @@ class KConfiguration:
         return exactlin.member(self.basis, eq)
 
     @cached_property
-    def _quotient(self) -> tuple[list[int], int, list[int]]:
-        """What ``residues`` and ``residue_keys`` read off the basis: the
-        free (non-pivot) columns, den = lcm of the pivot entries, and
-        den / r_p for each basis row r with pivot p."""
-        basis = self.basis
-        pivots = basis.pivots
-        heads = [r[p] for r, p in zip(basis.rows, pivots)]
-        den = lcm(*heads)
-        return [j for j in range(self.k) if j not in pivots], den, [den // head for head in heads]
-
-    @cached_property
     def residues(self) -> tuple[tuple[int, ...], ...]:
         """Row i - 1 is the residue of e_i modulo the span, on the free
-        columns of ``_quotient``, over its denominator den: den*e_j at a
-        free column j, and -(den / r_p)*r at the pivot p of a basis row r.
-        Every residue is zero at a pivot."""
-        free, den, scales = self._quotient
+        (non-pivot) columns, over den = lcm of the pivot entries: den*e_j
+        at a free column j, and -(den / r_p)*r at the pivot p of a basis
+        row r.  Every residue is zero at a pivot."""
+        basis_rows, pivots = self.basis.rows, self.basis.pivots
+        den = lcm(*[r[p] for r, p in zip(basis_rows, pivots)])
+        free = [j for j in range(self.k) if j not in pivots]
         width = len(free)
         rows: list[tuple[int, ...]] = [()] * self.k
         for n, j in enumerate(free):
             row = [0] * width
             row[n] = den
             rows[j] = tuple(row)
-        for r, p, scale in zip(self.basis.rows, self.basis.pivots, scales):
+        for r, p in zip(basis_rows, pivots):
+            scale = den // r[p]
             rows[p] = tuple([-scale * r[j] for j in free])
         return tuple(rows)
 
@@ -212,28 +204,18 @@ class KConfiguration:
     def residue_keys(self) -> tuple[int, ...]:
         """Key i - 1 is row i of ``residues`` read as base-B digits,
         sum_n row[n] * B**n with B = 4m + 1 and m the largest |entry| of
-        the table, read off ``_quotient`` by the same closed form:
-        den * B**n at the n-th free column, and -(den / r_p) * sum_n r[n]
-        * B**n at the pivot p of a basis row r.  A signed sum of at most
-        four rows has digits of size at most 4m < B, which no higher digit
-        can cancel, so its key is 0 iff the sum is 0: keys add and compare
-        as the rows do, for up to four rows."""
-        free, den, scales = self._quotient
-        basis = self.basis
-        # a basis row is 0 at the other pivots and scale * r[p] is den, so
-        # the largest entry of the table is den or a scaled basis entry
-        m = max([den] + [scale * max(map(abs, r)) for r, scale in zip(basis.rows, scales)])
-        base = 4 * m + 1
-        keys = [0] * self.k
-        power = den
-        for j in free:
-            keys[j] = power
-            power *= base
-        for r, p, scale in zip(basis.rows, basis.pivots, scales):
+        the table.  A signed sum of at most four rows has digits of size at
+        most 4m < B, which no higher digit can cancel, so its key is 0 iff
+        the sum is 0: keys add and compare as the rows do, for up to four
+        rows."""
+        rows = self.residues
+        base = 4 * max(map(abs, itertools.chain.from_iterable(rows)), default=0) + 1
+        keys = []
+        for row in rows:
             key = 0
-            for j in reversed(free):  # Horner's rule, highest digit first
-                key = key * base + r[j]
-            keys[p] = -scale * key
+            for x in reversed(row):  # Horner's rule, highest digit first
+                key = key * base + x
+            keys.append(key)
         return tuple(keys)
 
     def pair_sum_classes(self, variables: Iterable[int] | None = None) -> list[list[tuple[int, int]]]:

@@ -34,7 +34,6 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from functools import cached_property
 from math import gcd
 from typing import Iterable, Sequence
 
@@ -63,7 +62,7 @@ class ExactBasis:
     ambient_dim: int
     rows: tuple[tuple[int, ...], ...]
 
-    @cached_property
+    @property
     def pivots(self) -> tuple[int, ...]:
         return tuple(map(_leading, self.rows))  # type: ignore[arg-type]
 

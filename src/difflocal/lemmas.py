@@ -44,7 +44,9 @@ from .implications import (
 
 
 def _eq(k: int, content: Sequence[int]) -> DifferenceEquality:
-    return DifferenceEquality.from_content(k, tuple(content))
+    # every content here is a figure literal or ``_sum_content`` on distinct
+    # indices, of a shape ``from_content`` would accept
+    return DifferenceEquality(k, tuple(content))
 
 
 def sec5_figure_premises() -> list[DifferenceEquality]:

@@ -366,8 +366,8 @@ def odd_equality_case(k: int, seed: int = 0) -> dict:
         config = from_points(points)
         if config.rank != p:
             continue
-        certified = config.certified_count()
         certified_pairs = config.certified_pairs()
+        certified = len(certified_pairs)
         has_extras = all(pair in certified_pairs for pair in ((k, 1), (k, 3), (k, 6)))
         good = is_c_good(config, TWO).c_good
         row = {

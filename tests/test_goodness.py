@@ -978,6 +978,10 @@ class TestResidueTable:
             ),
         )
     )
+    # m is den, the pivot entry 2
+    @example(cfg.from_equalities(3, [(2, -1, -1)]))
+    # m is a scaled basis entry, 3, above den = 1
+    @example(cfg.from_equalities(3, [(1, -3, 2)]))
     def test_keys_are_rows_read_as_digits(self, config):
         # key i is row i of the table read as base-(4m + 1) digits, m the
         # largest |entry| of the table, the lowest digit first

@@ -19,6 +19,7 @@ from difflocal.configuration import (
     first_progression,
     from_equalities,
     from_points,
+    is_difference_content,
 )
 from difflocal.goodness import PAPER_C, is_c_good, largest_star, parse_c
 from difflocal.implications import _has_2t_plus_1_variables, is_2_full, minimal_implications
@@ -420,6 +421,29 @@ class TestLemmaSuite:
         # every category produced checks
         names = set(report["checks_by_name"])
         assert {"hub-implication-size<=4", "pair-six-variables", "2-full-intersection", "cross-check"} <= names
+
+    def test_every_built_equality_has_a_difference_content(self, monkeypatch):
+        # _eq skips from_content's shape check: each content it is given is
+        # a figure literal or _sum_content on distinct indices
+        built = []
+        unchecked_eq = lemmas._eq
+
+        def recording_eq(k, content):
+            eq = unchecked_eq(k, content)
+            built.append(eq)
+            return eq
+
+        monkeypatch.setattr(lemmas, "_eq", recording_eq)
+        for seed in range(50):
+            lemmas.lemma_property_suite(seed=seed, instance_count=40)
+        lemmas.three_implication_figure()
+        lemmas.sec5_figure_premises()
+        lemmas.subbox_figure_premises()
+        lemmas.intersection_figure()
+        assert len(built) > 1000
+        for eq in built:
+            assert len(eq.content) == eq.k
+            assert is_difference_content(eq.content), eq
 
     @pytest.mark.parametrize(
         "points",
